@@ -10,9 +10,13 @@ from .bipartite import (
     build_wprime,
     correction_response,
     encode_payload,
+    fit_one_branch,
+    generate_one_branch,
     one_branch_roundtrip,
     parse_payload,
+    reconstruct_from_part,
     reduction_identity_residual,
+    sample_first_part,
     verify_corollary1,
     vertex_pipeline,
     vertex_pipeline_chebyshev,
@@ -82,7 +86,6 @@ from .recovery import (
     RecoveryDesign,
     SmoothnessPrior,
     Strategy,
-    SubspacePrior,
     check_ds,
     design_smoothness_predefined,
     design_smoothness_unconstrained,

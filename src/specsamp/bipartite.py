@@ -22,11 +22,11 @@ exactly with the plain frequency-domain sampling/reconstruction chain.
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .chebyshev import apply_chebyshev, chebyshev_fit
+from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
 from .errors import (
     DimensionMismatch,
     NotBipartite,
@@ -167,10 +167,42 @@ def build_wprime(w: SpectralFilter, h: np.ndarray) -> SpectralFilter:
     return SpectralFilter(w.values * np.tile(h, 2))
 
 
-def _mask_first_part(y: np.ndarray, half: int) -> np.ndarray:
-    masked = np.zeros_like(y)
-    masked[:half] = y[:half]
-    return masked
+def _apply(sys: BipartiteSystem, f: Union[SpectralFilter, ChebyshevFilter],
+           x: np.ndarray) -> np.ndarray:
+    if isinstance(f, ChebyshevFilter):
+        return apply_chebyshev(sys.op_b, f, x, lambda_max=2.0)
+    return apply_filter(sys.basis_b, f, x)
+
+
+def _zero_pad(part: np.ndarray) -> np.ndarray:
+    return np.concatenate([part, np.zeros_like(part)])
+
+
+def sample_first_part(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilter],
+                      x_int: np.ndarray) -> np.ndarray:
+    """Vertex-domain sampling step: filter an internally ordered signal by
+    g and keep the first part.
+
+    ``g`` is a SpectralFilter on the paired basis, applied exactly, or a
+    ChebyshevFilter fitted on the normalized interval [0, 2], applied by
+    its recurrence on the normalized Laplacian.
+    """
+    return _apply(sys, g, x_int)[: sys.half]
+
+
+def reconstruct_from_part(sys: BipartiteSystem, w: Union[SpectralFilter, ChebyshevFilter],
+                          kept: np.ndarray) -> np.ndarray:
+    """Vertex-domain reconstruction step: zero-pad the kept first part,
+    filter by w (as in :func:`sample_first_part`), times the sampling
+    ratio M. Returns an internally ordered signal."""
+    return sys.cfg.m * _apply(sys, w, _zero_pad(kept))
+
+
+def generate_one_branch(sys: BipartiteSystem, wprime: SpectralFilter,
+                        d: np.ndarray) -> np.ndarray:
+    """Synthesize an internally ordered one-branch signal from length-N/2
+    coefficients: zero-pad onto the first part and filter by wprime."""
+    return apply_filter(sys.basis_b, wprime, _zero_pad(d))
 
 
 def vertex_pipeline(sys: BipartiteSystem, g: SpectralFilter,
@@ -183,10 +215,8 @@ def vertex_pipeline(sys: BipartiteSystem, g: SpectralFilter,
     (plain fold sampling followed by correct/upsample/filter
     reconstruction) exactly, for every pair of spectral filters.
     """
-    x_int = sys.to_internal(x)
-    y = apply_filter(sys.basis_b, g, x_int)
-    out = sys.cfg.m * apply_filter(sys.basis_b, wprime, _mask_first_part(y, sys.half))
-    return sys.to_caller(out)
+    kept = sample_first_part(sys, g, sys.to_internal(x))
+    return sys.to_caller(reconstruct_from_part(sys, wprime, kept))
 
 
 def vertex_pipeline_chebyshev(sys: BipartiteSystem, g_resp: Callable[[float], float],
@@ -197,11 +227,8 @@ def vertex_pipeline_chebyshev(sys: BipartiteSystem, g_resp: Callable[[float], fl
     Laplacian (interval [0, 2]), so no eigendecomposition is touched."""
     cf_g = chebyshev_fit(g_resp, NORMALIZED_INTERVAL, order)
     cf_w = chebyshev_fit(wprime_resp, NORMALIZED_INTERVAL, order)
-    x_int = sys.to_internal(x)
-    y = apply_chebyshev(sys.op_b, cf_g, x_int, lambda_max=2.0)
-    masked = _mask_first_part(y, sys.half)
-    out = sys.cfg.m * apply_chebyshev(sys.op_b, cf_w, masked, lambda_max=2.0)
-    return sys.to_caller(out)
+    kept = sample_first_part(sys, cf_g, sys.to_internal(x))
+    return sys.to_caller(reconstruct_from_part(sys, cf_w, kept))
 
 
 def correction_response(sys: BipartiteSystem, h: np.ndarray) -> Callable[[float], float]:
@@ -218,6 +245,21 @@ def correction_response(sys: BipartiteSystem, h: np.ndarray) -> Callable[[float]
         return float(np.interp(folded, xs, ys))
 
     return resp
+
+
+def fit_one_branch(sys: BipartiteSystem, a_resp: Callable[[float], float],
+                   h: np.ndarray, order: int) -> Tuple[ChebyshevFilter, ChebyshevFilter]:
+    """Order-``order`` Chebyshev fits of the one-branch sampling filter
+    (the bandlimit surrogate) and of the combined decoding response
+    a * h on the normalized interval [0, 2]."""
+    s_resp = bandlimit_response(sys.basis_b, sys.half)
+    h_resp = correction_response(sys, h)
+
+    def combined(lam: float) -> float:
+        return a_resp(lam) * h_resp(lam)
+
+    return (chebyshev_fit(s_resp, NORMALIZED_INTERVAL, order),
+            chebyshev_fit(combined, NORMALIZED_INTERVAL, order))
 
 
 @dataclass(frozen=True)
@@ -258,25 +300,10 @@ def one_branch_roundtrip(sys: BipartiteSystem, a_resp: Callable[[float], float],
     design = design_subspace_unconstrained(s, a, sys.cfg, Strategy.DS)
     wprime = build_wprime(a, design.h)
 
-    x_int = apply_filter(sys.basis_b, wprime, np.concatenate([d, np.zeros(half)]))
-
-    if order is None:
-        kept = apply_filter(sys.basis_b, s, x_int)[:half]
-        decoded_int = sys.cfg.m * apply_filter(
-            sys.basis_b, wprime, np.concatenate([kept, np.zeros(half)]))
-    else:
-        s_resp = bandlimit_response(sys.basis_b, half)
-        wp_resp = correction_response(sys, design.h)
-
-        def combined(lam: float, _a=a_resp, _h=wp_resp) -> float:
-            return _a(lam) * _h(lam)
-
-        cf_s = chebyshev_fit(s_resp, NORMALIZED_INTERVAL, order)
-        cf_w = chebyshev_fit(combined, NORMALIZED_INTERVAL, order)
-        kept = apply_chebyshev(sys.op_b, cf_s, x_int, lambda_max=2.0)[:half]
-        decoded_int = sys.cfg.m * apply_chebyshev(
-            sys.op_b, cf_w, np.concatenate([kept, np.zeros(half)]), lambda_max=2.0)
-
+    x_int = generate_one_branch(sys, wprime, d)
+    g, w = (s, wprime) if order is None else fit_one_branch(sys, a_resp, design.h, order)
+    kept = sample_first_part(sys, g, x_int)
+    decoded_int = reconstruct_from_part(sys, w, kept)
     encoded = SampledSpectrum(
         np.sqrt(sys.cfg.m) * (sys.basis_reduced.vectors.T @ kept), sys.cfg)
     return OneBranchResult(encoded, sys.to_caller(x_int), sys.to_caller(decoded_int), design)

@@ -15,20 +15,7 @@ import numpy as np
 
 from . import __version__
 from .bipartite import build_system, reduction_identity_residual, verify_corollary1
-from .errors import (
-    ConnectivityFailure,
-    DsConditionViolated,
-    EigensolveFailure,
-    InvalidParameter,
-    IoFailure,
-    IsolatedVertex,
-    NotBipartite,
-    PairingFailure,
-    SingularCorrelation,
-    SingularInteriorBlock,
-    SpecSampError,
-    UnequalParts,
-)
+from .errors import InvalidParameter, IoFailure, SpecSampError
 from .experiments import (
     BipartiteExperimentConfig,
     ExperimentConfig,
@@ -49,13 +36,11 @@ from .filters import (
     save_filter,
     smoothness_ramp,
 )
-from .graphs import complete_bipartite, gen_circular, gen_random_bipartite, gen_random_sensor, save_graph
+from .graphs import complete_bipartite, gen_random_bipartite, save_graph
 from .sampling import SamplingConfig
 
-_CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError, json.JSONDecodeError)
-_NUMERICAL_ERRORS = (DsConditionViolated, SingularCorrelation, EigensolveFailure,
-                     PairingFailure, ConnectivityFailure, SingularInteriorBlock,
-                     IsolatedVertex, NotBipartite, UnequalParts)
+# json.JSONDecodeError is a ValueError; every other SpecSampError is numerical.
+_CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
 
 
 def _load_config_overrides(path):
@@ -79,16 +64,9 @@ def _experiment_config(args, overrides) -> ExperimentConfig:
 
 
 def _cmd_gen_graph(args) -> int:
-    if args.kind == "circular":
-        g = gen_circular(args.n)
-    elif args.kind == "sensor":
-        g = gen_random_sensor(args.n, args.seed)
-    elif args.kind == "bipartite":
-        g = gen_random_bipartite(args.n // 2, args.seed, p=args.p)
-    elif args.kind == "complete-bipartite":
-        g = complete_bipartite(args.n // 2)
-    else:
-        raise InvalidParameter(f"unknown graph kind {args.kind!r}")
+    g = build_experiment_graph(ExperimentConfig(graph_kind=args.kind, n=args.n,
+                                                graph_seed=args.seed,
+                                                graph_params={"p": args.p}))
     save_graph(g, args.out)
     print(f"wrote {args.kind} graph with n={g.n} to {args.out}")
     return 0
@@ -276,14 +254,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SpecSampError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

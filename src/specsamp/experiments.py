@@ -18,36 +18,45 @@ from .bipartite import (
     BipartiteSystem,
     build_system,
     build_wprime,
-    chebyshev_fit,
-    correction_response,
-    NORMALIZED_INTERVAL,
+    fit_one_branch,
+    generate_one_branch,
+    reconstruct_from_part,
+    sample_first_part,
 )
-from .chebyshev import apply_chebyshev
 from .errors import InvalidParameter, IoFailure
 from .filters import (
     SpectralFilter,
     bandlimit,
-    bandlimit_response,
     cosine_taper,
     exponential_decay,
     inverted_ramp,
     linear_decay,
     smoothness_ramp,
 )
-from .graphs import gen_circular, gen_matched_bipartite, gen_random_bipartite, gen_random_sensor
+from .graphs import (
+    combinatorial_laplacian,
+    complete_bipartite,
+    gen_circular,
+    gen_matched_bipartite,
+    gen_random_bipartite,
+    gen_random_sensor,
+    normalized_laplacian,
+)
 from .recovery import (
     MSE_FLOOR_DB,
     Mode,
+    PgsModel,
     RecoveryDesign,
     Strategy,
     design_smoothness_predefined,
     design_smoothness_unconstrained,
     design_subspace_predefined,
     design_subspace_unconstrained,
+    generate_pgs,
+    reconstruct,
 )
-from .sampling import SamplingConfig
+from .sampling import SamplingConfig, frequency_sample
 from .spectral import SpectralBasis, dft_basis, eigendecompose
-from .graphs import combinatorial_laplacian, normalized_laplacian
 
 REPORT_COLUMNS = ("prior", "mode", "strategy", "sampling_filter", "generator",
                   "noise", "trial", "mse_db", "mean_mse_db")
@@ -108,6 +117,8 @@ def build_experiment_graph(cfg: ExperimentConfig):
     if cfg.graph_kind == "bipartite":
         return gen_random_bipartite(cfg.n // 2, cfg.graph_seed,
                                     p=float(cfg.graph_params.get("p", 0.5)))
+    if cfg.graph_kind == "complete-bipartite":
+        return complete_bipartite(cfg.n // 2)
     raise InvalidParameter(f"unknown graph kind {cfg.graph_kind!r}")
 
 
@@ -168,24 +179,33 @@ def design_for_config(cfg: ExperimentConfig, basis: SpectralBasis,
     return s, design_smoothness_predefined(s, v, w, scfg, strategy)
 
 
-def _draw_trials(cfg: ExperimentConfig, scfg: SamplingConfig):
+def _draw_trials(seed: int, trials: int, mean: float, k: int,
+                 n: int = 0, noise_sd: float = 0.0):
     """Per-trial substreams: trial t uses the t-th spawned child of the
-    run's seed sequence and draws its K coefficients, then its N noise
-    values."""
-    children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.trials)
-    coeffs = np.empty((scfg.k, cfg.trials))
-    noise = np.zeros((scfg.n, cfg.trials))
-    sd = float(np.sqrt(cfg.noise_variance))
+    seed sequence and draws its k Normal(mean, 1) coefficients, then, when
+    noise_sd > 0, its n noise values. Returns (k x trials, n x trials)."""
+    children = np.random.SeedSequence(seed).spawn(trials)
+    coeffs = np.empty((k, trials))
+    noise = np.zeros((n, trials))
     for t, child in enumerate(children):
         rng = np.random.default_rng(child)
-        coeffs[:, t] = rng.normal(cfg.coeff_mean, 1.0, scfg.k)
-        if sd > 0:
-            noise[:, t] = rng.normal(0.0, sd, scfg.n)
+        coeffs[:, t] = rng.normal(mean, 1.0, k)
+        if noise_sd > 0:
+            noise[:, t] = rng.normal(0.0, noise_sd, n)
     return coeffs, noise
 
 
-def _mean_db(ratios: np.ndarray) -> float:
-    return float(max(10.0 * np.log10(np.mean(ratios)), MSE_FLOOR_DB))
+def _trial_rows(labels: tuple, x: np.ndarray, xt: np.ndarray) -> List[dict]:
+    """Report rows for the trials (columns) of one configuration: the
+    labels fill the first six report columns, then trial, the trial's
+    error against x in decibels and the mean over trials."""
+    ratios = np.sum(np.abs(xt - x) ** 2, axis=0) / np.sum(np.abs(x) ** 2, axis=0)
+    mean_db = float(max(10.0 * np.log10(np.mean(ratios)), MSE_FLOOR_DB))
+    rows = []
+    for t, ratio in enumerate(ratios):
+        trial_db = MSE_FLOOR_DB if ratio == 0 else max(10.0 * np.log10(ratio), MSE_FLOOR_DB)
+        rows.append(dict(zip(REPORT_COLUMNS, (*labels, t, float(trial_db), mean_db))))
+    return rows
 
 
 def run_recovery_experiment(cfg: ExperimentConfig) -> List[dict]:
@@ -200,35 +220,16 @@ def run_recovery_experiment(cfg: ExperimentConfig) -> List[dict]:
     basis = basis_for_config(cfg, graph)
     scfg = SamplingConfig(cfg.n, cfg.m)
     s, design = design_for_config(cfg, basis, scfg)
-    a = _generator_filter(cfg, basis)
+    model = PgsModel(_generator_filter(cfg, basis), scfg, basis)
 
-    coeffs, noise = _draw_trials(cfg, scfg)
-    u = basis.vectors
-    uh = u.conj().T
-    ridx = np.arange(scfg.n) % scfg.k
-
-    x_clean = u @ (a.values[:, None] * coeffs[ridx, :])
-    x = x_clean + noise
-    spectra = s.values[:, None] * (uh @ x)
-    chat = spectra.reshape(scfg.m, scfg.k, cfg.trials).sum(axis=0)
-    corrected = design.h[:, None] * chat
-    xt = u @ (design.w.values[:, None] * corrected[ridx, :])
-
-    err = np.sum(np.abs(xt - x_clean) ** 2, axis=0)
-    ref = np.sum(np.abs(x_clean) ** 2, axis=0)
-    ratios = err / ref
-    mean_db = _mean_db(ratios)
-
-    rows = []
-    for t, ratio in enumerate(ratios):
-        trial_db = MSE_FLOOR_DB if ratio == 0 else max(10.0 * np.log10(ratio), MSE_FLOOR_DB)
-        rows.append({
-            "prior": cfg.prior, "mode": cfg.mode, "strategy": cfg.strategy,
-            "sampling_filter": cfg.sampling_filter if cfg.prior != "baseline" else "bl",
-            "generator": cfg.generator, "noise": cfg.noise_variance,
-            "trial": t, "mse_db": float(trial_db), "mean_mse_db": mean_db,
-        })
-    return rows
+    coeffs, noise = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, scfg.k,
+                                 scfg.n, float(np.sqrt(cfg.noise_variance)))
+    x = generate_pgs(model, coeffs)
+    chat = frequency_sample(basis, s, x + noise, scfg)
+    xt = reconstruct(basis, design, chat)
+    sampling = cfg.sampling_filter if cfg.prior != "baseline" else "bl"
+    return _trial_rows((cfg.prior, cfg.mode, cfg.strategy, sampling, cfg.generator,
+                        cfg.noise_variance), x, xt)
 
 
 TABLE_METHODS = (
@@ -291,27 +292,6 @@ class BipartiteExperimentConfig:
             raise InvalidParameter(f"unknown bipartite graph kind {self.graph_kind!r}")
 
 
-def _bipartite_trial_matrix(cfg: BipartiteExperimentConfig, half: int) -> np.ndarray:
-    children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.trials)
-    d = np.empty((half, cfg.trials))
-    for t, child in enumerate(children):
-        d[:, t] = np.random.default_rng(child).normal(cfg.coeff_mean, 1.0, half)
-    return d
-
-
-def _ratio_rows(ratios: np.ndarray, mode: str, order_label: str) -> List[dict]:
-    mean_db = _mean_db(ratios)
-    rows = []
-    for t, ratio in enumerate(ratios):
-        trial_db = MSE_FLOOR_DB if ratio == 0 else max(10.0 * np.log10(ratio), MSE_FLOOR_DB)
-        rows.append({
-            "prior": "subspace", "mode": mode, "strategy": order_label,
-            "sampling_filter": "bl", "generator": "ir", "noise": 0.0,
-            "trial": t, "mse_db": float(trial_db), "mean_mse_db": mean_db,
-        })
-    return rows
-
-
 def run_bipartite_experiment(cfg: BipartiteExperimentConfig,
                              system: Optional[BipartiteSystem] = None) -> List[dict]:
     """One-branch recovery on a bipartite graph across Chebyshev orders.
@@ -329,45 +309,28 @@ def run_bipartite_experiment(cfg: BipartiteExperimentConfig,
         sys_ = build_system(gen_matched_bipartite(cfg.n_half, cfg.graph_seed))
     else:
         sys_ = build_system(gen_random_bipartite(cfg.n_half, cfg.graph_seed, cfg.p))
-    half = sys_.half
-    basis = sys_.basis_b
-    s = bandlimit(basis, half)
-    a = inverted_ramp(basis)
+    s = bandlimit(sys_.basis_b, sys_.half)
+    a = inverted_ramp(sys_.basis_b)
     design = design_subspace_unconstrained(s, a, sys_.cfg, Strategy.DS)
     wprime = build_wprime(a, design.h)
 
-    d = _bipartite_trial_matrix(cfg, half)
-    pad = np.vstack([d, np.zeros((half, cfg.trials))])
-    x = basis.vectors @ (wprime.values[:, None] * (basis.vectors.T @ pad))
-    ref = np.sum(x**2, axis=0)
+    d, _ = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, sys_.half)
+    x = generate_one_branch(sys_, wprime, d)
 
-    def mask(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        out[:half] = y[:half]
-        return out
+    def labels(mode: str, order_label: str) -> tuple:
+        return ("subspace", mode, order_label, "bl", "ir", 0.0)
 
     rows: List[dict] = []
     if cfg.include_exact:
-        kept = mask(basis.vectors @ (s.values[:, None] * (basis.vectors.T @ x)))
-        xt = 2.0 * (basis.vectors @ (wprime.values[:, None] * (basis.vectors.T @ kept)))
-        rows.extend(_ratio_rows(np.sum((xt - x) ** 2, axis=0) / ref, "exact", "exact"))
-
-    s_resp = bandlimit_response(basis, half)
-    h_resp = correction_response(sys_, design.h)
-
-    def combined(lam: float) -> float:
-        return a.response(lam) * h_resp(lam)
-
+        xt = reconstruct_from_part(sys_, wprime, sample_first_part(sys_, s, x))
+        rows.extend(_trial_rows(labels("exact", "exact"), x, xt))
     for order in cfg.orders:
-        cf_s = chebyshev_fit(s_resp, NORMALIZED_INTERVAL, order)
-        cf_w = chebyshev_fit(combined, NORMALIZED_INTERVAL, order)
-        kept = mask(apply_chebyshev(sys_.op_b, cf_s, x, lambda_max=2.0))
-        xt = 2.0 * apply_chebyshev(sys_.op_b, cf_w, kept, lambda_max=2.0)
-        rows.extend(_ratio_rows(np.sum((xt - x) ** 2, axis=0) / ref,
-                                f"chebyshev_p{order}", str(order)))
-        xt_bl = 2.0 * apply_chebyshev(sys_.op_b, cf_s, kept, lambda_max=2.0)
-        rows.extend(_ratio_rows(np.sum((xt_bl - x) ** 2, axis=0) / ref,
-                                f"chebyshev_baseline_p{order}", str(order)))
+        cf_s, cf_w = fit_one_branch(sys_, a.response, design.h, order)
+        kept = sample_first_part(sys_, cf_s, x)
+        rows.extend(_trial_rows(labels(f"chebyshev_p{order}", str(order)), x,
+                                reconstruct_from_part(sys_, cf_w, kept)))
+        rows.extend(_trial_rows(labels(f"chebyshev_baseline_p{order}", str(order)), x,
+                                reconstruct_from_part(sys_, cf_s, kept)))
     return rows
 
 

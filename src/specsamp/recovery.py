@@ -6,6 +6,9 @@ or by a smoothness bound on a quadratic form. Every design below comes out
 as a length-K diagonal correction filter paired with a length-N diagonal
 reconstruction filter; the denominators are folded cross-correlations of
 the filters involved.
+
+Coefficients, signals and sampled spectra may carry a trailing trial
+axis; synthesis and reconstruction act along axis 0.
 """
 
 import json
@@ -29,7 +32,7 @@ from .sampling import (
     sampled_cross_correlation,
     spectral_upsample,
 )
-from .spectral import SpectralBasis, gft, igft
+from .spectral import SpectralBasis, _scale_rows, gft, igft
 
 MSE_FLOOR_DB = -320.0
 
@@ -46,22 +49,11 @@ class Mode(Enum):
 
 
 @dataclass(frozen=True)
-class SubspacePrior:
-    """The signal lies in the PGS subspace of a known generator."""
-
-    generator: SpectralFilter
-
-
-@dataclass(frozen=True)
 class SmoothnessPrior:
-    """The signal satisfies a quadratic smoothness bound.
-
-    The weighting response must be nonzero everywhere; the bound ``rho``
-    is carried as metadata only (no design formula uses it).
-    """
+    """The signal satisfies a quadratic smoothness bound; the weighting
+    response must be nonzero everywhere."""
 
     v: SpectralFilter
-    rho: Optional[float] = None
 
     def __post_init__(self):
         if np.any(self.v.values == 0):
@@ -126,7 +118,8 @@ def generate_pgs(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
     dhat = np.asarray(dhat)
     if dhat.shape[0] != model.cfg.k:
         raise DimensionMismatch(f"expected {model.cfg.k} coefficients, got {dhat.shape[0]}")
-    return igft(model.basis, model.generator.values * spectral_upsample(dhat, model.cfg))
+    return igft(model.basis, _scale_rows(model.generator.values,
+                                         spectral_upsample(dhat, model.cfg)))
 
 
 def check_ds(s: SpectralFilter, a: SpectralFilter, cfg: SamplingConfig,
@@ -245,8 +238,8 @@ def reconstruct(b: SpectralBasis, design: RecoveryDesign,
     x = U diag(w) upsample(h * chat)."""
     if design.w.n != b.n or design.h.shape[0] != chat.config.k or chat.config.n != b.n:
         raise DimensionMismatch("design, basis, and sampled spectrum sizes must agree")
-    corrected = design.h * chat.values
-    return igft(b, design.w.values * spectral_upsample(corrected, chat.config))
+    corrected = _scale_rows(design.h, chat.values)
+    return igft(b, _scale_rows(design.w.values, spectral_upsample(corrected, chat.config)))
 
 
 def smoothness_energy(b: SpectralBasis, v: SpectralFilter, x: np.ndarray) -> float:

@@ -5,6 +5,9 @@ K = N/M, the graph counterpart of frequency-domain aliasing; the adjoint
 upsampler replicates a length-K spectrum periodically. The folded product
 of two filter responses (the sampled cross-correlation) is the denominator
 of every correction-filter design.
+
+Spectra may carry a trailing trial axis, ``(N,)`` or ``(N, T)``; folding
+and upsampling act along axis 0.
 """
 
 import json
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter
 from .filters import SpectralFilter
-from .spectral import SpectralBasis, apply_filter, gft
+from .spectral import SpectralBasis, _scale_rows, apply_filter, gft
 
 
 @dataclass(frozen=True)
@@ -35,29 +38,33 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class SampledSpectrum:
-    """Length-K folded spectrum together with its sampling configuration."""
+    """Folded spectrum, K values or K x T for T trials, together with its
+    sampling configuration."""
 
     values: np.ndarray
     config: SamplingConfig
 
     def __post_init__(self):
         v = np.asarray(self.values)
-        if v.shape != (self.config.k,):
+        if v.ndim == 0 or v.shape[0] != self.config.k:
             raise DimensionMismatch(f"expected length {self.config.k}, got {v.shape}")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def to_record(self) -> str:
-        """One-line JSON record (K, M, values)."""
+        """One-line JSON record (K, M, real and imaginary parts)."""
         return json.dumps({"k": self.config.k, "m": self.config.m,
-                           "values": [float(v) for v in np.real(self.values)]})
+                           "real": self.values.real.tolist(),
+                           "imag": self.values.imag.tolist()})
 
     @classmethod
     def from_record(cls, line: str) -> "SampledSpectrum":
+        """Inverse of :meth:`to_record`; the values come back complex."""
         rec = json.loads(line)
         cfg = SamplingConfig(rec["k"] * rec["m"], rec["m"])
-        return cls(np.asarray(rec["values"], dtype=float), cfg)
+        return cls(np.asarray(rec["real"], dtype=float)
+                   + 1j * np.asarray(rec["imag"], dtype=float), cfg)
 
 
 def spectral_fold(xhat: np.ndarray, cfg: SamplingConfig) -> SampledSpectrum:
@@ -65,7 +72,7 @@ def spectral_fold(xhat: np.ndarray, cfg: SamplingConfig) -> SampledSpectrum:
     xhat = np.asarray(xhat)
     if xhat.shape[0] != cfg.n:
         raise DimensionMismatch(f"spectrum length {xhat.shape[0]} != {cfg.n}")
-    folded = xhat.reshape(cfg.m, cfg.k).sum(axis=0)
+    folded = xhat.reshape(cfg.m, cfg.k, *xhat.shape[1:]).sum(axis=0)
     return SampledSpectrum(folded, cfg)
 
 
@@ -74,7 +81,7 @@ def spectral_upsample(dhat: np.ndarray, cfg: SamplingConfig) -> np.ndarray:
     dhat = np.asarray(dhat)
     if dhat.shape[0] != cfg.k:
         raise DimensionMismatch(f"expected length {cfg.k}, got {dhat.shape[0]}")
-    return np.tile(dhat, cfg.m)
+    return np.tile(dhat, (cfg.m,) + (1,) * (dhat.ndim - 1))
 
 
 def frequency_sample(b: SpectralBasis, s: SpectralFilter, x: np.ndarray,
@@ -86,7 +93,7 @@ def frequency_sample(b: SpectralBasis, s: SpectralFilter, x: np.ndarray,
     """
     if b.n != cfg.n or s.n != cfg.n:
         raise DimensionMismatch("basis, filter, and config sizes must agree")
-    return spectral_fold(s.values * gft(b, x), cfg)
+    return spectral_fold(_scale_rows(s.values, gft(b, x)), cfg)
 
 
 def vertex_sample(g_filter, t, x: np.ndarray, basis: SpectralBasis = None) -> np.ndarray:

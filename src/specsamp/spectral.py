@@ -1,5 +1,9 @@
 """Graph Fourier transform: eigenbasis construction, forward/inverse
-transforms, and spectral filtering."""
+transforms, and spectral filtering.
+
+Signals and spectra are ``(N,)`` or ``(N, T)``: a trailing axis holds T
+trials, and every transform and filter acts along axis 0.
+"""
 
 from dataclasses import dataclass
 
@@ -114,7 +118,9 @@ def gft(b: SpectralBasis, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[0] != b.n:
         raise DimensionMismatch(f"signal length {x.shape[0]} != {b.n}")
-    return b.vectors.conj().T @ x
+    # U* x without forming the conjugated N x N basis; conj() is free on
+    # real arrays.
+    return (b.vectors.T @ x.conj()).conj()
 
 
 def igft(b: SpectralBasis, xhat: np.ndarray) -> np.ndarray:
@@ -129,4 +135,10 @@ def apply_filter(b: SpectralBasis, f: SpectralFilter, x: np.ndarray) -> np.ndarr
     """Spectral filtering: U diag(f) U* x."""
     if f.n != b.n:
         raise DimensionMismatch(f"filter length {f.n} != {b.n}")
-    return igft(b, f.values * gft(b, x))
+    return igft(b, _scale_rows(f.values, gft(b, x)))
+
+
+def _scale_rows(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """diag(values) x for a signal or spectrum with an optional trailing
+    trial axis."""
+    return values.reshape(-1, *[1] * (np.ndim(x) - 1)) * x

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from specsamp import InvalidParameter
+from specsamp import InvalidParameter, IoFailure, SpecSampError, cli
 from specsamp.cli import main
 from specsamp.experiments import (
     REPORT_COLUMNS,
@@ -186,8 +187,48 @@ def test_cli_exp_bipartite_small(tmp_path):
     assert {r["mode"] for r in rows} >= {"exact", "chebyshev_p2", "chebyshev_p4"}
 
 
+CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
+
+
+@pytest.mark.parametrize("error", [*SpecSampError.__subclasses__(), KeyError, ValueError,
+                                   json.JSONDecodeError],
+                         ids=lambda e: e.__name__)
+def test_cli_exit_code_by_error_class(monkeypatch, capsys, tmp_path, error):
+    exc = error("bad", "{", 0) if error is json.JSONDecodeError else error("bad")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_gen_graph", fail)
+    code = main(["gen-graph", "--out", str(tmp_path / "g.txt")])
+    assert code == (2 if isinstance(exc, CONFIG_ERRORS) else 3)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("configuration error:" if code == 2 else "numerical failure:")
+
+
 def test_cli_verify_identity(capsys):
     code = main(["verify", "theorem1", "--count", "3", "--seed", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "OK" in out
+
+
+# sha256 of two small reports, pinned so that a refactor that moves any
+# digit of any row shows.  The digests were taken with numpy 2.4 and its
+# bundled OpenBLAS 0.3.31 on x86-64; another BLAS build may change the last
+# bits of the products, and with them these digests.
+GOLDEN_REPORTS = [
+    (["exp", "table2", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "3",
+      "--rng-seed", "1"],
+     "a8368c11df899d361f62320dd89b2f98dae842a63eea89378101e330e23e1bee"),
+    (["exp", "bipartite", "--n", "32", "--orders", "2,4", "--trials", "3"],
+     "870e3f099d6f510239995769209dccfa84421605038099a783b49828bfc6e8c3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_REPORTS, ids=["table2", "bipartite"])
+def test_cli_report_golden_digest(tmp_path, argv, digest):
+    out = tmp_path / "report.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

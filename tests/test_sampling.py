@@ -191,6 +191,20 @@ def test_sampled_spectrum_record_roundtrip():
     back = SampledSpectrum.from_record(chat.to_record())
     assert back.config == cfg
     assert_allclose(back.values, chat.values)
+    batched = SampledSpectrum(np.arange(12.0).reshape(4, 3) - 1j, cfg)
+    back = SampledSpectrum.from_record(batched.to_record())
+    assert back.values.shape == (4, 3)
+    assert_allclose(back.values, batched.values, rtol=0, atol=0)
+
+
+def test_sampled_spectrum_record_keeps_imaginary_part():
+    basis = dft_basis(16)
+    cfg = SamplingConfig(16, 4)
+    x = np.random.default_rng(3).normal(size=16)
+    chat = frequency_sample(basis, inverted_ramp(basis), x, cfg)
+    assert np.abs(chat.values.imag).max() > 1e-3
+    back = SampledSpectrum.from_record(chat.to_record())
+    assert_allclose(back.values, chat.values, rtol=0, atol=0)
 
 
 def test_dimension_mismatches():
