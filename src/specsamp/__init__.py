@@ -12,6 +12,7 @@ from .bipartite import (
     encode_payload,
     fit_one_branch,
     generate_one_branch,
+    one_branch_design,
     one_branch_roundtrip,
     parse_payload,
     reconstruct_from_part,
@@ -19,7 +20,6 @@ from .bipartite import (
     sample_first_part,
     verify_corollary1,
     vertex_pipeline,
-    vertex_pipeline_chebyshev,
 )
 from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
 from .errors import (
@@ -84,7 +84,6 @@ from .recovery import (
     Mode,
     PgsModel,
     RecoveryDesign,
-    SmoothnessPrior,
     Strategy,
     check_ds,
     design_smoothness_predefined,

@@ -29,6 +29,7 @@ import numpy as np
 from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
 from .errors import (
     DimensionMismatch,
+    IoFailure,
     NotBipartite,
     PairingFailure,
     UnequalParts,
@@ -37,9 +38,8 @@ from .filters import SpectralFilter, bandlimit, bandlimit_response, from_respons
 from .graphs import Graph, VariationOperator, kron_reduce, normalized_laplacian
 from .recovery import RecoveryDesign, Strategy, design_subspace_unconstrained
 from .sampling import SampledSpectrum, SamplingConfig, frequency_sample
-from .spectral import SpectralBasis, apply_filter
+from .spectral import SpectralBasis, _column_signs, apply_filter
 
-_SIGN_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
 NORMALIZED_INTERVAL = (0.0, 2.0)
 
@@ -104,24 +104,17 @@ def build_system(g: Graph) -> BipartiteSystem:
 
     block = -op_b.matrix[:half, half:]
     phi, sigma, psi_t = np.linalg.svd(block)
+    signs = _column_signs(phi)
+    phi *= signs
     psi = psi_t.T
-    for j in range(half):
-        nz = np.nonzero(np.abs(phi[:, j]) > _SIGN_TOL)[0]
-        if nz.size and phi[nz[0], j] < 0:
-            phi[:, j] = -phi[:, j]
-            psi[:, j] = -psi[:, j]
+    psi *= signs
     # svd() sorts sigma descending, so 1 - sigma is already ascending.
     lam_low = 1.0 - sigma
     basis_reduced = SpectralBasis(phi, 1.0 - sigma**2)
 
-    u_b = np.zeros((n, n))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    u_b[:half, :half] = phi * inv_sqrt2
-    u_b[half:, :half] = psi * inv_sqrt2
-    u_b[:half, half:] = phi * inv_sqrt2
-    u_b[half:, half:] = -psi * inv_sqrt2
-    lambdas = np.concatenate([lam_low, 2.0 - lam_low])
-    basis_b = SpectralBasis(u_b, lambdas)
+    u_b = np.block([[phi, phi], [psi, -psi]])
+    u_b *= 1.0 / np.sqrt(2.0)
+    basis_b = SpectralBasis(u_b, np.concatenate([lam_low, 2.0 - lam_low]))
 
     sys = BipartiteSystem(g, perm, op_b, basis_b, reduced_op, basis_reduced,
                           SamplingConfig(n, 2))
@@ -154,8 +147,7 @@ def verify_corollary1(sys: BipartiteSystem, s: SpectralFilter, x: np.ndarray) ->
     x_int = sys.to_internal(x)
     chat = frequency_sample(sys.basis_b, s, x_int, sys.cfg)
     lhs = sys.basis_reduced.vectors @ (chat.values / np.sqrt(sys.cfg.m))
-    rhs = apply_filter(sys.basis_b, s, x_int)[: sys.half]
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - sample_first_part(sys, s, x_int))))
 
 
 def build_wprime(w: SpectralFilter, h: np.ndarray) -> SpectralFilter:
@@ -205,30 +197,21 @@ def generate_one_branch(sys: BipartiteSystem, wprime: SpectralFilter,
     return apply_filter(sys.basis_b, wprime, _zero_pad(d))
 
 
-def vertex_pipeline(sys: BipartiteSystem, g: SpectralFilter,
-                    wprime: SpectralFilter, x: np.ndarray) -> np.ndarray:
+def vertex_pipeline(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilter],
+                    wprime: Union[SpectralFilter, ChebyshevFilter],
+                    x: np.ndarray) -> np.ndarray:
     """Sample and reconstruct entirely in the vertex domain: filter by g,
     keep the first part, zero-pad, filter by wprime, times the sampling
     ratio M.
 
     The M gain makes this composition equal the frequency-domain chain
     (plain fold sampling followed by correct/upsample/filter
-    reconstruction) exactly, for every pair of spectral filters.
+    reconstruction) exactly, for every pair of spectral filters. With
+    ChebyshevFilters fitted on [0, 2] both filters run as recurrences on
+    the normalized Laplacian and no eigendecomposition is touched.
     """
     kept = sample_first_part(sys, g, sys.to_internal(x))
     return sys.to_caller(reconstruct_from_part(sys, wprime, kept))
-
-
-def vertex_pipeline_chebyshev(sys: BipartiteSystem, g_resp: Callable[[float], float],
-                              wprime_resp: Callable[[float], float], x: np.ndarray,
-                              order: int) -> np.ndarray:
-    """GFT-free variant of :func:`vertex_pipeline`: both filters are applied
-    through order-``order`` Chebyshev recurrences on the normalized
-    Laplacian (interval [0, 2]), so no eigendecomposition is touched."""
-    cf_g = chebyshev_fit(g_resp, NORMALIZED_INTERVAL, order)
-    cf_w = chebyshev_fit(wprime_resp, NORMALIZED_INTERVAL, order)
-    kept = sample_first_part(sys, cf_g, sys.to_internal(x))
-    return sys.to_caller(reconstruct_from_part(sys, cf_w, kept))
 
 
 def correction_response(sys: BipartiteSystem, h: np.ndarray) -> Callable[[float], float]:
@@ -260,6 +243,16 @@ def fit_one_branch(sys: BipartiteSystem, a_resp: Callable[[float], float],
 
     return (chebyshev_fit(s_resp, NORMALIZED_INTERVAL, order),
             chebyshev_fit(combined, NORMALIZED_INTERVAL, order))
+
+
+def one_branch_design(sys: BipartiteSystem, a: SpectralFilter
+                      ) -> Tuple[SpectralFilter, RecoveryDesign, SpectralFilter]:
+    """The one-branch design for generator ``a``: the bandlimited sampling
+    filter, its unconstrained DS design, and the combined reconstruction
+    response a * h (see :func:`build_wprime`)."""
+    s = bandlimit(sys.basis_b, sys.half)
+    design = design_subspace_unconstrained(s, a, sys.cfg, Strategy.DS)
+    return s, design, build_wprime(a, design.h)
 
 
 @dataclass(frozen=True)
@@ -295,11 +288,7 @@ def one_branch_roundtrip(sys: BipartiteSystem, a_resp: Callable[[float], float],
     half = sys.half
     if d.shape[0] != half:
         raise DimensionMismatch(f"expected {half} coefficients, got {d.shape[0]}")
-    s = bandlimit(sys.basis_b, half)
-    a = from_response(sys.basis_b, a_resp)
-    design = design_subspace_unconstrained(s, a, sys.cfg, Strategy.DS)
-    wprime = build_wprime(a, design.h)
-
+    s, design, wprime = one_branch_design(sys, from_response(sys.basis_b, a_resp))
     x_int = generate_one_branch(sys, wprime, d)
     g, w = (s, wprime) if order is None else fit_one_branch(sys, a_resp, design.h, order)
     kept = sample_first_part(sys, g, x_int)
@@ -319,10 +308,21 @@ def encode_payload(result: OneBranchResult, generator: str, params: dict) -> str
 
 
 def parse_payload(text: str):
-    """Inverse of :func:`encode_payload`; returns (header dict, values)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = json.loads(lines[0])
-    values = np.array([float(ln) for ln in lines[1:]])
+    """Inverse of :func:`encode_payload`; returns (header dict, values). A
+    missing header or a line that does not parse raises IoFailure with its
+    number."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise IoFailure("payload line 1: missing header")
+    no = lines[0][0]
+    try:
+        header = json.loads(lines[0][1])
+        values = []
+        for no, ln in lines[1:]:
+            values.append(float(ln))
+    except ValueError as exc:
+        raise IoFailure(f"payload line {no}: {exc}") from exc
+    values = np.array(values)
     if len(values) != header["k"]:
         raise DimensionMismatch("payload length disagrees with header")
     return header, values

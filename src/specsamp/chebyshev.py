@@ -40,20 +40,26 @@ class ChebyshevFilter:
         object.__setattr__(self, "coeffs", c)
 
 
-def evaluate(cf: ChebyshevFilter, lam) -> np.ndarray:
-    """Evaluate the expansion at scalar or array frequencies."""
-    a, b = cf.interval
-    t = (2.0 * np.asarray(lam, dtype=float) - (a + b)) / (b - a)
-    t_prev = np.ones_like(t)
-    t_cur = t
+def _recurrence(cf: ChebyshevFilter, x: np.ndarray, mapped: Callable) -> np.ndarray:
+    """coeffs[0]/2 x + sum_k coeffs[k] T_k(A) x by the three-term
+    recurrence, where ``mapped(v)`` applies the interval-mapped argument A."""
+    t_prev = x
+    t_cur = mapped(t_prev)
     out = 0.5 * cf.coeffs[0] * t_prev
     if cf.order >= 1:
         out = out + cf.coeffs[1] * t_cur
     for k in range(2, cf.order + 1):
-        t_next = 2.0 * t * t_cur - t_prev
+        t_next = 2.0 * mapped(t_cur) - t_prev
         out = out + cf.coeffs[k] * t_next
         t_prev, t_cur = t_cur, t_next
     return out
+
+
+def evaluate(cf: ChebyshevFilter, lam) -> np.ndarray:
+    """Evaluate the expansion at scalar or array frequencies."""
+    a, b = cf.interval
+    t = (2.0 * np.asarray(lam, dtype=float) - (a + b)) / (b - a)
+    return _recurrence(cf, np.ones_like(t), lambda v: t * v)
 
 
 def chebyshev_fit(response: Callable[[float], float], interval: Tuple[float, float],
@@ -107,16 +113,5 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
     scale = 2.0 / (b - a)
     shift = (a + b) / (b - a)
 
-    def mapped(v):
-        return scale * (m @ v) - shift * v
-
-    t_prev = np.asarray(x, dtype=float if not np.iscomplexobj(x) else complex)
-    t_cur = mapped(t_prev)
-    out = 0.5 * cf.coeffs[0] * t_prev
-    if cf.order >= 1:
-        out = out + cf.coeffs[1] * t_cur
-    for k in range(2, cf.order + 1):
-        t_next = 2.0 * mapped(t_cur) - t_prev
-        out = out + cf.coeffs[k] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return out
+    x = np.asarray(x, dtype=float if not np.iscomplexobj(x) else complex)
+    return _recurrence(cf, x, lambda v: scale * (m @ v) - shift * v)

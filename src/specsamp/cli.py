@@ -8,6 +8,7 @@ failures.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -17,6 +18,7 @@ from . import __version__
 from .bipartite import build_system, reduction_identity_residual, verify_corollary1
 from .errors import InvalidParameter, IoFailure, SpecSampError
 from .experiments import (
+    FILTERS,
     BipartiteExperimentConfig,
     ExperimentConfig,
     basis_for_config,
@@ -26,16 +28,7 @@ from .experiments import (
     run_recovery_experiment,
     run_recovery_table,
 )
-from .filters import (
-    bandlimit,
-    cosine_taper,
-    exponential_decay,
-    identity_filter,
-    inverted_ramp,
-    linear_decay,
-    save_filter,
-    smoothness_ramp,
-)
+from .filters import inverted_ramp, save_filter
 from .graphs import complete_bipartite, gen_random_bipartite, save_graph
 from .sampling import SamplingConfig
 
@@ -43,24 +36,28 @@ from .sampling import SamplingConfig
 _CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
 
 
-def _load_config_overrides(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _experiment_config(args, overrides) -> ExperimentConfig:
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    bad = set(overrides) - allowed
+def _config(cls, path, **flags):
+    """``cls`` built from the flag values, with the keys of the JSON object
+    in the ``--config`` file ``path`` (if given) overriding them."""
+    overrides = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                overrides = json.load(fh)
+        except OSError as exc:
+            raise IoFailure(str(exc)) from exc
+        if not isinstance(overrides, dict):
+            raise InvalidParameter("config file must hold a JSON object")
+    bad = set(overrides) - {f.name for f in fields(cls)}
     if bad:
         raise InvalidParameter(f"unknown config keys: {sorted(bad)}")
-    base = dict(
-        graph_kind=args.kind, n=args.n, graph_seed=args.seed, m=args.m,
-        trials=args.trials, noise_variance=args.noise, rng_seed=args.rng_seed,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return cls(**{**flags, **overrides})
+
+
+def _experiment_config(args, **flags) -> ExperimentConfig:
+    return _config(ExperimentConfig, args.config, graph_kind=args.kind, n=args.n,
+                   graph_seed=args.seed, m=args.m, trials=args.trials,
+                   noise_variance=args.noise, rng_seed=args.rng_seed, **flags)
 
 
 def _cmd_gen_graph(args) -> int:
@@ -77,33 +74,17 @@ def _cmd_filters_dump(args) -> int:
                            m=args.m, eps=args.eps)
     graph = build_experiment_graph(cfg)
     basis = basis_for_config(cfg, graph)
-    scfg = SamplingConfig(args.n, args.m)
-    named = {
-        "bl": bandlimit(basis, scfg.k),
-        "ir": inverted_ramp(basis),
-        "gen1": linear_decay(basis, args.eps),
-        "gen2": exponential_decay(basis),
-        "cos": cosine_taper(basis, args.eps),
-        "smooth": smoothness_ramp(basis),
-        "identity": identity_filter(args.n),
-    }
-    import os
-
+    k = SamplingConfig(args.n, args.m).k
     os.makedirs(args.out, exist_ok=True)
-    for name, filt in named.items():
-        save_filter(filt, basis, os.path.join(args.out, f"{name}.txt"))
-    print(f"wrote {len(named)} filter tables to {args.out}")
+    for name, build in FILTERS.items():
+        save_filter(build(basis, args.eps, k), basis, os.path.join(args.out, f"{name}.txt"))
+    print(f"wrote {len(FILTERS)} filter tables to {args.out}")
     return 0
 
 
 def _cmd_recover(args) -> int:
-    overrides = _load_config_overrides(args.config)
-    overrides.setdefault("generator", args.generator)
-    overrides.setdefault("sampling_filter", args.sampling)
-    overrides.setdefault("prior", args.prior)
-    overrides.setdefault("mode", args.mode)
-    overrides.setdefault("strategy", args.strategy)
-    cfg = _experiment_config(args, overrides)
+    cfg = _experiment_config(args, generator=args.generator, sampling_filter=args.sampling,
+                             prior=args.prior, mode=args.mode, strategy=args.strategy)
     rows = run_recovery_experiment(cfg)
     if args.out:
         emit_report(rows, args.format, args.out)
@@ -112,8 +93,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_exp_table2(args) -> int:
-    overrides = _load_config_overrides(args.config)
-    base = _experiment_config(args, overrides)
+    base = _experiment_config(args)
     rows = run_recovery_table(base, noises=(0.0, args.noise) if args.noise > 0 else (0.0,))
     emit_report(rows, args.format, args.out)
     means = sorted({(r["prior"], r["mode"], r["strategy"], r["sampling_filter"],
@@ -125,12 +105,10 @@ def _cmd_exp_table2(args) -> int:
 
 
 def _cmd_exp_bipartite(args) -> int:
-    overrides = _load_config_overrides(args.config)
-    cfg = BipartiteExperimentConfig(
-        n_half=args.n // 2, graph_seed=args.seed, graph_kind=args.graph, p=args.p,
-        orders=tuple(int(p) for p in args.orders.split(",")),
-        trials=args.trials, rng_seed=args.rng_seed,
-        coeff_mean=args.coeff_mean, **overrides)
+    cfg = _config(BipartiteExperimentConfig, args.config,
+                  n_half=args.n // 2, graph_seed=args.seed, graph_kind=args.graph, p=args.p,
+                  orders=tuple(int(p) for p in args.orders.split(",")),
+                  trials=args.trials, rng_seed=args.rng_seed, coeff_mean=args.coeff_mean)
     rows = run_bipartite_experiment(cfg)
     emit_report(rows, args.format, args.out)
     means = sorted({(r["mode"], r["mean_mse_db"]) for r in rows})

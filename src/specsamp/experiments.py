@@ -10,16 +10,15 @@ when enabled, is added to the signal before sampling.
 import csv
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from .bipartite import (
-    BipartiteSystem,
     build_system,
-    build_wprime,
     fit_one_branch,
     generate_one_branch,
+    one_branch_design,
     reconstruct_from_part,
     sample_first_part,
 )
@@ -29,6 +28,7 @@ from .filters import (
     bandlimit,
     cosine_taper,
     exponential_decay,
+    identity_filter,
     inverted_ramp,
     linear_decay,
     smoothness_ramp,
@@ -60,6 +60,7 @@ from .spectral import SpectralBasis, dft_basis, eigendecompose
 
 REPORT_COLUMNS = ("prior", "mode", "strategy", "sampling_filter", "generator",
                   "noise", "trial", "mse_db", "mean_mse_db")
+_NUMERIC_COLUMNS = {"noise": float, "trial": int, "mse_db": float, "mean_mse_db": float}
 
 GENERATOR_IDS = ("gen1", "gen2")
 SAMPLING_IDS = ("bl", "ir")
@@ -67,6 +68,18 @@ RECON_IDS = ("cos", "bl")
 PRIOR_IDS = ("subspace", "smoothness", "baseline")
 MODE_IDS = ("unconstrained", "predefined")
 STRATEGY_IDS = ("ds", "ls", "mx")
+
+# Filter id -> builder(basis, eps, k), shared by the experiment
+# configurations and `filters dump`; a run builds only the filters it uses.
+FILTERS = {
+    "bl": lambda basis, eps, k: bandlimit(basis, k),
+    "ir": lambda basis, eps, k: inverted_ramp(basis),
+    "gen1": lambda basis, eps, k: linear_decay(basis, eps),
+    "gen2": lambda basis, eps, k: exponential_decay(basis),
+    "cos": lambda basis, eps, k: cosine_taper(basis, eps),
+    "smooth": lambda basis, eps, k: smoothness_ramp(basis),
+    "identity": lambda basis, eps, k: identity_filter(basis.n),
+}
 
 
 @dataclass(frozen=True)
@@ -135,62 +148,43 @@ def basis_for_config(cfg: ExperimentConfig, graph) -> SpectralBasis:
     raise InvalidParameter(f"unknown operator {cfg.operator!r}")
 
 
-def _generator_filter(cfg: ExperimentConfig, basis: SpectralBasis) -> SpectralFilter:
-    if cfg.generator == "gen1":
-        return linear_decay(basis, cfg.eps)
-    return exponential_decay(basis)
-
-
-def _sampling_filter(cfg: ExperimentConfig, basis: SpectralBasis,
-                     scfg: SamplingConfig) -> SpectralFilter:
-    if cfg.sampling_filter == "bl":
-        return bandlimit(basis, scfg.k)
-    return inverted_ramp(basis)
-
-
-def _recon_filter(cfg: ExperimentConfig, basis: SpectralBasis,
-                  scfg: SamplingConfig) -> SpectralFilter:
-    if cfg.recon_filter == "cos":
-        return cosine_taper(basis, cfg.eps)
-    return bandlimit(basis, scfg.k)
-
-
 def design_for_config(cfg: ExperimentConfig, basis: SpectralBasis,
-                      scfg: SamplingConfig):
-    """Build (sampling filter, design) for one experiment configuration."""
+                      scfg: SamplingConfig, a: SpectralFilter):
+    """Build (sampling filter, design) for one experiment configuration
+    with generator ``a``."""
     strategy = Strategy(cfg.strategy)
+
+    def build(fid: str) -> SpectralFilter:
+        return FILTERS[fid](basis, cfg.eps, scfg.k)
+
     if cfg.prior == "baseline":
         # Bandlimited sampling and reconstruction with no correction.
-        s = bandlimit(basis, scfg.k)
-        design = RecoveryDesign(np.ones(scfg.k), bandlimit(basis, scfg.k),
-                                Strategy.DS, Mode.PREDEFINED)
-        return s, design
-    s = _sampling_filter(cfg, basis, scfg)
-    a = _generator_filter(cfg, basis)
+        s = build("bl")
+        return s, RecoveryDesign(np.ones(scfg.k), s, Strategy.DS, Mode.PREDEFINED)
+    s = build(cfg.sampling_filter)
     if cfg.prior == "subspace":
         if cfg.mode == "unconstrained":
             return s, design_subspace_unconstrained(s, a, scfg, strategy)
-        w = _recon_filter(cfg, basis, scfg)
-        return s, design_subspace_predefined(s, a, w, scfg, strategy)
-    v = smoothness_ramp(basis)
+        return s, design_subspace_predefined(s, a, build(cfg.recon_filter), scfg, strategy)
+    v = build("smooth")
     if cfg.mode == "unconstrained":
         return s, design_smoothness_unconstrained(s, v, scfg)
-    w = _recon_filter(cfg, basis, scfg)
-    return s, design_smoothness_predefined(s, v, w, scfg, strategy)
+    return s, design_smoothness_predefined(s, v, build(cfg.recon_filter), scfg, strategy)
 
 
 def _draw_trials(seed: int, trials: int, mean: float, k: int,
                  n: int = 0, noise_sd: float = 0.0):
     """Per-trial substreams: trial t uses the t-th spawned child of the
     seed sequence and draws its k Normal(mean, 1) coefficients, then, when
-    noise_sd > 0, its n noise values. Returns (k x trials, n x trials)."""
+    noise_sd > 0, its n noise values. Returns (k x trials, n x trials),
+    the noise None when noise_sd is 0."""
     children = np.random.SeedSequence(seed).spawn(trials)
     coeffs = np.empty((k, trials))
-    noise = np.zeros((n, trials))
+    noise = np.empty((n, trials)) if noise_sd > 0 else None
     for t, child in enumerate(children):
         rng = np.random.default_rng(child)
         coeffs[:, t] = rng.normal(mean, 1.0, k)
-        if noise_sd > 0:
+        if noise is not None:
             noise[:, t] = rng.normal(0.0, noise_sd, n)
     return coeffs, noise
 
@@ -219,13 +213,13 @@ def run_recovery_experiment(cfg: ExperimentConfig) -> List[dict]:
     graph = build_experiment_graph(cfg)
     basis = basis_for_config(cfg, graph)
     scfg = SamplingConfig(cfg.n, cfg.m)
-    s, design = design_for_config(cfg, basis, scfg)
-    model = PgsModel(_generator_filter(cfg, basis), scfg, basis)
+    a = FILTERS[cfg.generator](basis, cfg.eps, scfg.k)
+    s, design = design_for_config(cfg, basis, scfg, a)
 
     coeffs, noise = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, scfg.k,
                                  scfg.n, float(np.sqrt(cfg.noise_variance)))
-    x = generate_pgs(model, coeffs)
-    chat = frequency_sample(basis, s, x + noise, scfg)
+    x = generate_pgs(PgsModel(a, scfg, basis), coeffs)
+    chat = frequency_sample(basis, s, x if noise is None else x + noise, scfg)
     xt = reconstruct(basis, design, chat)
     sampling = cfg.sampling_filter if cfg.prior != "baseline" else "bl"
     return _trial_rows((cfg.prior, cfg.mode, cfg.strategy, sampling, cfg.generator,
@@ -246,19 +240,16 @@ def run_recovery_table(base: ExperimentConfig,
                        noises=(0.0, 0.1)) -> List[dict]:
     """Full method/filter/noise matrix: every method with both sampling
     filters and both generators, plus the bandlimited baseline."""
+    methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
+    methods.append(("baseline", "predefined", "ds", "bl"))
     rows: List[dict] = []
     for generator in GENERATOR_IDS:
         for noise in noises:
-            for prior, mode, strategy in TABLE_METHODS:
-                for sampling in SAMPLING_IDS:
-                    cfg = replace(base, generator=generator, noise_variance=noise,
-                                  prior=prior, mode=mode, strategy=strategy,
-                                  sampling_filter=sampling)
-                    rows.extend(run_recovery_experiment(cfg))
-            cfg = replace(base, generator=generator, noise_variance=noise,
-                          prior="baseline", mode="predefined", strategy="ds",
-                          sampling_filter="bl")
-            rows.extend(run_recovery_experiment(cfg))
+            for prior, mode, strategy, sampling in methods:
+                cfg = replace(base, generator=generator, noise_variance=noise,
+                              prior=prior, mode=mode, strategy=strategy,
+                              sampling_filter=sampling)
+                rows.extend(run_recovery_experiment(cfg))
     return rows
 
 
@@ -281,7 +272,6 @@ class BipartiteExperimentConfig:
     trials: int = 100
     rng_seed: int = 0
     coeff_mean: float = 1.0
-    include_exact: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
@@ -292,27 +282,21 @@ class BipartiteExperimentConfig:
             raise InvalidParameter(f"unknown bipartite graph kind {self.graph_kind!r}")
 
 
-def run_bipartite_experiment(cfg: BipartiteExperimentConfig,
-                             system: Optional[BipartiteSystem] = None) -> List[dict]:
+def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[dict]:
     """One-branch recovery on a bipartite graph across Chebyshev orders.
 
     Signals are synthesized with the exact combined reconstruction
     response; sampling and decoding use order-P approximations of the
     bandlimiting sampling filter and the combined response. The
     approximated-bandlimited reconstruction is reported alongside as the
-    baseline, and an exact-filter run (lossless up to conditioning) is
-    included when requested.
+    baseline, after an exact-filter run (lossless up to conditioning).
     """
-    if system is not None:
-        sys_ = system
-    elif cfg.graph_kind == "matched":
+    if cfg.graph_kind == "matched":
         sys_ = build_system(gen_matched_bipartite(cfg.n_half, cfg.graph_seed))
     else:
         sys_ = build_system(gen_random_bipartite(cfg.n_half, cfg.graph_seed, cfg.p))
-    s = bandlimit(sys_.basis_b, sys_.half)
     a = inverted_ramp(sys_.basis_b)
-    design = design_subspace_unconstrained(s, a, sys_.cfg, Strategy.DS)
-    wprime = build_wprime(a, design.h)
+    s, design, wprime = one_branch_design(sys_, a)
 
     d, _ = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, sys_.half)
     x = generate_one_branch(sys_, wprime, d)
@@ -320,10 +304,8 @@ def run_bipartite_experiment(cfg: BipartiteExperimentConfig,
     def labels(mode: str, order_label: str) -> tuple:
         return ("subspace", mode, order_label, "bl", "ir", 0.0)
 
-    rows: List[dict] = []
-    if cfg.include_exact:
-        xt = reconstruct_from_part(sys_, wprime, sample_first_part(sys_, s, x))
-        rows.extend(_trial_rows(labels("exact", "exact"), x, xt))
+    xt = reconstruct_from_part(sys_, wprime, sample_first_part(sys_, s, x))
+    rows = _trial_rows(labels("exact", "exact"), x, xt)
     for order in cfg.orders:
         cf_s, cf_w = fit_one_branch(sys_, a.response, design.h, order)
         kept = sample_first_part(sys_, cf_s, x)
@@ -359,18 +341,7 @@ def parse_report_csv(path: str) -> List[dict]:
     """Read back a CSV report emitted by :func:`emit_report`."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = []
-            for rec in reader:
-                rows.append({
-                    "prior": rec["prior"], "mode": rec["mode"],
-                    "strategy": rec["strategy"],
-                    "sampling_filter": rec["sampling_filter"],
-                    "generator": rec["generator"],
-                    "noise": float(rec["noise"]), "trial": int(rec["trial"]),
-                    "mse_db": float(rec["mse_db"]),
-                    "mean_mse_db": float(rec["mean_mse_db"]),
-                })
-            return rows
+            return [{c: _NUMERIC_COLUMNS.get(c, str)(rec[c]) for c in REPORT_COLUMNS}
+                    for rec in csv.DictReader(fh)]
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

@@ -145,12 +145,19 @@ def save_filter(f: SpectralFilter, basis, path: str) -> None:
 
 
 def load_filter(path: str):
-    """Read two-column text; returns (lambdas, SpectralFilter)."""
+    """Read two-column text; returns (lambdas, SpectralFilter). A row that
+    does not start with two numbers raises IoFailure with its number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [ln.split() for ln in fh if ln.strip()]
+            rows = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    lams = np.array([float(r[0]) for r in rows])
-    vals = np.array([float(r[1]) for r in rows])
+    pairs = []
+    for no, r in rows:
+        try:
+            pairs.append((float(r[0]), float(r[1])))
+        except (ValueError, IndexError) as exc:
+            raise IoFailure(f"{path}, line {no}: {exc}") from exc
+    lams = np.array([lam for lam, _ in pairs])
+    vals = np.array([val for _, val in pairs])
     return lams, SpectralFilter(vals)

@@ -155,6 +155,16 @@ def _is_connected(weights: np.ndarray) -> bool:
     return ncomp == 1
 
 
+def _bipartite(block: np.ndarray):
+    """Weights and bipartition of the bipartite graph with cross-part
+    weights ``block``, first part first."""
+    h = block.shape[0]
+    w = np.zeros((2 * h, 2 * h))
+    w[:h, h:] = block
+    w[h:, :h] = block.T
+    return w, (np.arange(h), np.arange(h, 2 * h))
+
+
 def gen_circular(n: int) -> Graph:
     """Unit-weight cycle on n vertices."""
     if n < 2:
@@ -209,16 +219,10 @@ def gen_random_bipartite(n_half: int, seed: int, p: float = 0.5) -> Graph:
     if not 0.0 < p <= 1.0:
         raise InvalidParameter("need 0 < p <= 1")
     rng = np.random.default_rng(seed)
-    n = 2 * n_half
-    v1 = np.arange(n_half)
-    v2 = np.arange(n_half, n)
     for _ in range(_MAX_RESAMPLE):
-        block = (rng.random((n_half, n_half)) < p).astype(float)
-        w = np.zeros((n, n))
-        w[:n_half, n_half:] = block
-        w[n_half:, :n_half] = block.T
+        w, parts = _bipartite((rng.random((n_half, n_half)) < p).astype(float))
         if _is_connected(w):
-            return Graph(n, w, bipartition=(v1, v2))
+            return Graph(2 * n_half, w, bipartition=parts)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
@@ -237,28 +241,24 @@ def gen_matched_bipartite(n_half: int, seed: int, strong: float = 6.0,
     if strong <= 0:
         raise InvalidParameter("need strong > 0")
     rng = np.random.default_rng(seed)
-    n = 2 * n_half
     for _ in range(_MAX_RESAMPLE):
-        w = np.zeros((n, n))
+        block = np.zeros((n_half, n_half))
         partner = rng.permutation(n_half)
-        w[np.arange(n_half), n_half + partner] = strong
+        block[np.arange(n_half), partner] = strong
         for i in range(n_half):
             choices = np.setdiff1d(np.arange(n_half), [partner[i]])
             for j in rng.choice(choices, size=extra, replace=False):
-                w[i, n_half + j] = max(w[i, n_half + j], 1.0)
-        w = np.maximum(w, w.T)
+                block[i, j] = max(block[i, j], 1.0)
+        w, parts = _bipartite(block)
         if _is_connected(w):
-            return Graph(n, w, bipartition=(np.arange(n_half), np.arange(n_half, n)))
+            return Graph(2 * n_half, w, bipartition=parts)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
 def complete_bipartite(n_half: int) -> Graph:
     """K_{n_half,n_half} with unit weights, first part first."""
-    n = 2 * n_half
-    w = np.zeros((n, n))
-    w[:n_half, n_half:] = 1.0
-    w[n_half:, :n_half] = 1.0
-    return Graph(n, w, bipartition=(np.arange(n_half), np.arange(n_half, n)))
+    w, parts = _bipartite(np.ones((n_half, n_half)))
+    return Graph(2 * n_half, w, bipartition=parts)
 
 
 def save_graph(g: Graph, path: str) -> None:
@@ -286,23 +286,29 @@ def save_graph(g: Graph, path: str) -> None:
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph written by :func:`save_graph`."""
+    """Read a graph written by :func:`save_graph`. A malformed line, or one
+    naming a vertex outside [0, N), raises IoFailure with its number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    if not lines or not lines[0].startswith("N "):
+    if not lines or not lines[0][1].startswith("N "):
         raise IoFailure("missing graph header")
-    head = lines[0].split()
-    n = int(head[1])
-    bipartition = None
-    if len(head) >= 4 and head[2] == "bipartite":
-        size_v1 = int(head[3])
-        bipartition = (np.arange(size_v1), np.arange(size_v1, n))
-    w = np.zeros((n, n))
-    for ln in lines[1:]:
-        a, b, val = ln.split()
-        i, j = int(a), int(b)
-        w[i, j] = w[j, i] = float(val)
+    no, head = lines[0][0], lines[0][1].split()
+    try:
+        n = int(head[1])
+        bipartition = None
+        if len(head) >= 4 and head[2] == "bipartite":
+            size_v1 = int(head[3])
+            bipartition = (np.arange(size_v1), np.arange(size_v1, n))
+        w = np.zeros((n, n))
+        for no, ln in lines[1:]:
+            a, b, val = ln.split()
+            i, j = int(a), int(b)
+            if not (0 <= i < n and 0 <= j < n):
+                raise IndexError(f"vertex index outside [0, {n})")
+            w[i, j] = w[j, i] = float(val)
+    except (ValueError, IndexError) as exc:
+        raise IoFailure(f"{path}, line {no}: {exc}") from exc
     return Graph(n, w, bipartition=bipartition)

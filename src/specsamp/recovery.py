@@ -49,18 +49,6 @@ class Mode(Enum):
 
 
 @dataclass(frozen=True)
-class SmoothnessPrior:
-    """The signal satisfies a quadratic smoothness bound; the weighting
-    response must be nonzero everywhere."""
-
-    v: SpectralFilter
-
-    def __post_init__(self):
-        if np.any(self.v.values == 0):
-            raise InvalidParameter("smoothness weighting must be nonzero everywhere")
-
-
-@dataclass(frozen=True)
 class PgsModel:
     """Generator response, sampling configuration, and GFT basis defining
     a periodic-graph-spectrum subspace."""
@@ -107,9 +95,9 @@ class DsCheck:
     min_abs: float
 
 
-def _tol(corr: np.ndarray, tol: Optional[float]) -> float:
-    # Scale-relative pseudo-inverse cutoff.
-    return 1e-10 * np.abs(corr).max(initial=0.0) if tol is None else tol
+def _small(corr: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
+    # At or below the cut: tol, or else scale-relative (pseudo-inverse cutoff).
+    return np.abs(corr) <= (1e-10 * np.abs(corr).max(initial=0.0) if tol is None else tol)
 
 
 def generate_pgs(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
@@ -127,22 +115,50 @@ def check_ds(s: SpectralFilter, a: SpectralFilter, cfg: SamplingConfig,
     """Direct-sum condition: the folded cross-correlation of the sampling
     and generator responses must be bounded away from zero."""
     corr = sampled_cross_correlation(s, a, cfg)
-    cut = _tol(corr, tol)
-    min_abs = float(np.abs(corr).min())
-    return DsCheck(holds=min_abs > cut, min_abs=min_abs)
+    return DsCheck(holds=not np.any(_small(corr, tol)), min_abs=float(np.abs(corr).min()))
 
 
-def _reciprocal(corr: np.ndarray, cut: float, strategy: Strategy,
-                error: type) -> np.ndarray:
-    """1/corr with either a hard failure (DS) or a zero fallback (LS/MX)."""
-    small = np.abs(corr) <= cut
-    if strategy is Strategy.DS:
+def _divide(num, denom: np.ndarray, small: np.ndarray, error) -> np.ndarray:
+    """num / denom where not ``small``; there ``error`` is raised if given
+    (DS, smoothness designs), else the result is 0 (LS/MX)."""
+    if error is not None:
         if np.any(small):
-            raise error("folded correlation vanishes; direct-sum condition fails")
-        return 1.0 / corr
-    out = np.zeros_like(corr)
-    np.divide(1.0, corr, out=out, where=~small)
+            raise error("folded correlation in the correction denominator vanishes")
+        return num / denom
+    out = np.zeros_like(denom)
+    np.divide(num, denom, out=out, where=~small)
     return out
+
+
+def _unconstrained_h(s: SpectralFilter, a: SpectralFilter, cfg: SamplingConfig,
+                     error) -> np.ndarray:
+    """Correction of the unconstrained designs: 1 / R_sa."""
+    corr = sampled_cross_correlation(s, a, cfg)
+    return _divide(1.0, corr, _small(corr), error)
+
+
+def _predefined_h(s: SpectralFilter, a: SpectralFilter, w: SpectralFilter,
+                  cfg: SamplingConfig, strategy: Strategy, error) -> np.ndarray:
+    """Correction of the predefined DS/MX designs: R_wa / (R_sa * R_ww).
+    DS guards each correlation on its own scale, MX the product on its
+    floored scale."""
+    corr_sa = sampled_cross_correlation(s, a, cfg)
+    corr_ww = sampled_cross_correlation(w, w, cfg)
+    corr_wa = sampled_cross_correlation(w, a, cfg)
+    denom = corr_sa * corr_ww
+    if strategy is Strategy.DS:
+        small = _small(corr_sa) | _small(corr_ww)
+    else:
+        small = np.abs(denom) <= 1e-10 * max(np.abs(denom).max(initial=0.0), 1e-300)
+    return _divide(corr_wa, denom, small, error)
+
+
+def _smoothness_generator(s: SpectralFilter, v: SpectralFilter) -> SpectralFilter:
+    """s / v^2: the generator under which a smoothness-prior design is the
+    subspace-prior design of the same strategy."""
+    if np.any(v.values == 0):
+        raise InvalidParameter("smoothness weighting must be nonzero everywhere")
+    return SpectralFilter(s.values / v.values**2)
 
 
 def design_subspace_unconstrained(s: SpectralFilter, a: SpectralFilter,
@@ -154,9 +170,8 @@ def design_subspace_unconstrained(s: SpectralFilter, a: SpectralFilter,
     Under DS the design is an oblique projection and recovers every PGS
     signal exactly; LS/MX replace the inverse by a pseudo-inverse.
     """
-    corr = sampled_cross_correlation(s, a, cfg)
-    h = _reciprocal(corr, _tol(corr, None), strategy, DsConditionViolated)
-    return RecoveryDesign(h, a, strategy, Mode.UNCONSTRAINED)
+    error = DsConditionViolated if strategy is Strategy.DS else None
+    return RecoveryDesign(_unconstrained_h(s, a, cfg, error), a, strategy, Mode.UNCONSTRAINED)
 
 
 def design_subspace_predefined(s: SpectralFilter, a: SpectralFilter,
@@ -169,22 +184,10 @@ def design_subspace_predefined(s: SpectralFilter, a: SpectralFilter,
     to zero there.
     """
     if strategy is Strategy.LS:
-        corr_sw = sampled_cross_correlation(s, w, cfg)
-        h = _reciprocal(corr_sw, _tol(corr_sw, None), Strategy.LS, DsConditionViolated)
-        return RecoveryDesign(h, w, strategy, Mode.PREDEFINED)
-    corr_sa = sampled_cross_correlation(s, a, cfg)
-    corr_ww = sampled_cross_correlation(w, w, cfg)
-    corr_wa = sampled_cross_correlation(w, a, cfg)
-    denom = corr_sa * corr_ww
-    cut = 1e-10 * max(np.abs(denom).max(initial=0.0), 1e-300)
-    if strategy is Strategy.DS:
-        if np.any(np.abs(corr_sa) <= _tol(corr_sa, None)) or np.any(np.abs(corr_ww) <= _tol(corr_ww, None)):
-            raise DsConditionViolated("sampling/reconstruction correlations must be nonzero")
-        h = corr_wa / denom
+        h = _unconstrained_h(s, w, cfg, None)
     else:
-        small = np.abs(denom) <= cut
-        h = np.zeros_like(denom)
-        np.divide(corr_wa, denom, out=h, where=~small)
+        error = DsConditionViolated if strategy is Strategy.DS else None
+        h = _predefined_h(s, a, w, cfg, strategy, error)
     return RecoveryDesign(h, w, strategy, Mode.PREDEFINED)
 
 
@@ -192,18 +195,13 @@ def design_smoothness_unconstrained(s: SpectralFilter, v: SpectralFilter,
                                     cfg: SamplingConfig) -> RecoveryDesign:
     """Unconstrained smoothness-prior design.
 
-    The reconstruction response is s / v^2 and the correction is the
-    inverse of its folded correlation with the sampling filter; the LS and
-    MX strategies coincide here.
+    The unconstrained subspace design with generator s / v^2: reconstruct
+    with s / v^2 and correct by the inverse of its folded correlation with
+    the sampling filter; the LS and MX strategies coincide here.
     """
-    if np.any(v.values == 0):
-        raise InvalidParameter("smoothness weighting must be nonzero everywhere")
-    w_vals = s.values / v.values**2
-    w = SpectralFilter(w_vals)
-    corr = sampled_cross_correlation(s, w, cfg)
-    if np.any(np.abs(corr) <= _tol(corr, None)):
-        raise SingularCorrelation("folded correlation of sampling and s/v^2 vanishes")
-    return RecoveryDesign(1.0 / corr, w, Strategy.LS, Mode.UNCONSTRAINED)
+    wt = _smoothness_generator(s, v)
+    h = _unconstrained_h(s, wt, cfg, SingularCorrelation)
+    return RecoveryDesign(h, wt, Strategy.LS, Mode.UNCONSTRAINED)
 
 
 def design_smoothness_predefined(s: SpectralFilter, v: SpectralFilter,
@@ -212,24 +210,16 @@ def design_smoothness_predefined(s: SpectralFilter, v: SpectralFilter,
     """Smoothness-prior design with a fixed reconstruction filter.
 
     LS does not depend on the smoothness weighting and reduces to the
-    predefined subspace LS design; MX weighs the correction by the folded
-    correlations against s / v^2.
+    predefined subspace LS design; MX is the predefined subspace MX design
+    with generator s / v^2, failing where its denominator vanishes.
     """
     if strategy is Strategy.LS:
         return design_subspace_predefined(s, w, w, cfg, Strategy.LS)
     if strategy is not Strategy.MX:
         raise InvalidParameter("smoothness predefined designs are LS or MX")
-    if np.any(v.values == 0):
-        raise InvalidParameter("smoothness weighting must be nonzero everywhere")
-    wt = SpectralFilter(s.values / v.values**2)
-    corr_swt = sampled_cross_correlation(s, wt, cfg)
-    corr_ww = sampled_cross_correlation(w, w, cfg)
-    corr_wwt = sampled_cross_correlation(w, wt, cfg)
-    denom = corr_swt * corr_ww
-    cut = 1e-10 * max(np.abs(denom).max(initial=0.0), 1e-300)
-    if np.any(np.abs(denom) <= cut):
-        raise SingularCorrelation("correction denominator vanishes")
-    return RecoveryDesign(corr_wwt / denom, w, Strategy.MX, Mode.PREDEFINED)
+    wt = _smoothness_generator(s, v)
+    h = _predefined_h(s, wt, w, cfg, Strategy.MX, SingularCorrelation)
+    return RecoveryDesign(h, w, Strategy.MX, Mode.PREDEFINED)
 
 
 def reconstruct(b: SpectralBasis, design: RecoveryDesign,

@@ -46,15 +46,12 @@ class SpectralBasis:
         return self.vectors.shape[0]
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
-    """Flip each column so its first entry above threshold is positive."""
-    out = u.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > _SIGN_TOL)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
+def _column_signs(u: np.ndarray) -> np.ndarray:
+    """+1 or -1 per column, so that ``u * signs`` has each column's first
+    entry above threshold positive."""
+    big = np.abs(u) > _SIGN_TOL
+    lead = u[np.argmax(big, axis=0), np.arange(u.shape[1])]
+    return np.where(big.any(axis=0) & (lead < 0), -1.0, 1.0)
 
 
 def _order_ties(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -93,7 +90,7 @@ def eigendecompose(op: VariationOperator) -> SpectralBasis:
         lam, u = np.linalg.eigh(op.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
-    u = _order_ties(_fix_signs(u), lam)
+    u = _order_ties(u * _column_signs(u), lam)
     return SpectralBasis(u, lam)
 
 

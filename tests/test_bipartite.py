@@ -13,6 +13,7 @@ from specsamp import (
     bandlimit_response,
     build_system,
     build_wprime,
+    chebyshev_fit,
     complete_bipartite,
     encode_payload,
     frequency_sample,
@@ -28,7 +29,6 @@ from specsamp import (
     reduction_identity_residual,
     verify_corollary1,
     vertex_pipeline,
-    vertex_pipeline_chebyshev,
 )
 from specsamp.graphs import Graph
 
@@ -203,7 +203,8 @@ def test_vertex_pipeline_caller_ordering_preserved():
 def test_chebyshev_pipeline_constant_exact(sys16):
     x = np.random.default_rng(7).normal(size=16)
     out_exact = vertex_pipeline(sys16, identity_filter(16), identity_filter(16), x)
-    out_cheb = vertex_pipeline_chebyshev(sys16, lambda lam: 1.0, lambda lam: 1.0, x, 1)
+    one = chebyshev_fit(lambda lam: 1.0, (0.0, 2.0), 1)
+    out_cheb = vertex_pipeline(sys16, one, one, x)
     assert_allclose(out_cheb, out_exact, atol=1e-10)
 
 
@@ -215,7 +216,8 @@ def test_chebyshev_pipeline_converges_for_smooth_responses():
     x = np.random.default_rng(8).normal(size=n)
     exact = vertex_pipeline(sys_, from_values([g_resp(l) for l in sys_.basis_b.lambdas]),
                             from_values([w_resp(l) for l in sys_.basis_b.lambdas]), x)
-    approx = vertex_pipeline_chebyshev(sys_, g_resp, w_resp, x, 64)
+    approx = vertex_pipeline(sys_, chebyshev_fit(g_resp, (0.0, 2.0), 64),
+                             chebyshev_fit(w_resp, (0.0, 2.0), 64), x)
     assert np.linalg.norm(approx - exact) < 1e-6 * np.linalg.norm(x)
 
 

@@ -146,7 +146,8 @@ def test_cli_filters_dump(tmp_path):
     code = main(["filters", "dump", "--kind", "sensor", "--n", "16", "--m", "4",
                  "--out", str(out)])
     assert code == 0
-    assert (out / "gen1.txt").exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{name}.txt" for name in ("bl", "ir", "gen1", "gen2", "cos", "smooth", "identity"))
     lines = (out / "bl.txt").read_text().splitlines()
     assert len(lines) == 16
 
@@ -185,6 +186,31 @@ def test_cli_exp_bipartite_small(tmp_path):
     assert code == 0
     rows = parse_report_csv(str(out))
     assert {r["mode"] for r in rows} >= {"exact", "chebyshev_p2", "chebyshev_p4"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--n", "32", "--m", "4"],
+    ["exp", "table2", "--n", "32", "--m", "4", "--trials", "2"],
+    ["exp", "bipartite", "--n", "32", "--orders", "2", "--trials", "2"],
+], ids=["recover", "table2", "bipartite"])
+def test_cli_missing_config_file_exits_2(tmp_path, capsys, argv):
+    code = main([*argv, "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_exp_bipartite_config_keys(tmp_path, capsys):
+    out = tmp_path / "bp.csv"
+    argv = ["exp", "bipartite", "--n", "32", "--orders", "2", "--trials", "5",
+            "--out", str(out)]
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"not_a_field": 1}))
+    assert main([*argv, "--config", str(cfgfile)]) == 2
+    cfgfile.write_text(json.dumps({"trials": 2}))
+    assert main([*argv, "--config", str(cfgfile)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len([r for r in parse_report_csv(str(out)) if r["mode"] == "exact"]) == 2
 
 
 CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)

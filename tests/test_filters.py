@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from specsamp import (
     IntervalMismatch,
     InvalidParameter,
+    OperatorKind,
+    VariationOperator,
     apply_chebyshev,
     apply_filter,
     bandlimit,
@@ -116,6 +118,14 @@ def test_chebyshev_linear_exact():
     grid = np.linspace(0, 3, 100)
     assert_allclose(evaluate(cf, grid), grid, atol=1e-12)
     assert cf.fit_error < 1e-12
+
+
+def test_chebyshev_evaluate_matches_apply_on_diagonal_operator():
+    lam = np.random.default_rng(3).uniform(0.0, 2.0, 40)
+    cf = chebyshev_fit(lambda v: float(np.exp(-v) * np.cos(3 * v)), (0.0, 2.0), 12)
+    op = VariationOperator(np.diag(lam), OperatorKind.SYMMETRIC_NORMALIZED)
+    assert_allclose(apply_chebyshev(op, cf, np.ones(40)), evaluate(cf, lam),
+                    rtol=1e-12, atol=1e-12)
 
 
 def test_chebyshev_affine_response_exact(sensor_basis):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from specsamp import (
     Graph,
     InvalidParameter,
+    IoFailure,
     IsolatedVertex,
     OperatorKind,
     SingularInteriorBlock,
@@ -15,8 +16,10 @@ from specsamp import (
     gen_random_bipartite,
     gen_random_sensor,
     kron_reduce,
+    load_filter,
     load_graph,
     normalized_laplacian,
+    parse_payload,
     save_graph,
 )
 
@@ -196,3 +199,18 @@ def test_edge_list_roundtrip_bipartite(tmp_path):
     assert_allclose(back.weights, g.weights)
     head = path.read_text().splitlines()[0]
     assert head == "N 10 bipartite 5"
+
+
+@pytest.mark.parametrize("load,text,line", [
+    (load_graph, "N 3\n0 1 1.0\n1 2\n", 3),
+    (load_graph, "N 3\n0 1 1.0\n\n1 3 1.0\n", 4),
+    (load_graph, "N 3\n0 -1 1.0\n", 2),
+    (load_filter, "0.0 1.0\n0.5\n", 2),
+    (parse_payload, "", 1),
+], ids=["graph-two-fields", "graph-index-out-of-range", "graph-negative-index",
+        "filter-one-column", "payload-empty"])
+def test_loaders_raise_io_failure_naming_the_line(tmp_path, load, text, line):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    with pytest.raises(IoFailure, match=rf"line {line}\b"):
+        load(text if load is parse_payload else str(path))

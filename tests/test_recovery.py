@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specsamp import (
@@ -10,7 +12,6 @@ from specsamp import (
     PgsModel,
     SamplingConfig,
     SingularCorrelation,
-    SmoothnessPrior,
     Strategy,
     ZeroReference,
     bandlimit,
@@ -315,6 +316,26 @@ def test_smoothness_predefined_ls_delegates_to_subspace(setup12):
     assert_allclose(sm.h, sub.h)
 
 
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 8), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_smoothness_designs_are_subspace_designs_with_generator_s_over_v2(k, m, seed):
+    # The smoothness-prior designs are the subspace-prior closed forms
+    # under the generator s / v^2, bit for bit.
+    cfg = SamplingConfig(k * m, m)
+    rng = np.random.default_rng(seed)
+    s, v, w = (from_values(rng.uniform(0.1, 10.0, cfg.n)) for _ in range(3))
+    wt = from_values(s.values / v.values**2)
+    pairs = [
+        (design_smoothness_unconstrained(s, v, cfg),
+         design_subspace_unconstrained(s, wt, cfg, Strategy.DS)),
+        (design_smoothness_predefined(s, v, w, cfg, Strategy.MX),
+         design_subspace_predefined(s, wt, w, cfg, Strategy.MX)),
+    ]
+    for smooth, sub in pairs:
+        assert np.array_equal(smooth.h, sub.h)
+        assert np.array_equal(smooth.w.values, sub.w.values)
+
+
 def test_reconstruct_identity_chain():
     g = gen_random_sensor(8, seed=26)
     basis = eigendecompose(combinatorial_laplacian(g))
@@ -398,9 +419,14 @@ def test_mse_db_values():
         mse_db(x, np.zeros(4))
 
 
-def test_smoothness_prior_rejects_zero_weight():
+def test_smoothness_designs_reject_zero_weight():
+    cfg = SamplingConfig(3, 1)
+    s = from_values(np.ones(3))
+    v = from_values(np.array([1.0, 0.0, 1.0]))
     with pytest.raises(InvalidParameter):
-        SmoothnessPrior(from_values(np.array([1.0, 0.0, 1.0])))
+        design_smoothness_unconstrained(s, v, cfg)
+    with pytest.raises(InvalidParameter):
+        design_smoothness_predefined(s, v, s, cfg, Strategy.MX)
 
 
 def test_design_record_roundtrip(setup12):
