@@ -8,13 +8,10 @@ from .bipartite import (
     OneBranchResult,
     build_system,
     build_wprime,
-    correction_response,
-    encode_payload,
     fit_one_branch,
     generate_one_branch,
     one_branch_design,
     one_branch_roundtrip,
-    parse_payload,
     reconstruct_from_part,
     reduction_identity_residual,
     sample_first_part,
@@ -27,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     DsConditionViolated,
     EigensolveFailure,
-    IndexOutOfRange,
     IntervalMismatch,
     InvalidParameter,
     IoFailure,
@@ -56,11 +52,9 @@ from .filters import (
     cosine_taper,
     exponential_decay,
     from_response,
-    from_values,
     identity_filter,
     inverted_ramp,
     linear_decay,
-    load_filter,
     save_filter,
     smoothness_ramp,
 )
@@ -102,6 +96,5 @@ from .sampling import (
     sampled_cross_correlation,
     spectral_fold,
     spectral_upsample,
-    vertex_sample,
 )
 from .spectral import SpectralBasis, apply_filter, dft_basis, eigendecompose, gft, igft

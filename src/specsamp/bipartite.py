@@ -20,7 +20,6 @@ the vertex-domain reconstruction, which makes the vertex pipeline agree
 exactly with the plain frequency-domain sampling/reconstruction chain.
 """
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -29,7 +28,6 @@ import numpy as np
 from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
 from .errors import (
     DimensionMismatch,
-    IoFailure,
     NotBipartite,
     PairingFailure,
     UnequalParts,
@@ -37,7 +35,7 @@ from .errors import (
 from .filters import SpectralFilter, bandlimit, bandlimit_response, from_response
 from .graphs import Graph, VariationOperator, kron_reduce, normalized_laplacian
 from .recovery import RecoveryDesign, Strategy, design_subspace_unconstrained
-from .sampling import SampledSpectrum, SamplingConfig, frequency_sample
+from .sampling import SamplingConfig, frequency_sample
 from .spectral import SpectralBasis, _column_signs, apply_filter
 
 _RESIDUAL_TOL = 1e-8
@@ -214,7 +212,7 @@ def vertex_pipeline(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilt
     return sys.to_caller(reconstruct_from_part(sys, wprime, kept))
 
 
-def correction_response(sys: BipartiteSystem, h: np.ndarray) -> Callable[[float], float]:
+def _correction_response(sys: BipartiteSystem, h: np.ndarray) -> Callable[[float], float]:
     """Interpolate length-N/2 correction values into a function of the
     graph frequency, using the pairing lambda <-> 2 - lambda to fold upper
     frequencies onto the lower half."""
@@ -236,7 +234,7 @@ def fit_one_branch(sys: BipartiteSystem, a_resp: Callable[[float], float],
     (the bandlimit surrogate) and of the combined decoding response
     a * h on the normalized interval [0, 2]."""
     s_resp = bandlimit_response(sys.basis_b, sys.half)
-    h_resp = correction_response(sys, h)
+    h_resp = _correction_response(sys, h)
 
     def combined(lam: float) -> float:
         return a_resp(lam) * h_resp(lam)
@@ -257,9 +255,8 @@ def one_branch_design(sys: BipartiteSystem, a: SpectralFilter
 
 @dataclass(frozen=True)
 class OneBranchResult:
-    """Encoded half-spectrum plus the signal it came from and its decode."""
+    """A one-branch signal, its decode and the design that decoded it."""
 
-    encoded: SampledSpectrum
     original: np.ndarray
     decoded: np.ndarray
     design: RecoveryDesign
@@ -272,11 +269,11 @@ def one_branch_roundtrip(sys: BipartiteSystem, a_resp: Callable[[float], float],
 
     The signal is synthesized from length-N/2 coefficients ``d`` by
     zero-padding onto the first part and filtering with the combined
-    reconstruction response; encoding keeps the bandlimited folded
-    spectrum; decoding runs the vertex pipeline with the same combined
-    response. With exact filters the round trip is lossless whenever the
-    direct-sum condition holds; ``order`` switches sampling and decoding
-    to Chebyshev-approximated filters.
+    reconstruction response; encoding keeps the first part of the
+    bandlimited signal; decoding runs the vertex pipeline with the same
+    combined response. With exact filters the round trip is lossless
+    whenever the direct-sum condition holds; ``order`` switches sampling
+    and decoding to Chebyshev-approximated filters.
 
     Raises
     ------
@@ -293,36 +290,4 @@ def one_branch_roundtrip(sys: BipartiteSystem, a_resp: Callable[[float], float],
     g, w = (s, wprime) if order is None else fit_one_branch(sys, a_resp, design.h, order)
     kept = sample_first_part(sys, g, x_int)
     decoded_int = reconstruct_from_part(sys, w, kept)
-    encoded = SampledSpectrum(
-        np.sqrt(sys.cfg.m) * (sys.basis_reduced.vectors.T @ kept), sys.cfg)
-    return OneBranchResult(encoded, sys.to_caller(x_int), sys.to_caller(decoded_int), design)
-
-
-def encode_payload(result: OneBranchResult, generator: str, params: dict) -> str:
-    """Serialize a one-branch encoding: JSON header (N, K, generator
-    descriptor) followed by one spectrum value per line."""
-    header = json.dumps({"n": result.encoded.config.n, "k": result.encoded.config.k,
-                         "generator": generator, "params": params})
-    lines = [header] + [repr(float(v)) for v in result.encoded.values]
-    return "\n".join(lines) + "\n"
-
-
-def parse_payload(text: str):
-    """Inverse of :func:`encode_payload`; returns (header dict, values). A
-    missing header or a line that does not parse raises IoFailure with its
-    number."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
-        raise IoFailure("payload line 1: missing header")
-    no = lines[0][0]
-    try:
-        header = json.loads(lines[0][1])
-        values = []
-        for no, ln in lines[1:]:
-            values.append(float(ln))
-    except ValueError as exc:
-        raise IoFailure(f"payload line {no}: {exc}") from exc
-    values = np.array(values)
-    if len(values) != header["k"]:
-        raise DimensionMismatch("payload length disagrees with header")
-    return header, values
+    return OneBranchResult(sys.to_caller(x_int), sys.to_caller(decoded_int), design)

@@ -33,7 +33,7 @@ class ChebyshevFilter:
     fit_error: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
         if len(c) != self.order + 1:
             raise InvalidParameter("coeffs length must be order + 1")
         c.flags.writeable = False

@@ -94,7 +94,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_exp_table2(args) -> int:
     base = _experiment_config(args)
-    rows = run_recovery_table(base, noises=(0.0, args.noise) if args.noise > 0 else (0.0,))
+    rows = run_recovery_table(base)
     emit_report(rows, args.format, args.out)
     means = sorted({(r["prior"], r["mode"], r["strategy"], r["sampling_filter"],
                      r["generator"], r["noise"], r["mean_mse_db"]) for r in rows})

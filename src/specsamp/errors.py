@@ -13,10 +13,6 @@ class DimensionMismatch(SpecSampError):
     """Vector or matrix sizes are inconsistent."""
 
 
-class IndexOutOfRange(SpecSampError):
-    """A vertex index lies outside [0, N)."""
-
-
 class IsolatedVertex(SpecSampError):
     """A vertex of degree zero makes the normalized Laplacian undefined."""
 

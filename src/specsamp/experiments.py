@@ -236,10 +236,11 @@ TABLE_METHODS = (
 )
 
 
-def run_recovery_table(base: ExperimentConfig,
-                       noises=(0.0, 0.1)) -> List[dict]:
+def run_recovery_table(base: ExperimentConfig) -> List[dict]:
     """Full method/filter/noise matrix: every method with both sampling
-    filters and both generators, plus the bandlimited baseline."""
+    filters and both generators, plus the bandlimited baseline, noise-free
+    and, when ``base.noise_variance`` > 0, at that noise variance."""
+    noises = (0.0, base.noise_variance) if base.noise_variance > 0 else (0.0,)
     methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
     methods.append(("baseline", "predefined", "ds", "bl"))
     rows: List[dict] = []

@@ -33,7 +33,7 @@ class SpectralFilter:
     response: Optional[Response] = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if not np.all(np.isfinite(v)):
             raise InvalidParameter("filter values must be finite")
         v.flags.writeable = False
@@ -42,10 +42,6 @@ class SpectralFilter:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-def from_values(values) -> SpectralFilter:
-    return SpectralFilter(np.asarray(values, dtype=float))
 
 
 def from_response(basis, fn: Response) -> SpectralFilter:
@@ -142,22 +138,3 @@ def save_filter(f: SpectralFilter, basis, path: str) -> None:
                 fh.write(f"{float(lam)!r} {float(val)!r}\n")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-
-
-def load_filter(path: str):
-    """Read two-column text; returns (lambdas, SpectralFilter). A row that
-    does not start with two numbers raises IoFailure with its number."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    pairs = []
-    for no, r in rows:
-        try:
-            pairs.append((float(r[0]), float(r[1])))
-        except (ValueError, IndexError) as exc:
-            raise IoFailure(f"{path}, line {no}: {exc}") from exc
-    lams = np.array([lam for lam, _ in pairs])
-    vals = np.array([val for _, val in pairs])
-    return lams, SpectralFilter(vals)

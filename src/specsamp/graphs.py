@@ -23,6 +23,9 @@ from .errors import (
 
 _SYMMETRY_RTOL = 1e-12
 _MAX_RESAMPLE = 100
+# gen_matched_bipartite: matching edge weight, unit-weight extra edges per vertex.
+_MATCH_WEIGHT = 6.0
+_MATCH_EXTRA = 2
 
 
 class OperatorKind(Enum):
@@ -63,8 +66,8 @@ class Graph:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         if self.bipartition is not None:
-            v1 = np.asarray(self.bipartition[0], dtype=int)
-            v2 = np.asarray(self.bipartition[1], dtype=int)
+            v1 = np.array(self.bipartition[0], dtype=int)
+            v2 = np.array(self.bipartition[1], dtype=int)
             both = np.concatenate([v1, v2])
             if len(np.unique(both)) != self.n or both.min(initial=0) < 0 or both.max(initial=-1) >= self.n:
                 raise InvalidParameter("bipartition must cover all vertices exactly once")
@@ -142,7 +145,10 @@ def kron_reduce(op: VariationOperator, v1: Sequence[int]) -> VariationOperator:
     if drop.size == 0:
         return VariationOperator(m.copy(), op.kind)
     interior = m[np.ix_(drop, drop)]
-    if np.linalg.cond(interior) > 1e12:
+    # The 2-norm condition number; the block is symmetric, so its
+    # singular values are the magnitudes of its eigenvalues.
+    mags = np.abs(np.linalg.eigvalsh(interior))
+    if mags.min() == 0 or mags.max() / mags.min() > 1e12:
         raise SingularInteriorBlock("eliminated block is numerically singular")
     coupling = m[np.ix_(keep, drop)]
     reduced = m[np.ix_(keep, keep)] - coupling @ np.linalg.solve(interior, coupling.T)
@@ -226,28 +232,25 @@ def gen_random_bipartite(n_half: int, seed: int, p: float = 0.5) -> Graph:
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
-def gen_matched_bipartite(n_half: int, seed: int, strong: float = 6.0,
-                          extra: int = 2) -> Graph:
+def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
     """Matching-dominant random bipartite graph.
 
     Every vertex of the first part is tied to a random partner in the
-    second part with weight ``strong`` plus ``extra`` unit-weight random
-    cross edges. The dominant matching keeps the normalized-Laplacian
-    spectrum away from 1, which polynomial filter approximations need:
-    both standard sampling filters jump exactly there.
+    second part with weight 6 plus 2 unit-weight random cross edges. The
+    dominant matching keeps the normalized-Laplacian spectrum away from 1,
+    which polynomial filter approximations need: both standard sampling
+    filters jump exactly there.
     """
-    if n_half < 2 or extra < 1 or extra >= n_half:
-        raise InvalidParameter("need n_half >= 2 and 0 < extra < n_half")
-    if strong <= 0:
-        raise InvalidParameter("need strong > 0")
+    if n_half <= _MATCH_EXTRA:
+        raise InvalidParameter(f"need n_half > {_MATCH_EXTRA}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
         block = np.zeros((n_half, n_half))
         partner = rng.permutation(n_half)
-        block[np.arange(n_half), partner] = strong
+        block[np.arange(n_half), partner] = _MATCH_WEIGHT
         for i in range(n_half):
             choices = np.setdiff1d(np.arange(n_half), [partner[i]])
-            for j in rng.choice(choices, size=extra, replace=False):
+            for j in rng.choice(choices, size=_MATCH_EXTRA, replace=False):
                 block[i, j] = max(block[i, j], 1.0)
         w, parts = _bipartite(block)
         if _is_connected(w):

@@ -11,7 +11,6 @@ Coefficients, signals and sampled spectra may carry a trailing trial
 axis; synthesis and reconstruction act along axis 0.
 """
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -73,20 +72,11 @@ class RecoveryDesign:
     mode: Mode
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = np.array(self.h, dtype=float)
         if not np.all(np.isfinite(h)):
             raise InvalidParameter("correction values must be finite")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
-
-    def to_record(self) -> str:
-        """Structured one-line JSON for audit."""
-        return json.dumps({
-            "strategy": self.strategy.value,
-            "mode": self.mode.value,
-            "h": [float(v) for v in self.h],
-            "w": [float(v) for v in self.w.values],
-        })
 
 
 @dataclass(frozen=True)

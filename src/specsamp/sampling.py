@@ -1,4 +1,4 @@
-"""Sampling operators in the graph frequency and vertex domains.
+"""Sampling operators in the graph frequency domain.
 
 Frequency-domain sampling filters the spectrum and folds it with period
 K = N/M, the graph counterpart of frequency-domain aliasing; the adjoint
@@ -10,14 +10,13 @@ Spectra may carry a trailing trial axis, ``(N,)`` or ``(N, T)``; folding
 and upsampling act along axis 0.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter
 from .filters import SpectralFilter
-from .spectral import SpectralBasis, _scale_rows, apply_filter, gft
+from .spectral import SpectralBasis, _scale_rows, gft
 
 
 @dataclass(frozen=True)
@@ -52,20 +51,6 @@ class SampledSpectrum:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def to_record(self) -> str:
-        """One-line JSON record (K, M, real and imaginary parts)."""
-        return json.dumps({"k": self.config.k, "m": self.config.m,
-                           "real": self.values.real.tolist(),
-                           "imag": self.values.imag.tolist()})
-
-    @classmethod
-    def from_record(cls, line: str) -> "SampledSpectrum":
-        """Inverse of :meth:`to_record`; the values come back complex."""
-        rec = json.loads(line)
-        cfg = SamplingConfig(rec["k"] * rec["m"], rec["m"])
-        return cls(np.asarray(rec["real"], dtype=float)
-                   + 1j * np.asarray(rec["imag"], dtype=float), cfg)
-
 
 def spectral_fold(xhat: np.ndarray, cfg: SamplingConfig) -> SampledSpectrum:
     """Fold a length-N spectrum into length K: out[i] = sum_l xhat[i + K*l]."""
@@ -94,27 +79,6 @@ def frequency_sample(b: SpectralBasis, s: SpectralFilter, x: np.ndarray,
     if b.n != cfg.n or s.n != cfg.n:
         raise DimensionMismatch("basis, filter, and config sizes must agree")
     return spectral_fold(_scale_rows(s.values, gft(b, x)), cfg)
-
-
-def vertex_sample(g_filter, t, x: np.ndarray, basis: SpectralBasis = None) -> np.ndarray:
-    """Vertex-domain sampling: filter, then keep the entries indexed by t.
-
-    ``g_filter`` may be a SpectralFilter (requires ``basis``), a dense
-    N x N operator, or None for plain subsampling.
-    """
-    x = np.asarray(x)
-    t = np.asarray(t, dtype=int)
-    if t.size and (t.min() < 0 or t.max() >= x.shape[0]):
-        raise IndexOutOfRange("sampling set outside [0, N)")
-    if g_filter is None:
-        filtered = x
-    elif isinstance(g_filter, SpectralFilter):
-        if basis is None:
-            raise InvalidParameter("a SpectralFilter needs a basis to be applied")
-        filtered = apply_filter(basis, g_filter, x)
-    else:
-        filtered = np.asarray(g_filter) @ x
-    return filtered[t]
 
 
 def sampled_cross_correlation(f1: SpectralFilter, f2: SpectralFilter,

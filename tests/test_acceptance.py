@@ -10,6 +10,7 @@ import numpy as np
 
 from specsamp import (
     SamplingConfig,
+    SpectralFilter,
     bandlimit,
     build_system,
     build_wprime,
@@ -23,8 +24,6 @@ from specsamp import (
     dft_basis,
     eigendecompose,
     frequency_sample,
-    from_values,
-    gen_circular,
     gen_random_bipartite,
     gen_random_sensor,
     inverted_ramp,
@@ -79,10 +78,10 @@ def test_02_dense_oracle_equivalence():
         cfg = SamplingConfig(n, m)
         fold = np.tile(np.eye(cfg.k), (1, m))
         rng = np.random.default_rng(100 + seed)
-        s = from_values(rng.uniform(0.5, 1.5, n))
-        a = from_values(rng.uniform(0.5, 1.5, n))
-        w = from_values(rng.uniform(0.5, 1.5, n))
-        v = from_values(rng.uniform(0.5, 1.5, n))
+        s = SpectralFilter(rng.uniform(0.5, 1.5, n))
+        a = SpectralFilter(rng.uniform(0.5, 1.5, n))
+        w = SpectralFilter(rng.uniform(0.5, 1.5, n))
+        v = SpectralFilter(rng.uniform(0.5, 1.5, n))
 
         def synth(vals):
             return basis.vectors @ np.diag(vals) @ fold.T
@@ -158,7 +157,7 @@ def test_05_dft_domain_reduction():
     for _ in range(100):
         m = int(rng.choice([2, 3, 4, 6, 8, 12]))
         cfg = SamplingConfig(n, m)
-        s = from_values(rng.normal(size=n))
+        s = SpectralFilter(rng.normal(size=n))
         x = rng.normal(size=n)
         xdft = np.fft.fft(x) / np.sqrt(n)
         expected = (s.values * xdft).reshape(m, cfg.k).sum(axis=0)
@@ -186,8 +185,8 @@ def test_07_pipeline_equivalence_random_filters():
         sys_ = build_system(gen_random_bipartite(n_half, seed=int(rng.integers(0, 2**31))))
         n = sys_.cfg.n
         for _ in range(3):
-            s = from_values(rng.normal(size=n))
-            w = from_values(rng.normal(size=n))
+            s = SpectralFilter(rng.normal(size=n))
+            w = SpectralFilter(rng.normal(size=n))
             h = rng.normal(size=n_half)
             x = rng.normal(size=n)
             vx = vertex_pipeline(sys_, s, build_wprime(w, h), x)
@@ -216,7 +215,7 @@ def test_09_quadratic_weight_reduction():
     basis = eigendecompose(combinatorial_laplacian(gen_random_sensor(32, seed=3)))
     cfg = SamplingConfig(32, 4)
     k = cfg.k
-    v = from_values(np.where(np.arange(32) < k,
+    v = SpectralFilter(np.where(np.arange(32) < k,
                              np.sqrt(basis.lambdas + 1.0),
                              np.sqrt(np.maximum(basis.lambdas, 0.0))))
     design = design_smoothness_unconstrained(bandlimit(basis, k), v, cfg)

@@ -7,6 +7,7 @@ from specsamp import (
     Mode,
     NotBipartite,
     RecoveryDesign,
+    SpectralFilter,
     Strategy,
     UnequalParts,
     bandlimit,
@@ -15,18 +16,16 @@ from specsamp import (
     build_wprime,
     chebyshev_fit,
     complete_bipartite,
-    encode_payload,
     frequency_sample,
-    from_values,
     gen_matched_bipartite,
     gen_random_bipartite,
     identity_filter,
     inverted_ramp,
     mse_db,
     one_branch_roundtrip,
-    parse_payload,
     reconstruct,
     reduction_identity_residual,
+    sample_first_part,
     verify_corollary1,
     vertex_pipeline,
 )
@@ -109,13 +108,10 @@ def test_corollary_ramp_filter_larger_graph():
 def test_vertex_sample_matches_reduced_spectrum_view(sys16):
     # Keeping the first part of a filtered signal is the reduced-graph GFT
     # of the energy-normalized folded spectrum.
-    from specsamp import vertex_sample
-
     x = np.random.default_rng(13).normal(size=16)
     s = inverted_ramp(sys16.basis_b)
-    v1 = np.arange(sys16.half)
     x_int = sys16.to_internal(x)
-    kept = vertex_sample(s, v1, x_int, basis=sys16.basis_b)
+    kept = sample_first_part(sys16, s, x_int)
     chat = frequency_sample(sys16.basis_b, s, x_int, sys16.cfg)
     bridged = sys16.basis_reduced.vectors @ (chat.values / np.sqrt(2.0))
     assert_allclose(kept, bridged, atol=1e-10)
@@ -149,8 +145,8 @@ def test_vertex_pipeline_identity_filters_scale_by_ratio(sys16):
 
 def test_vertex_pipeline_equals_frequency_pipeline_random_filters(sys16):
     rng = np.random.default_rng(4)
-    s = from_values(rng.normal(size=16))
-    w = from_values(rng.normal(size=16))
+    s = SpectralFilter(rng.normal(size=16))
+    w = SpectralFilter(rng.normal(size=16))
     h = rng.normal(size=8)
     x = rng.normal(size=16)
     wprime = build_wprime(w, h)
@@ -214,8 +210,8 @@ def test_chebyshev_pipeline_converges_for_smooth_responses():
     g_resp = lambda lam: float(np.exp(-lam))
     w_resp = lambda lam: float(np.cos(0.25 * np.pi * lam))
     x = np.random.default_rng(8).normal(size=n)
-    exact = vertex_pipeline(sys_, from_values([g_resp(l) for l in sys_.basis_b.lambdas]),
-                            from_values([w_resp(l) for l in sys_.basis_b.lambdas]), x)
+    exact = vertex_pipeline(sys_, SpectralFilter([g_resp(l) for l in sys_.basis_b.lambdas]),
+                            SpectralFilter([w_resp(l) for l in sys_.basis_b.lambdas]), x)
     approx = vertex_pipeline(sys_, chebyshev_fit(g_resp, (0.0, 2.0), 64),
                              chebyshev_fit(w_resp, (0.0, 2.0), 64), x)
     assert np.linalg.norm(approx - exact) < 1e-6 * np.linalg.norm(x)
@@ -247,13 +243,3 @@ def test_one_branch_chebyshev_error_shrinks_with_order():
         errs.append(mse_db(res.original, res.decoded))
     assert errs[1] < errs[0]
     assert errs[2] < errs[1]
-
-
-def test_one_branch_payload_roundtrip(sys16):
-    d = np.random.default_rng(12).normal(1, 1, sys16.half)
-    res = one_branch_roundtrip(sys16, inverted_ramp(sys16.basis_b).response, d)
-    text = encode_payload(res, "inverted_ramp", {"lam_max": 2.0})
-    header, values = parse_payload(text)
-    assert header["n"] == 16 and header["k"] == 8
-    assert header["generator"] == "inverted_ramp"
-    assert_allclose(values, res.encoded.values)

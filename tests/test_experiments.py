@@ -66,8 +66,8 @@ def test_config_validation():
 
 
 def test_table_matrix_row_counts():
-    base = ExperimentConfig(**SMALL)
-    rows = run_recovery_table(base, noises=(0.0, 0.1))
+    base = ExperimentConfig(noise_variance=0.1, **SMALL)
+    rows = run_recovery_table(base)
     # 5 methods x 2 sampling filters = 10 proposed rows per generator/noise
     # cell, each row repeated per trial, plus one baseline per cell.
     proposed = [r for r in rows if r["prior"] != "baseline"]
@@ -211,6 +211,15 @@ def test_cli_exp_bipartite_config_keys(tmp_path, capsys):
     assert main([*argv, "--config", str(cfgfile)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert len([r for r in parse_report_csv(str(out)) if r["mode"] == "exact"]) == 2
+
+
+def test_cli_exp_table2_config_sets_noise(tmp_path):
+    out = tmp_path / "t2.csv"
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"noise_variance": 0.3}))
+    assert main(["exp", "table2", "--n", "32", "--m", "4", "--trials", "2",
+                 "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert {r["noise"] for r in parse_report_csv(str(out))} == {0.0, 0.3}
 
 
 CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)

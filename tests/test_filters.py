@@ -3,9 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specsamp import (
+    ChebyshevFilter,
+    Graph,
     IntervalMismatch,
     InvalidParameter,
+    Mode,
     OperatorKind,
+    RecoveryDesign,
+    SpectralFilter,
+    Strategy,
     VariationOperator,
     apply_chebyshev,
     apply_filter,
@@ -22,7 +28,6 @@ from specsamp import (
     identity_filter,
     inverted_ramp,
     linear_decay,
-    load_filter,
     normalized_laplacian,
     save_filter,
     smoothness_ramp,
@@ -96,9 +101,22 @@ def test_filter_table_roundtrip(tmp_path, sensor_basis):
     f = cosine_taper(sensor_basis)
     path = tmp_path / "f.txt"
     save_filter(f, sensor_basis, str(path))
-    lams, back = load_filter(str(path))
+    lams, back = np.loadtxt(path, unpack=True)
     assert_allclose(lams, sensor_basis.lambdas)
-    assert_allclose(back.values, f.values)
+    assert_allclose(back, f.values)
+
+
+@pytest.mark.parametrize("build,a", [
+    (lambda a: SpectralFilter(a), np.arange(4.0)),
+    (lambda a: ChebyshevFilter(a, (0.0, 2.0), 3), np.arange(4.0)),
+    (lambda a: RecoveryDesign(a, identity_filter(8), Strategy.DS, Mode.UNCONSTRAINED),
+     np.arange(4.0)),
+    (lambda a: Graph(8, np.zeros((8, 8)), bipartition=(a, a + 4)), np.arange(4)),
+], ids=["spectral-filter", "chebyshev-coeffs", "design-h", "graph-bipartition"])
+def test_constructors_leave_caller_array_writeable(build, a):
+    build(a)
+    a[0] = 3
+    assert a[0] == 3
 
 
 def test_nonfinite_values_rejected():

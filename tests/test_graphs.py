@@ -16,10 +16,8 @@ from specsamp import (
     gen_random_bipartite,
     gen_random_sensor,
     kron_reduce,
-    load_filter,
     load_graph,
     normalized_laplacian,
-    parse_payload,
     save_graph,
 )
 
@@ -148,6 +146,12 @@ def test_bipartite_generators_deterministic(gen):
     assert np.array_equal(gen(12, seed=13).weights, gen(12, seed=13).weights)
 
 
+def test_matched_bipartite_needs_three_vertices_per_part():
+    with pytest.raises(InvalidParameter):
+        gen_matched_bipartite(2, seed=0)
+    assert gen_matched_bipartite(3, seed=0).n == 6
+
+
 @pytest.mark.parametrize("factory", [
     lambda: gen_circular(9),
     lambda: gen_random_sensor(32, seed=0),
@@ -201,16 +205,13 @@ def test_edge_list_roundtrip_bipartite(tmp_path):
     assert head == "N 10 bipartite 5"
 
 
-@pytest.mark.parametrize("load,text,line", [
-    (load_graph, "N 3\n0 1 1.0\n1 2\n", 3),
-    (load_graph, "N 3\n0 1 1.0\n\n1 3 1.0\n", 4),
-    (load_graph, "N 3\n0 -1 1.0\n", 2),
-    (load_filter, "0.0 1.0\n0.5\n", 2),
-    (parse_payload, "", 1),
-], ids=["graph-two-fields", "graph-index-out-of-range", "graph-negative-index",
-        "filter-one-column", "payload-empty"])
-def test_loaders_raise_io_failure_naming_the_line(tmp_path, load, text, line):
+@pytest.mark.parametrize("text,line", [
+    ("N 3\n0 1 1.0\n1 2\n", 3),
+    ("N 3\n0 1 1.0\n\n1 3 1.0\n", 4),
+    ("N 3\n0 -1 1.0\n", 2),
+], ids=["graph-two-fields", "graph-index-out-of-range", "graph-negative-index"])
+def test_loaders_raise_io_failure_naming_the_line(tmp_path, text, line):
     path = tmp_path / "in.txt"
     path.write_text(text)
     with pytest.raises(IoFailure, match=rf"line {line}\b"):
-        load(text if load is parse_payload else str(path))
+        load_graph(str(path))

@@ -12,6 +12,7 @@ from specsamp import (
     PgsModel,
     SamplingConfig,
     SingularCorrelation,
+    SpectralFilter,
     Strategy,
     ZeroReference,
     bandlimit,
@@ -22,7 +23,6 @@ from specsamp import (
     design_subspace_predefined,
     design_subspace_unconstrained,
     eigendecompose,
-    from_values,
     frequency_sample,
     gen_random_bipartite,
     gen_random_sensor,
@@ -33,7 +33,6 @@ from specsamp import (
     inverted_ramp,
     linear_decay,
     mse_db,
-    normalized_laplacian,
     reconstruct,
     smoothness_energy,
 )
@@ -116,7 +115,7 @@ def test_check_ds_disjoint_supports_fails(setup12):
     s = bandlimit(basis, cfg.k)
     a_vals = np.ones(cfg.n)
     a_vals[: cfg.k] = 0.0
-    res = check_ds(s, from_values(a_vals), cfg)
+    res = check_ds(s, SpectralFilter(a_vals), cfg)
     assert not res.holds
     assert res.min_abs == 0.0
 
@@ -149,8 +148,8 @@ def test_unconstrained_bipartite_ramp_needs_no_correction(bipartite16):
 def test_unconstrained_matches_dense_inverse(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(30)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    a = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    a = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     design = design_subspace_unconstrained(s, a, cfg)
     smat = analysis(basis, s.values, cfg)
     amat = synthesis(basis, a.values, cfg)
@@ -163,7 +162,7 @@ def test_unconstrained_ds_raises_when_violated(setup12):
     a_vals = np.ones(cfg.n)
     a_vals[: cfg.k] = 0.0
     with pytest.raises(DsConditionViolated):
-        design_subspace_unconstrained(s, from_values(a_vals), cfg, Strategy.DS)
+        design_subspace_unconstrained(s, SpectralFilter(a_vals), cfg, Strategy.DS)
 
 
 def test_ls_zeroes_exactly_where_correlation_vanishes(setup12):
@@ -173,7 +172,7 @@ def test_ls_zeroes_exactly_where_correlation_vanishes(setup12):
     s_vals[: cfg.n // 2] = 0.0
     a_vals = rng.uniform(0.5, 1.5, cfg.n)
     a_vals[cfg.n // 2:] = 0.0
-    s, a = from_values(s_vals), from_values(a_vals)
+    s, a = SpectralFilter(s_vals), SpectralFilter(a_vals)
     from specsamp import sampled_cross_correlation
 
     corr = sampled_cross_correlation(s, a, cfg)
@@ -186,8 +185,8 @@ def test_ls_zeroes_exactly_where_correlation_vanishes(setup12):
 def test_predefined_with_matching_filter_reduces_to_unconstrained(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(32)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    a = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    a = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     unc = design_subspace_unconstrained(s, a, cfg)
     pre = design_subspace_predefined(s, a, a, cfg, Strategy.DS)
     assert_allclose(pre.h, unc.h, atol=1e-12)
@@ -206,9 +205,9 @@ def test_predefined_constant_filters_fold_to_half():
 def test_predefined_matches_dense_oblique_projection(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(33)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    a = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    w = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    a = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    w = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     design = design_subspace_predefined(s, a, w, cfg, Strategy.DS)
     smat = analysis(basis, s.values, cfg)
     amat = synthesis(basis, a.values, cfg)
@@ -221,9 +220,9 @@ def test_predefined_matches_dense_oblique_projection(setup12):
 def test_predefined_ls_matches_dense_pseudoinverse(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(34)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    a = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    w = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    a = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    w = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     design = design_subspace_predefined(s, a, w, cfg, Strategy.LS)
     smat = analysis(basis, s.values, cfg)
     wmat = synthesis(basis, w.values, cfg)
@@ -234,7 +233,7 @@ def test_predefined_ls_matches_dense_pseudoinverse(setup12):
 def test_smoothness_unconstrained_trivial_weight_reduces_to_subspace(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(35)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     sm = design_smoothness_unconstrained(s, identity_filter(cfg.n), cfg)
     sub = design_subspace_unconstrained(s, s, cfg)
     assert_allclose(sm.h, sub.h, atol=1e-12)
@@ -244,8 +243,8 @@ def test_smoothness_unconstrained_trivial_weight_reduces_to_subspace(setup12):
 def test_smoothness_unconstrained_matches_dense(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(36)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    v = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    v = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     design = design_smoothness_unconstrained(s, v, cfg)
     smat = analysis(basis, s.values, cfg)
     wt = synthesis(basis, s.values / v.values**2, cfg)
@@ -261,7 +260,7 @@ def test_smoothness_unconstrained_quadratic_weight_inverts_on_passband(setup12):
     v_vals = np.where(np.arange(cfg.n) < k,
                       np.sqrt(basis.lambdas + 1.0),
                       np.sqrt(np.maximum(basis.lambdas, 0.0)))
-    v = from_values(v_vals)
+    v = SpectralFilter(v_vals)
     s = bandlimit(basis, k)
     design = design_smoothness_unconstrained(s, v, cfg)
     assert_allclose(design.h, basis.lambdas[:k] + 1.0, atol=1e-12)
@@ -276,13 +275,13 @@ def test_smoothness_unconstrained_singular_correlation():
     s_vals = np.zeros(8)
     s_vals[0] = 1.0  # column 1 of the fold never sees support
     with pytest.raises(SingularCorrelation):
-        design_smoothness_unconstrained(from_values(s_vals), identity_filter(8), cfg)
+        design_smoothness_unconstrained(SpectralFilter(s_vals), identity_filter(8), cfg)
 
 
 def test_smoothness_predefined_mx_substitution(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(37)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     design = design_smoothness_predefined(s, identity_filter(cfg.n), s, cfg, Strategy.MX)
     from specsamp import sampled_cross_correlation
 
@@ -293,9 +292,9 @@ def test_smoothness_predefined_mx_substitution(setup12):
 def test_smoothness_predefined_mx_matches_dense(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(38)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    v = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    w = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    v = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    w = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     design = design_smoothness_predefined(s, v, w, cfg, Strategy.MX)
     smat = analysis(basis, s.values, cfg)
     wmat = synthesis(basis, w.values, cfg)
@@ -308,9 +307,9 @@ def test_smoothness_predefined_mx_matches_dense(setup12):
 def test_smoothness_predefined_ls_delegates_to_subspace(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(39)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    v = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    w = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    v = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    w = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     sm = design_smoothness_predefined(s, v, w, cfg, Strategy.LS)
     sub = design_subspace_predefined(s, w, w, cfg, Strategy.LS)
     assert_allclose(sm.h, sub.h)
@@ -323,8 +322,8 @@ def test_smoothness_designs_are_subspace_designs_with_generator_s_over_v2(k, m, 
     # under the generator s / v^2, bit for bit.
     cfg = SamplingConfig(k * m, m)
     rng = np.random.default_rng(seed)
-    s, v, w = (from_values(rng.uniform(0.1, 10.0, cfg.n)) for _ in range(3))
-    wt = from_values(s.values / v.values**2)
+    s, v, w = (SpectralFilter(rng.uniform(0.1, 10.0, cfg.n)) for _ in range(3))
+    wt = SpectralFilter(s.values / v.values**2)
     pairs = [
         (design_smoothness_unconstrained(s, v, cfg),
          design_subspace_unconstrained(s, wt, cfg, Strategy.DS)),
@@ -374,8 +373,8 @@ def test_pipeline_is_idempotent(setup12):
 def test_reconstruct_matches_dense_composition(setup12):
     basis, cfg = setup12
     rng = np.random.default_rng(40)
-    s = from_values(rng.uniform(0.5, 1.5, cfg.n))
-    a = from_values(rng.uniform(0.5, 1.5, cfg.n))
+    s = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
+    a = SpectralFilter(rng.uniform(0.5, 1.5, cfg.n))
     design = design_subspace_unconstrained(s, a, cfg)
     x = rng.normal(size=cfg.n)
     dense = pipeline_matrix(basis, design, s, cfg)
@@ -394,7 +393,7 @@ def test_smoothness_energy_sqrt_lambda_is_laplacian_form():
     g = gen_random_sensor(14, seed=27)
     op = combinatorial_laplacian(g)
     basis = eigendecompose(op)
-    v = from_values(np.sqrt(np.maximum(basis.lambdas, 0.0)))
+    v = SpectralFilter(np.sqrt(np.maximum(basis.lambdas, 0.0)))
     x = RNG.normal(size=14)
     assert smoothness_energy(basis, v, x) == pytest.approx(x @ op.matrix @ x, rel=1e-9)
 
@@ -403,7 +402,7 @@ def test_smoothness_energy_constant_mode_is_null():
     g = gen_random_sensor(10, seed=28)
     op = combinatorial_laplacian(g)
     basis = eigendecompose(op)
-    v = from_values(np.sqrt(np.maximum(basis.lambdas, 0.0)))
+    v = SpectralFilter(np.sqrt(np.maximum(basis.lambdas, 0.0)))
     assert smoothness_energy(basis, v, basis.vectors[:, 0]) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -421,22 +420,9 @@ def test_mse_db_values():
 
 def test_smoothness_designs_reject_zero_weight():
     cfg = SamplingConfig(3, 1)
-    s = from_values(np.ones(3))
-    v = from_values(np.array([1.0, 0.0, 1.0]))
+    s = SpectralFilter(np.ones(3))
+    v = SpectralFilter(np.array([1.0, 0.0, 1.0]))
     with pytest.raises(InvalidParameter):
         design_smoothness_unconstrained(s, v, cfg)
     with pytest.raises(InvalidParameter):
         design_smoothness_predefined(s, v, s, cfg, Strategy.MX)
-
-
-def test_design_record_roundtrip(setup12):
-    import json
-
-    basis, cfg = setup12
-    s = bandlimit(basis, cfg.k)
-    design = design_subspace_unconstrained(s, s, cfg)
-    rec = json.loads(design.to_record())
-    assert rec["strategy"] == "ds"
-    assert rec["mode"] == "unconstrained"
-    assert_allclose(rec["h"], design.h)
-    assert_allclose(rec["w"], design.w.values)

@@ -4,15 +4,13 @@ from numpy.testing import assert_allclose
 
 from specsamp import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidParameter,
-    SampledSpectrum,
     SamplingConfig,
+    SpectralFilter,
     bandlimit,
     combinatorial_laplacian,
     dft_basis,
     eigendecompose,
-    from_values,
     frequency_sample,
     gen_random_sensor,
     gft,
@@ -22,7 +20,6 @@ from specsamp import (
     sampled_cross_correlation,
     spectral_fold,
     spectral_upsample,
-    vertex_sample,
 )
 
 
@@ -85,7 +82,7 @@ def test_frequency_sample_all_ones_no_decimation_is_gft():
     basis = eigendecompose(combinatorial_laplacian(gen_random_sensor(8, seed=1)))
     cfg = SamplingConfig(8, 1)
     x = np.random.default_rng(3).normal(size=8)
-    out = frequency_sample(basis, from_values(np.ones(8)), x, cfg)
+    out = frequency_sample(basis, SpectralFilter(np.ones(8)), x, cfg)
     assert_allclose(out.values, gft(basis, x), atol=1e-12)
 
 
@@ -102,7 +99,7 @@ def test_frequency_sample_matches_dense_matrix():
     basis = eigendecompose(combinatorial_laplacian(gen_random_sensor(12, seed=3)))
     cfg = SamplingConfig(12, 3)
     rng = np.random.default_rng(5)
-    s = from_values(rng.normal(size=12))
+    s = SpectralFilter(rng.normal(size=12))
     x = rng.normal(size=12)
     smat = fold_matrix(cfg) @ np.diag(s.values) @ basis.vectors.T
     assert_allclose(frequency_sample(basis, s, x, cfg).values, smat @ x, atol=1e-12)
@@ -112,7 +109,7 @@ def test_frequency_sample_matches_dense_matrix():
 def test_sampling_matrix_identity(n):
     basis = eigendecompose(combinatorial_laplacian(gen_random_sensor(n, seed=6)))
     cfg = SamplingConfig(n, 2)
-    s = from_values(np.random.default_rng(7).normal(size=n))
+    s = SpectralFilter(np.random.default_rng(7).normal(size=n))
     smat = fold_matrix(cfg) @ np.diag(s.values) @ basis.vectors.T
     for j in range(n):
         e = np.zeros(n)
@@ -126,37 +123,11 @@ def test_dft_sampling_reproduces_classical_aliasing():
     rng = np.random.default_rng(8)
     for m in (2, 3, 4, 6):
         cfg = SamplingConfig(n, m)
-        s = from_values(rng.normal(size=n))
+        s = SpectralFilter(rng.normal(size=n))
         x = rng.normal(size=n)
         xdft = np.fft.fft(x) / np.sqrt(n)
         expected = (s.values * xdft).reshape(m, cfg.k).sum(axis=0)
         assert_allclose(frequency_sample(basis, s, x, cfg).values, expected, atol=1e-12)
-
-
-def test_vertex_sample_identity_full_set():
-    x = np.array([5.0, 6.0, 7.0, 8.0])
-    assert_allclose(vertex_sample(None, np.arange(4), x), x)
-
-
-def test_vertex_sample_subset():
-    x = np.array([5.0, 6.0, 7.0, 8.0])
-    assert_allclose(vertex_sample(None, [0, 2], x), [5.0, 7.0])
-
-
-def test_vertex_sample_with_spectral_filter():
-    g = gen_random_bipartite(4, seed=0)
-    basis = eigendecompose(normalized_laplacian(g))
-    s = inverted_ramp(basis)
-    x = np.random.default_rng(9).normal(size=8)
-    dense = basis.vectors @ np.diag(s.values) @ basis.vectors.T
-    t = np.arange(4)
-    assert_allclose(vertex_sample(s, t, x, basis=basis), (dense @ x)[t], atol=1e-12)
-    assert_allclose(vertex_sample(dense, t, x), (dense @ x)[t], atol=1e-12)
-
-
-def test_vertex_sample_rejects_bad_indices():
-    with pytest.raises(IndexOutOfRange):
-        vertex_sample(None, [0, 9], np.zeros(4))
 
 
 def test_cross_correlation_bandlimit_pair_is_ones():
@@ -169,8 +140,8 @@ def test_cross_correlation_bandlimit_pair_is_ones():
 def test_cross_correlation_no_decimation_is_product():
     cfg = SamplingConfig(6, 1)
     rng = np.random.default_rng(10)
-    f1 = from_values(rng.normal(size=6))
-    f2 = from_values(rng.normal(size=6))
+    f1 = SpectralFilter(rng.normal(size=6))
+    f2 = SpectralFilter(rng.normal(size=6))
     assert_allclose(sampled_cross_correlation(f1, f2, cfg), f1.values * f2.values)
 
 
@@ -183,28 +154,6 @@ def test_cross_correlation_matches_dense_diagonal():
     d = fold_matrix(cfg)
     oracle = np.diag(d @ np.diag(f1.values * f2.values) @ d.T)
     assert_allclose(sampled_cross_correlation(f1, f2, cfg), oracle, atol=1e-12)
-
-
-def test_sampled_spectrum_record_roundtrip():
-    cfg = SamplingConfig(8, 2)
-    chat = SampledSpectrum(np.array([1.5, -2.25, 0.0, 3.125]), cfg)
-    back = SampledSpectrum.from_record(chat.to_record())
-    assert back.config == cfg
-    assert_allclose(back.values, chat.values)
-    batched = SampledSpectrum(np.arange(12.0).reshape(4, 3) - 1j, cfg)
-    back = SampledSpectrum.from_record(batched.to_record())
-    assert back.values.shape == (4, 3)
-    assert_allclose(back.values, batched.values, rtol=0, atol=0)
-
-
-def test_sampled_spectrum_record_keeps_imaginary_part():
-    basis = dft_basis(16)
-    cfg = SamplingConfig(16, 4)
-    x = np.random.default_rng(3).normal(size=16)
-    chat = frequency_sample(basis, inverted_ramp(basis), x, cfg)
-    assert np.abs(chat.values.imag).max() > 1e-3
-    back = SampledSpectrum.from_record(chat.to_record())
-    assert_allclose(back.values, chat.values, rtol=0, atol=0)
 
 
 def test_dimension_mismatches():

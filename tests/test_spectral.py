@@ -5,13 +5,13 @@ from numpy.testing import assert_allclose
 from specsamp import (
     DimensionMismatch,
     OperatorKind,
+    SpectralFilter,
     VariationOperator,
     apply_filter,
     combinatorial_laplacian,
     complete_bipartite,
     dft_basis,
     eigendecompose,
-    from_values,
     gen_circular,
     gen_random_sensor,
     gft,
@@ -129,14 +129,14 @@ def test_apply_dc_indicator_projects_onto_mean():
     x = np.random.default_rng(3).normal(size=9)
     vals = np.zeros(9)
     vals[0] = 1.0
-    out = apply_filter(basis, from_values(vals), x)
+    out = apply_filter(basis, SpectralFilter(vals), x)
     assert_allclose(out, np.full(9, x.mean()), atol=1e-10)
 
 
 def test_apply_filter_matches_dense_oracle():
     basis = eigendecompose(combinatorial_laplacian(gen_random_sensor(8, seed=5)))
     rng = np.random.default_rng(4)
-    f = from_values(rng.normal(size=8))
+    f = SpectralFilter(rng.normal(size=8))
     x = rng.normal(size=8)
     dense = basis.vectors @ np.diag(f.values) @ basis.vectors.T
     assert_allclose(apply_filter(basis, f, x), dense @ x, atol=1e-12)
@@ -145,9 +145,9 @@ def test_apply_filter_matches_dense_oracle():
 def test_filters_compose_diagonally():
     basis = eigendecompose(combinatorial_laplacian(gen_random_sensor(10, seed=7)))
     rng = np.random.default_rng(5)
-    f = from_values(rng.normal(size=10))
-    g = from_values(rng.normal(size=10))
+    f = SpectralFilter(rng.normal(size=10))
+    g = SpectralFilter(rng.normal(size=10))
     x = rng.normal(size=10)
-    fg = from_values(f.values * g.values)
+    fg = SpectralFilter(f.values * g.values)
     out = apply_filter(basis, f, apply_filter(basis, g, x))
     assert_allclose(out, apply_filter(basis, fg, x), atol=1e-10)
