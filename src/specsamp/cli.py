@@ -48,10 +48,22 @@ def _config(cls, path, **flags):
             raise IoFailure(str(exc)) from exc
         if not isinstance(overrides, dict):
             raise InvalidParameter("config file must hold a JSON object")
-    bad = set(overrides) - {f.name for f in fields(cls)}
+    types = {f.name: type(f.default) for f in fields(cls)}
+    bad = set(overrides) - set(types)
     if bad:
         raise InvalidParameter(f"unknown config keys: {sorted(bad)}")
-    return cls(**{**flags, **overrides})
+    return cls(**{**flags, **{k: _typed(k, types[k], v) for k, v in overrides.items()}})
+
+
+def _typed(key, kind, value):
+    """``value`` of config ``key`` checked against its field's type ``kind``."""
+    if kind is tuple and isinstance(value, list) and all(type(v) is int for v in value):
+        return tuple(value)
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if kind in (int, str) and type(value) is kind:
+        return value
+    raise InvalidParameter(f"wrong type for config key {key!r}: {value!r}")
 
 
 def _experiment_config(args, **flags) -> ExperimentConfig:
@@ -62,8 +74,7 @@ def _experiment_config(args, **flags) -> ExperimentConfig:
 
 def _cmd_gen_graph(args) -> int:
     g = build_experiment_graph(ExperimentConfig(graph_kind=args.kind, n=args.n,
-                                                graph_seed=args.seed,
-                                                graph_params={"p": args.p}))
+                                                graph_seed=args.seed, p=args.p))
     save_graph(g, args.out)
     print(f"wrote {args.kind} graph with n={g.n} to {args.out}")
     return 0

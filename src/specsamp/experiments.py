@@ -9,8 +9,8 @@ when enabled, is added to the signal before sampling.
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List
+from dataclasses import dataclass, replace
+from typing import List
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .graphs import (
     gen_matched_bipartite,
     gen_random_bipartite,
     gen_random_sensor,
-    normalized_laplacian,
 )
 from .recovery import (
     MSE_FLOOR_DB,
@@ -64,7 +63,6 @@ _NUMERIC_COLUMNS = {"noise": float, "trial": int, "mse_db": float, "mean_mse_db"
 
 GENERATOR_IDS = ("gen1", "gen2")
 SAMPLING_IDS = ("bl", "ir")
-RECON_IDS = ("cos", "bl")
 PRIOR_IDS = ("subspace", "smoothness", "baseline")
 MODE_IDS = ("unconstrained", "predefined")
 STRATEGY_IDS = ("ds", "ls", "mx")
@@ -90,12 +88,10 @@ class ExperimentConfig:
     graph_kind: str = "sensor"
     n: int = 256
     graph_seed: int = 0
-    graph_params: Dict[str, float] = field(default_factory=dict)
-    operator: str = "combinatorial"
+    p: float = 0.5
     m: int = 8
     generator: str = "gen1"
     sampling_filter: str = "bl"
-    recon_filter: str = "cos"
     prior: str = "subspace"
     mode: str = "unconstrained"
     strategy: str = "ds"
@@ -114,22 +110,20 @@ class ExperimentConfig:
             raise InvalidParameter(f"unknown generator id {self.generator!r}")
         if self.sampling_filter not in SAMPLING_IDS:
             raise InvalidParameter(f"unknown sampling filter id {self.sampling_filter!r}")
-        if self.recon_filter not in RECON_IDS:
-            raise InvalidParameter(f"unknown reconstruction filter id {self.recon_filter!r}")
         if self.prior not in PRIOR_IDS or self.mode not in MODE_IDS \
                 or self.strategy not in STRATEGY_IDS:
             raise InvalidParameter("unknown prior/mode/strategy id")
 
 
 def build_experiment_graph(cfg: ExperimentConfig):
+    if cfg.graph_kind in ("bipartite", "complete-bipartite") and cfg.n % 2:
+        raise InvalidParameter(f"a {cfg.graph_kind} graph needs an even n, got {cfg.n}")
     if cfg.graph_kind == "sensor":
-        return gen_random_sensor(cfg.n, cfg.graph_seed,
-                                 k=int(cfg.graph_params.get("knn", 6)))
+        return gen_random_sensor(cfg.n, cfg.graph_seed)
     if cfg.graph_kind == "circular":
         return gen_circular(cfg.n)
     if cfg.graph_kind == "bipartite":
-        return gen_random_bipartite(cfg.n // 2, cfg.graph_seed,
-                                    p=float(cfg.graph_params.get("p", 0.5)))
+        return gen_random_bipartite(cfg.n // 2, cfg.graph_seed, cfg.p)
     if cfg.graph_kind == "complete-bipartite":
         return complete_bipartite(cfg.n // 2)
     raise InvalidParameter(f"unknown graph kind {cfg.graph_kind!r}")
@@ -141,11 +135,7 @@ def basis_for_config(cfg: ExperimentConfig, graph) -> SpectralBasis:
     # eigenvalue pairs.
     if cfg.graph_kind == "circular":
         return dft_basis(cfg.n)
-    if cfg.operator == "normalized":
-        return eigendecompose(normalized_laplacian(graph))
-    if cfg.operator == "combinatorial":
-        return eigendecompose(combinatorial_laplacian(graph))
-    raise InvalidParameter(f"unknown operator {cfg.operator!r}")
+    return eigendecompose(combinatorial_laplacian(graph))
 
 
 def design_for_config(cfg: ExperimentConfig, basis: SpectralBasis,
@@ -165,11 +155,11 @@ def design_for_config(cfg: ExperimentConfig, basis: SpectralBasis,
     if cfg.prior == "subspace":
         if cfg.mode == "unconstrained":
             return s, design_subspace_unconstrained(s, a, scfg, strategy)
-        return s, design_subspace_predefined(s, a, build(cfg.recon_filter), scfg, strategy)
+        return s, design_subspace_predefined(s, a, build("cos"), scfg, strategy)
     v = build("smooth")
     if cfg.mode == "unconstrained":
         return s, design_smoothness_unconstrained(s, v, scfg)
-    return s, design_smoothness_predefined(s, v, build(cfg.recon_filter), scfg, strategy)
+    return s, design_smoothness_predefined(s, v, build("cos"), scfg, strategy)
 
 
 def _draw_trials(seed: int, trials: int, mean: float, k: int,
@@ -202,28 +192,42 @@ def _trial_rows(labels: tuple, x: np.ndarray, xt: np.ndarray) -> List[dict]:
     return rows
 
 
-def run_recovery_experiment(cfg: ExperimentConfig) -> List[dict]:
-    """Run one experiment configuration and return per-trial report rows.
+def _recovery_rows(base: ExperimentConfig, generators, noises, methods) -> List[dict]:
+    """Per-trial report rows of ``base`` for every generator, noise variance
+    and (prior, mode, strategy, sampling filter) method, in that loop order.
 
-    Each trial synthesizes a signal in the generator's subspace, adds
-    noise when configured, samples it in the graph frequency domain,
-    applies the configured correction/reconstruction design, and records
-    the energy-normalized error in decibels against the clean signal.
+    One graph, basis and trial draw serve every row. Each trial draws its
+    coefficients before its noise, once, at ``max(noises)``, so the
+    noise-free rows get the coefficients of a noise-free draw; every nonzero
+    variance in ``noises`` must equal that maximum.
     """
-    graph = build_experiment_graph(cfg)
-    basis = basis_for_config(cfg, graph)
-    scfg = SamplingConfig(cfg.n, cfg.m)
-    a = FILTERS[cfg.generator](basis, cfg.eps, scfg.k)
-    s, design = design_for_config(cfg, basis, scfg, a)
+    scfg = SamplingConfig(base.n, base.m)
+    basis = basis_for_config(base, build_experiment_graph(base))
+    coeffs, noise = _draw_trials(base.rng_seed, base.trials, base.coeff_mean, scfg.k,
+                                 scfg.n, float(np.sqrt(max(noises))))
+    rows: List[dict] = []
+    for generator in generators:
+        a = FILTERS[generator](basis, base.eps, scfg.k)
+        x = generate_pgs(PgsModel(a, scfg, basis), coeffs)
+        for noise_variance in noises:
+            y = x + noise if noise_variance > 0 else x
+            for prior, mode, strategy, sampling in methods:
+                cfg = replace(base, generator=generator, noise_variance=noise_variance,
+                              prior=prior, mode=mode, strategy=strategy,
+                              sampling_filter=sampling)
+                s, design = design_for_config(cfg, basis, scfg, a)
+                xt = reconstruct(basis, design, frequency_sample(basis, s, y, scfg))
+                label = sampling if prior != "baseline" else "bl"
+                rows.extend(_trial_rows((prior, mode, strategy, label, generator,
+                                         noise_variance), x, xt))
+    return rows
 
-    coeffs, noise = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, scfg.k,
-                                 scfg.n, float(np.sqrt(cfg.noise_variance)))
-    x = generate_pgs(PgsModel(a, scfg, basis), coeffs)
-    chat = frequency_sample(basis, s, x if noise is None else x + noise, scfg)
-    xt = reconstruct(basis, design, chat)
-    sampling = cfg.sampling_filter if cfg.prior != "baseline" else "bl"
-    return _trial_rows((cfg.prior, cfg.mode, cfg.strategy, sampling, cfg.generator,
-                        cfg.noise_variance), x, xt)
+
+def run_recovery_experiment(cfg: ExperimentConfig) -> List[dict]:
+    """Run one experiment configuration and return per-trial report rows:
+    the recovery table over that one configuration."""
+    return _recovery_rows(cfg, (cfg.generator,), (cfg.noise_variance,),
+                          [(cfg.prior, cfg.mode, cfg.strategy, cfg.sampling_filter)])
 
 
 TABLE_METHODS = (
@@ -243,15 +247,7 @@ def run_recovery_table(base: ExperimentConfig) -> List[dict]:
     noises = (0.0, base.noise_variance) if base.noise_variance > 0 else (0.0,)
     methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
     methods.append(("baseline", "predefined", "ds", "bl"))
-    rows: List[dict] = []
-    for generator in GENERATOR_IDS:
-        for noise in noises:
-            for prior, mode, strategy, sampling in methods:
-                cfg = replace(base, generator=generator, noise_variance=noise,
-                              prior=prior, mode=mode, strategy=strategy,
-                              sampling_filter=sampling)
-                rows.extend(run_recovery_experiment(cfg))
-    return rows
+    return _recovery_rows(base, GENERATOR_IDS, noises, methods)
 
 
 @dataclass(frozen=True)

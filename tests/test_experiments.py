@@ -1,14 +1,16 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from specsamp import InvalidParameter, IoFailure, SpecSampError, cli
+from specsamp import InvalidParameter, IoFailure, SpecSampError, cli, experiments
 from specsamp.cli import main
 from specsamp.experiments import (
     REPORT_COLUMNS,
     BipartiteExperimentConfig,
     ExperimentConfig,
+    build_experiment_graph,
     emit_report,
     parse_report_csv,
     run_bipartite_experiment,
@@ -77,6 +79,36 @@ def test_table_matrix_row_counts():
     cells = {(r["prior"], r["mode"], r["strategy"], r["sampling_filter"],
               r["generator"], r["noise"]) for r in rows}
     assert len(cells) == (10 + 1) * 2 * 2
+
+
+def test_table_is_one_experiment(monkeypatch):
+    calls = []
+    decompose = experiments.eigendecompose
+
+    def counted(op):
+        calls.append(op)
+        return decompose(op)
+
+    monkeypatch.setattr(experiments, "eigendecompose", counted)
+    base = ExperimentConfig(noise_variance=0.1, **SMALL)
+    rows = run_recovery_table(base)
+    assert len(calls) == 1
+    # Every row is the row `recover` gives for that row's configuration.
+    trials = SMALL["trials"]
+    for i in range(0, len(rows), trials):
+        r = rows[i]
+        cfg = replace(base, prior=r["prior"], mode=r["mode"], strategy=r["strategy"],
+                      sampling_filter=r["sampling_filter"], generator=r["generator"],
+                      noise_variance=r["noise"])
+        assert rows[i:i + trials] == run_recovery_experiment(cfg)
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "complete-bipartite"])
+def test_bipartite_kinds_reject_odd_n(tmp_path, kind):
+    with pytest.raises(InvalidParameter):
+        build_experiment_graph(ExperimentConfig(graph_kind=kind, n=63))
+    assert main(["gen-graph", "--kind", kind, "--n", "63",
+                 "--out", str(tmp_path / "g.txt")]) == 2
 
 
 def test_emit_report_csv_roundtrip(tmp_path):
@@ -207,10 +239,12 @@ def test_cli_exp_bipartite_config_keys(tmp_path, capsys):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"not_a_field": 1}))
     assert main([*argv, "--config", str(cfgfile)]) == 2
-    cfgfile.write_text(json.dumps({"trials": 2}))
+    cfgfile.write_text(json.dumps({"trials": 2, "orders": [4]}))
     assert main([*argv, "--config", str(cfgfile)]) == 0
     assert "Traceback" not in capsys.readouterr().err
-    assert len([r for r in parse_report_csv(str(out)) if r["mode"] == "exact"]) == 2
+    rows = parse_report_csv(str(out))
+    assert len([r for r in rows if r["mode"] == "exact"]) == 2
+    assert {r["strategy"] for r in rows} == {"exact", "4"}
 
 
 def test_cli_exp_table2_config_sets_noise(tmp_path):
@@ -220,6 +254,20 @@ def test_cli_exp_table2_config_sets_noise(tmp_path):
     assert main(["exp", "table2", "--n", "32", "--m", "4", "--trials", "2",
                  "--config", str(cfgfile), "--out", str(out)]) == 0
     assert {r["noise"] for r in parse_report_csv(str(out))} == {0.0, 0.3}
+
+
+@pytest.mark.parametrize("argv,override", [
+    (["recover", "--n", "64", "--m", "4"], {"trials": "5"}),
+    (["exp", "table2", "--n", "64", "--m", "4", "--trials", "2"], {"n": 64.5}),
+    (["exp", "bipartite", "--n", "32", "--trials", "2"], {"orders": "2,4"}),
+    (["recover", "--n", "64", "--m", "4"], {"graph_seed": True}),
+], ids=["str-for-int", "float-for-int", "str-for-orders", "bool-for-int"])
+def test_cli_config_rejects_wrong_json_type(tmp_path, capsys, argv, override):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(override))
+    code = main([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
