@@ -4,7 +4,9 @@ Fitting uses Chebyshev-Gauss quadrature with 2P nodes under the T_0/2
 convention, so a degree-P fit of a degree-<=P polynomial is exact. The
 resulting filter is applied with matrix-vector products only, giving a
 P-hop localized vertex-domain realization that never touches the
-eigendecomposition.
+eigendecomposition. The products are taken with the operator's CSR copy
+(``VariationOperator.sparse``), built once per operator, so each costs
+O(nnz) rather than O(N^2).
 """
 
 from dataclasses import dataclass
@@ -97,9 +99,9 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
                     lambda_max: float = None) -> np.ndarray:
     """Apply a fitted filter through the Chebyshev recurrence.
 
-    Only matrix-vector products with the operator are used. When the
-    caller knows the operator's largest frequency it can pass it so the
-    interval coverage is checked.
+    Only matrix-vector products with the operator's CSR copy are used.
+    When the caller knows the operator's largest frequency it can pass it
+    so the interval coverage is checked.
 
     Raises
     ------
@@ -109,7 +111,7 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
     a, b = cf.interval
     if lambda_max is not None and (lambda_max > b + 1e-9 or a > 1e-9):
         raise IntervalMismatch(f"interval [{a}, {b}] does not cover [0, {lambda_max}]")
-    m = op.matrix
+    m = op.sparse
     scale = 2.0 / (b - a)
     shift = (a + b) / (b - a)
 

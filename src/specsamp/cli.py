@@ -116,6 +116,8 @@ def _cmd_exp_table2(args) -> int:
 
 
 def _cmd_exp_bipartite(args) -> int:
+    if args.n % 2:
+        raise InvalidParameter(f"a bipartite graph needs an even n, got {args.n}")
     cfg = _config(BipartiteExperimentConfig, args.config,
                   n_half=args.n // 2, graph_seed=args.seed, graph_kind=args.graph, p=args.p,
                   orders=tuple(int(p) for p in args.orders.split(",")),

@@ -2,11 +2,14 @@
 
 Graphs are undirected, weighted, without self-loops, and stored dense: the
 target sizes (a few thousand vertices at most) make the eigendecomposition
-the dominant cost, not storage.
+the dominant cost, not storage. A variation operator also carries a CSR copy
+of its matrix, built once on first use, which the Chebyshev recurrence
+multiplies by.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +59,8 @@ class Graph:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise InvalidParameter(f"weights must be {self.n}x{self.n}, got {w.shape}")
-        if not np.allclose(w, w.T, rtol=0, atol=1e-12 * max(1.0, np.abs(w).max(initial=0.0))):
+        if not (np.array_equal(w, w.T)
+                or np.allclose(w, w.T, rtol=0, atol=1e-12 * max(1.0, np.abs(w).max(initial=0.0)))):
             raise InvalidParameter("weights must be symmetric")
         if np.any(np.diag(w) != 0):
             raise InvalidParameter("self-loops are not allowed")
@@ -98,6 +102,11 @@ class VariationOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def sparse(self) -> csr_matrix:
+        """CSR copy of ``matrix``, built on first use and kept."""
+        return csr_matrix(self.matrix)
 
 
 def combinatorial_laplacian(g: Graph) -> VariationOperator:
@@ -249,9 +258,10 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
         partner = rng.permutation(n_half)
         block[np.arange(n_half), partner] = _MATCH_WEIGHT
         for i in range(n_half):
-            choices = np.setdiff1d(np.arange(n_half), [partner[i]])
-            for j in rng.choice(choices, size=_MATCH_EXTRA, replace=False):
-                block[i, j] = max(block[i, j], 1.0)
+            # The extra edges avoid the partner: draw from the other
+            # n_half - 1 columns, skipping over partner[i].
+            idx = rng.choice(n_half - 1, size=_MATCH_EXTRA, replace=False)
+            block[i, idx + (idx >= partner[i])] = 1.0
         w, parts = _bipartite(block)
         if _is_connected(w):
             return Graph(2 * n_half, w, bipartition=parts)

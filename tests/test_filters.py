@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specsamp import (
@@ -209,6 +211,41 @@ def test_apply_chebyshev_interval_mismatch():
     cf = chebyshev_fit(lambda lam: 1.0, (0.0, 1.0), 3)
     with pytest.raises(IntervalMismatch):
         apply_chebyshev(op, cf, np.zeros(8), lambda_max=5.0)
+
+
+def _dense_recurrence(op, cf, x):
+    """The Chebyshev recurrence written out with dense products op.matrix @ v."""
+    a, b = cf.interval
+    mapped = lambda v: (2.0 / (b - a)) * (op.matrix @ v) - ((a + b) / (b - a)) * v
+    t_prev, t_cur = x, mapped(x)
+    out = 0.5 * cf.coeffs[0] * t_prev + cf.coeffs[1] * t_cur
+    for k in range(2, cf.order + 1):
+        t_prev, t_cur = t_cur, 2.0 * mapped(t_cur) - t_prev
+        out = out + cf.coeffs[k] * t_cur
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10),
+       normalized=st.booleans(), complex_=st.booleans(), t=st.sampled_from([None, 1, 3]))
+def test_apply_chebyshev_csr_matches_dense_recurrence(n, seed, order, normalized, complex_, t):
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.3), 1)
+    w[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 2.0, n - 1)  # a spanning path
+    g = Graph(n, w + w.T)
+    op = normalized_laplacian(g) if normalized else combinatorial_laplacian(g)
+    # Gershgorin bounds the spectrum, so every T_k of the mapped operator has norm <= 1.
+    b = 2.0 if normalized else 2.0 * g.degrees.max()
+    cf = ChebyshevFilter(rng.normal(size=order + 1), (0.0, b), order)
+    shape = (n,) if t is None else (n, t)
+    x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0)
+
+    assert op.sparse is op.sparse
+    assert np.array_equal(op.sparse.toarray(), op.matrix)
+    got = apply_chebyshev(op, cf, x)
+    assert got.shape == shape and np.iscomplexobj(got) == complex_
+    scale = np.abs(cf.coeffs).sum() * np.abs(x).max()
+    assert_allclose(got, _dense_recurrence(op, cf, x), rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_identity_filter_is_all_ones():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -152,6 +154,18 @@ def test_matched_bipartite_needs_three_vertices_per_part():
     assert gen_matched_bipartite(3, seed=0).n == 6
 
 
+# sha256 of the weights: a seed must keep giving the same graph, so the
+# extra-edge draw must keep consuming the random stream in the same way.
+@pytest.mark.parametrize("n_half,seed,digest", [
+    (3, 5, "0919b994060f2850553f78c1778241b83b1ccf47df257c2faaaeaaaf487cbe1e"),
+    (16, 0, "368619acee9281212f0a2e9c449b16153850c6175c0fafde3cf6ad8dc72f1e50"),
+    (100, 7, "8d341f5f568d7a0a0c074f2c7ebe88848fba46a0354dc3eea3cf8273ba6e2725"),
+])
+def test_matched_bipartite_weights_pinned(n_half, seed, digest):
+    w = gen_matched_bipartite(n_half, seed).weights
+    assert hashlib.sha256(w.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("factory", [
     lambda: gen_circular(9),
     lambda: gen_random_sensor(32, seed=0),
@@ -183,6 +197,14 @@ def test_graph_rejects_asymmetry_and_self_loops():
         Graph(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(InvalidParameter):
         Graph(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+
+def test_graph_accepts_rounding_asymmetry_and_symmetrizes():
+    w = np.array([[0.0, 1.0 + 1e-15, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    assert w[0, 1] != w[1, 0]
+    g = Graph(3, w)
+    assert np.array_equal(g.weights, g.weights.T)
+    assert g.weights[0, 1] == 0.5 * (w[0, 1] + w[1, 0])
 
 
 def test_edge_list_roundtrip(tmp_path):
