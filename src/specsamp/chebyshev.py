@@ -4,9 +4,10 @@ Fitting uses Chebyshev-Gauss quadrature with 2P nodes under the T_0/2
 convention, so a degree-P fit of a degree-<=P polynomial is exact. The
 resulting filter is applied with matrix-vector products only, giving a
 P-hop localized vertex-domain realization that never touches the
-eigendecomposition. The products are taken with the operator's CSR copy
-(``VariationOperator.sparse``), built once per operator, so each costs
-O(nnz) rather than O(N^2).
+eigendecomposition. The products are taken with the operator's
+``product_matrix``, chosen once per operator: a CSR copy of a sparse operator,
+so each product costs O(nnz) rather than O(N^2), or the dense matrix of a
+dense one.
 """
 
 from dataclasses import dataclass
@@ -99,7 +100,7 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
                     lambda_max: float = None) -> np.ndarray:
     """Apply a fitted filter through the Chebyshev recurrence.
 
-    Only matrix-vector products with the operator's CSR copy are used.
+    Only matrix-vector products with ``op.product_matrix`` are used.
     When the caller knows the operator's largest frequency it can pass it
     so the interval coverage is checked.
 
@@ -111,7 +112,7 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
     a, b = cf.interval
     if lambda_max is not None and (lambda_max > b + 1e-9 or a > 1e-9):
         raise IntervalMismatch(f"interval [{a}, {b}] does not cover [0, {lambda_max}]")
-    m = op.sparse
+    m = op.product_matrix
     scale = 2.0 / (b - a)
     shift = (a + b) / (b - a)
 

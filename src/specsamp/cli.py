@@ -24,6 +24,7 @@ from .experiments import (
     basis_for_config,
     build_experiment_graph,
     emit_report,
+    part_size,
     run_bipartite_experiment,
     run_recovery_experiment,
     run_recovery_table,
@@ -116,10 +117,9 @@ def _cmd_exp_table2(args) -> int:
 
 
 def _cmd_exp_bipartite(args) -> int:
-    if args.n % 2:
-        raise InvalidParameter(f"a bipartite graph needs an even n, got {args.n}")
     cfg = _config(BipartiteExperimentConfig, args.config,
-                  n_half=args.n // 2, graph_seed=args.seed, graph_kind=args.graph, p=args.p,
+                  n_half=part_size(args.n, "bipartite"), graph_seed=args.seed,
+                  graph_kind=args.graph, p=args.p,
                   orders=tuple(int(p) for p in args.orders.split(",")),
                   trials=args.trials, rng_seed=args.rng_seed, coeff_mean=args.coeff_mean)
     rows = run_bipartite_experiment(cfg)

@@ -115,17 +115,28 @@ class ExperimentConfig:
             raise InvalidParameter("unknown prior/mode/strategy id")
 
 
+def part_size(n: int, kind: str) -> int:
+    """Size of each part of a ``kind`` graph on n vertices with two equal parts.
+
+    Raises
+    ------
+    InvalidParameter
+        If n is odd.
+    """
+    if n % 2:
+        raise InvalidParameter(f"a {kind} graph needs an even n, got {n}")
+    return n // 2
+
+
 def build_experiment_graph(cfg: ExperimentConfig):
-    if cfg.graph_kind in ("bipartite", "complete-bipartite") and cfg.n % 2:
-        raise InvalidParameter(f"a {cfg.graph_kind} graph needs an even n, got {cfg.n}")
     if cfg.graph_kind == "sensor":
         return gen_random_sensor(cfg.n, cfg.graph_seed)
     if cfg.graph_kind == "circular":
         return gen_circular(cfg.n)
     if cfg.graph_kind == "bipartite":
-        return gen_random_bipartite(cfg.n // 2, cfg.graph_seed, cfg.p)
+        return gen_random_bipartite(part_size(cfg.n, cfg.graph_kind), cfg.graph_seed, cfg.p)
     if cfg.graph_kind == "complete-bipartite":
-        return complete_bipartite(cfg.n // 2)
+        return complete_bipartite(part_size(cfg.n, cfg.graph_kind))
     raise InvalidParameter(f"unknown graph kind {cfg.graph_kind!r}")
 
 

@@ -2,9 +2,10 @@
 
 Graphs are undirected, weighted, without self-loops, and stored dense: the
 target sizes (a few thousand vertices at most) make the eigendecomposition
-the dominant cost, not storage. A variation operator also carries a CSR copy
-of its matrix, built once on first use, which the Chebyshev recurrence
-multiplies by.
+the dominant cost, not storage. The Chebyshev recurrence multiplies by a
+variation operator's ``product_matrix``: a CSR copy of its matrix, built once
+on first use, when the matrix is sparse enough for that to pay, else the
+dense matrix itself.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,11 @@ from .errors import (
 )
 
 _SYMMETRY_RTOL = 1e-12
+# Share of nonzero entries at or below which an operator's products are taken
+# in CSR. On a 2-vCPU x86-64 VM with one BLAS thread, N = 2048 and 100
+# right-hand sides, a CSR product costs 0.38x the dense one at 4% nonzeros,
+# 0.69x at 6% and 1.01x at 12.5%.
+_CSR_MAX_DENSITY = 0.1
 _MAX_RESAMPLE = 100
 # gen_matched_bipartite: matching edge weight, unit-weight extra edges per vertex.
 _MATCH_WEIGHT = 6.0
@@ -104,9 +110,16 @@ class VariationOperator:
         return self.matrix.shape[0]
 
     @cached_property
-    def sparse(self) -> csr_matrix:
-        """CSR copy of ``matrix``, built on first use and kept."""
-        return csr_matrix(self.matrix)
+    def product_matrix(self):
+        """The matrix to multiply by, chosen on first use and kept.
+
+        A CSR copy of ``matrix`` when at most ``_CSR_MAX_DENSITY`` of its
+        entries are nonzero, else ``matrix`` itself: a dense BLAS product
+        beats a CSR one on a denser matrix.
+        """
+        if np.count_nonzero(self.matrix) <= _CSR_MAX_DENSITY * self.matrix.size:
+            return csr_matrix(self.matrix)
+        return self.matrix
 
 
 def combinatorial_laplacian(g: Graph) -> VariationOperator:

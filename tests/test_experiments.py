@@ -306,22 +306,26 @@ def test_cli_verify_identity(capsys):
     assert "OK" in out
 
 
-# sha256 of two small reports, pinned so that a refactor that moves any
+# sha256 of three small reports, pinned so that a refactor that moves any
 # digit of any row shows.  The digests were taken with numpy 2.4 and its
 # bundled OpenBLAS 0.3.31 on x86-64; another BLAS build may change the last
-# bits of the products, and with them these digests.  The bipartite report's
-# Chebyshev products are scipy.sparse CSR matvecs, so its digest also depends
-# on their summation order.
+# bits of the products, and with them these digests.  The 32-vertex bipartite
+# operator is 12.5% nonzero, so its Chebyshev products are dense; the
+# 128-vertex one is 3.1% nonzero, so they are scipy.sparse CSR products and
+# that digest also depends on their summation order.
 GOLDEN_REPORTS = [
     (["exp", "table2", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "3",
       "--rng-seed", "1"],
      "a8368c11df899d361f62320dd89b2f98dae842a63eea89378101e330e23e1bee"),
     (["exp", "bipartite", "--n", "32", "--orders", "2,4", "--trials", "3"],
-     "a826326fed30f0fb5e82ac7cb54824cf41c7cd617854e80a56107161b502c41a"),
+     "870e3f099d6f510239995769209dccfa84421605038099a783b49828bfc6e8c3"),
+    (["exp", "bipartite", "--n", "128", "--orders", "2,4", "--trials", "3"],
+     "cfdca75cebafe73c55c3d311fb62e03b3ef420988b72c888d1bed3df7385774a"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_REPORTS, ids=["table2", "bipartite"])
+@pytest.mark.parametrize("argv,digest", GOLDEN_REPORTS,
+                         ids=["table2", "bipartite", "bipartite-csr"])
 def test_cli_report_golden_digest(tmp_path, argv, digest):
     out = tmp_path / "report.csv"
     assert main([*argv, "--out", str(out)]) == 0

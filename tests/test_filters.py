@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_matrix
 
 from specsamp import (
     ChebyshevFilter,
@@ -225,12 +226,16 @@ def _dense_recurrence(op, cf, x):
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10),
-       normalized=st.booleans(), complex_=st.booleans(), t=st.sampled_from([None, 1, 3]))
-def test_apply_chebyshev_csr_matches_dense_recurrence(n, seed, order, normalized, complex_, t):
+# n and the chord probability span both sides of the CSR density cut: a path
+# on 120 vertices is 2.5% nonzero, any graph on 24 or fewer is above 10%.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 120), chords=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1),
+       order=st.integers(1, 10), normalized=st.booleans(), complex_=st.booleans(),
+       t=st.sampled_from([None, 1, 3]))
+def test_apply_chebyshev_matches_dense_recurrence(n, chords, seed, order, normalized,
+                                                  complex_, t):
     rng = np.random.default_rng(seed)
-    w = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.3), 1)
+    w = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < chords), 1)
     w[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 2.0, n - 1)  # a spanning path
     g = Graph(n, w + w.T)
     op = normalized_laplacian(g) if normalized else combinatorial_laplacian(g)
@@ -240,12 +245,23 @@ def test_apply_chebyshev_csr_matches_dense_recurrence(n, seed, order, normalized
     shape = (n,) if t is None else (n, t)
     x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0)
 
-    assert op.sparse is op.sparse
-    assert np.array_equal(op.sparse.toarray(), op.matrix)
+    m = op.product_matrix
+    assert m is op.product_matrix
+    assert isinstance(m, csr_matrix) == (np.count_nonzero(op.matrix) <= 0.1 * n * n)
+    assert np.array_equal(m.toarray() if isinstance(m, csr_matrix) else m, op.matrix)
     got = apply_chebyshev(op, cf, x)
     assert got.shape == shape and np.iscomplexobj(got) == complex_
     scale = np.abs(cf.coeffs).sum() * np.abs(x).max()
     assert_allclose(got, _dense_recurrence(op, cf, x), rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_product_matrix_is_csr_up_to_ten_percent_nonzero():
+    m = np.diag(np.arange(1.0, 11.0))  # 10 of 100 entries nonzero
+    at_cut = VariationOperator(m, OperatorKind.COMBINATORIAL)
+    assert isinstance(at_cut.product_matrix, csr_matrix)
+    m[0, 1] = m[1, 0] = -1.0
+    above = VariationOperator(m, OperatorKind.COMBINATORIAL)
+    assert above.product_matrix is above.matrix
 
 
 def test_identity_filter_is_all_ones():
