@@ -46,13 +46,11 @@ NORMALIZED_INTERVAL = (0.0, 2.0)
 class BipartiteSystem:
     """Paired spectral machinery for one bipartite graph.
 
-    Vertices are internally permuted so the first part occupies indices
-    0..N/2-1; ``perm`` maps internal positions to caller indices and every
-    public operation accepts and returns signals in the caller's order.
+    The graph is stored first part first (its ``bipartition`` is the first
+    part's size, N/2), so vertices 0..N/2-1 are the first part and every
+    signal here is in the graph's own vertex order.
     """
 
-    graph: Graph
-    perm: np.ndarray
     op_b: VariationOperator
     basis_b: SpectralBasis
     reduced_op: VariationOperator
@@ -62,17 +60,6 @@ class BipartiteSystem:
     @property
     def half(self) -> int:
         return self.cfg.k
-
-    def to_internal(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[0] != self.cfg.n:
-            raise DimensionMismatch(f"signal length {x.shape[0]} != {self.cfg.n}")
-        return x[self.perm]
-
-    def to_caller(self, x_internal: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x_internal)
-        out[self.perm] = x_internal
-        return out
 
 
 def build_system(g: Graph) -> BipartiteSystem:
@@ -89,15 +76,10 @@ def build_system(g: Graph) -> BipartiteSystem:
     """
     if g.bipartition is None:
         raise NotBipartite("graph carries no bipartition")
-    v1, v2 = g.bipartition
-    if len(v1) != len(v2):
-        raise UnequalParts(f"parts have sizes {len(v1)} and {len(v2)}")
-    half = len(v1)
-    n = g.n
-    perm = np.concatenate([np.sort(v1), np.sort(v2)])
-    w_perm = g.weights[np.ix_(perm, perm)]
-    g_perm = Graph(n, w_perm, bipartition=(np.arange(half), np.arange(half, n)))
-    op_b = normalized_laplacian(g_perm)
+    half, n = g.bipartition, g.n
+    if 2 * half != n:
+        raise UnequalParts(f"parts have sizes {half} and {n - half}")
+    op_b = normalized_laplacian(g)
     reduced_op = kron_reduce(op_b, np.arange(half))
 
     block = -op_b.matrix[:half, half:]
@@ -114,8 +96,7 @@ def build_system(g: Graph) -> BipartiteSystem:
     u_b *= 1.0 / np.sqrt(2.0)
     basis_b = SpectralBasis(u_b, np.concatenate([lam_low, 2.0 - lam_low]))
 
-    sys = BipartiteSystem(g, perm, op_b, basis_b, reduced_op, basis_reduced,
-                          SamplingConfig(n, 2))
+    sys = BipartiteSystem(op_b, basis_b, reduced_op, basis_reduced, SamplingConfig(n, 2))
     diag_res = np.max(np.abs(phi.T @ reduced_op.matrix @ phi - np.diag(basis_reduced.lambdas)))
     if diag_res > _RESIDUAL_TOL or reduction_identity_residual(sys) > _RESIDUAL_TOL:
         raise PairingFailure("paired basis construction missed its residual bound")
@@ -142,10 +123,9 @@ def verify_corollary1(sys: BipartiteSystem, s: SpectralFilter, x: np.ndarray) ->
     """Residual of filtered sampling equivalence: the reduced-basis view of
     energy-normalized frequency sampling must equal keeping the first part
     of the filtered signal. Returns max |difference|."""
-    x_int = sys.to_internal(x)
-    chat = frequency_sample(sys.basis_b, s, x_int, sys.cfg)
+    chat = frequency_sample(sys.basis_b, s, x, sys.cfg)
     lhs = sys.basis_reduced.vectors @ (chat.values / np.sqrt(sys.cfg.m))
-    return float(np.max(np.abs(lhs - sample_first_part(sys, s, x_int))))
+    return float(np.max(np.abs(lhs - sample_first_part(sys, s, x))))
 
 
 def build_wprime(w: SpectralFilter, h: np.ndarray) -> SpectralFilter:
@@ -169,29 +149,29 @@ def _zero_pad(part: np.ndarray) -> np.ndarray:
 
 
 def sample_first_part(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilter],
-                      x_int: np.ndarray) -> np.ndarray:
-    """Vertex-domain sampling step: filter an internally ordered signal by
-    g and keep the first part.
+                      x: np.ndarray) -> np.ndarray:
+    """Vertex-domain sampling step: filter a signal by g and keep the
+    first part.
 
     ``g`` is a SpectralFilter on the paired basis, applied exactly, or a
     ChebyshevFilter fitted on the normalized interval [0, 2], applied by
     its recurrence on the normalized Laplacian.
     """
-    return _apply(sys, g, x_int)[: sys.half]
+    return _apply(sys, g, x)[: sys.half]
 
 
 def reconstruct_from_part(sys: BipartiteSystem, w: Union[SpectralFilter, ChebyshevFilter],
                           kept: np.ndarray) -> np.ndarray:
     """Vertex-domain reconstruction step: zero-pad the kept first part,
     filter by w (as in :func:`sample_first_part`), times the sampling
-    ratio M. Returns an internally ordered signal."""
+    ratio M."""
     return sys.cfg.m * _apply(sys, w, _zero_pad(kept))
 
 
 def generate_one_branch(sys: BipartiteSystem, wprime: SpectralFilter,
                         d: np.ndarray) -> np.ndarray:
-    """Synthesize an internally ordered one-branch signal from length-N/2
-    coefficients: zero-pad onto the first part and filter by wprime."""
+    """Synthesize a one-branch signal from length-N/2 coefficients:
+    zero-pad onto the first part and filter by wprime."""
     return apply_filter(sys.basis_b, wprime, _zero_pad(d))
 
 
@@ -208,8 +188,7 @@ def vertex_pipeline(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilt
     ChebyshevFilters fitted on [0, 2] both filters run as recurrences on
     the normalized Laplacian and no eigendecomposition is touched.
     """
-    kept = sample_first_part(sys, g, sys.to_internal(x))
-    return sys.to_caller(reconstruct_from_part(sys, wprime, kept))
+    return reconstruct_from_part(sys, wprime, sample_first_part(sys, g, x))
 
 
 def _correction_response(sys: BipartiteSystem, h: np.ndarray) -> Callable[[float], float]:
@@ -286,8 +265,6 @@ def one_branch_roundtrip(sys: BipartiteSystem, a_resp: Callable[[float], float],
     if d.shape[0] != half:
         raise DimensionMismatch(f"expected {half} coefficients, got {d.shape[0]}")
     s, design, wprime = one_branch_design(sys, from_response(sys.basis_b, a_resp))
-    x_int = generate_one_branch(sys, wprime, d)
+    x = generate_one_branch(sys, wprime, d)
     g, w = (s, wprime) if order is None else fit_one_branch(sys, a_resp, design.h, order)
-    kept = sample_first_part(sys, g, x_int)
-    decoded_int = reconstruct_from_part(sys, w, kept)
-    return OneBranchResult(sys.to_caller(x_int), sys.to_caller(decoded_int), design)
+    return OneBranchResult(x, vertex_pipeline(sys, g, w, x), design)

@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import IntervalMismatch, InvalidParameter
+from .errors import DimensionMismatch, IntervalMismatch, InvalidParameter
 from .graphs import VariationOperator
 
 GRID_POINTS = 1000
@@ -106,15 +106,18 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
 
     Raises
     ------
+    DimensionMismatch
+        If ``x`` does not have one row per vertex of ``op``.
     IntervalMismatch
         If ``lambda_max`` is given and exceeds the fit interval.
     """
+    x = np.asarray(x, dtype=float if not np.iscomplexobj(x) else complex)
+    if x.shape[0] != op.n:
+        raise DimensionMismatch(f"signal length {x.shape[0]} != {op.n}")
     a, b = cf.interval
     if lambda_max is not None and (lambda_max > b + 1e-9 or a > 1e-9):
         raise IntervalMismatch(f"interval [{a}, {b}] does not cover [0, {lambda_max}]")
     m = op.product_matrix
     scale = 2.0 / (b - a)
     shift = (a + b) / (b - a)
-
-    x = np.asarray(x, dtype=float if not np.iscomplexobj(x) else complex)
     return _recurrence(cf, x, lambda v: scale * (m @ v) - shift * v)

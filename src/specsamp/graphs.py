@@ -2,16 +2,17 @@
 
 Graphs are undirected, weighted, without self-loops, and stored dense: the
 target sizes (a few thousand vertices at most) make the eigendecomposition
-the dominant cost, not storage. The Chebyshev recurrence multiplies by a
-variation operator's ``product_matrix``: a CSR copy of its matrix, built once
-on first use, when the matrix is sparse enough for that to pay, else the
-dense matrix itself.
+the dominant cost, not storage. A bipartite graph is stored first part
+first, so its bipartition is one integer, the first part's size. The
+Chebyshev recurrence multiplies by a variation operator's
+``product_matrix``: a CSR copy of its matrix, built once on first use, when
+the matrix is sparse enough for that to pay, else the dense matrix itself.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -52,14 +53,16 @@ class Graph:
         Number of vertices.
     weights : ndarray(n, n)
         Symmetric nonnegative edge-weight matrix with zero diagonal.
-    bipartition : optional pair of index arrays
-        Disjoint vertex sets (v1, v2) covering all vertices; when present,
-        no edge may join two vertices of the same part.
+    bipartition : optional int
+        Size h of the first part of a bipartite graph, which is stored
+        first part first: vertices 0..h-1 form the first part and h..n-1
+        the second. When present, no edge may join two vertices of the
+        same part.
     """
 
     n: int
     weights: np.ndarray
-    bipartition: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    bipartition: Optional[int] = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -75,17 +78,12 @@ class Graph:
         w = 0.5 * (w + w.T)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        if self.bipartition is not None:
-            v1 = np.array(self.bipartition[0], dtype=int)
-            v2 = np.array(self.bipartition[1], dtype=int)
-            both = np.concatenate([v1, v2])
-            if len(np.unique(both)) != self.n or both.min(initial=0) < 0 or both.max(initial=-1) >= self.n:
-                raise InvalidParameter("bipartition must cover all vertices exactly once")
-            if np.any(w[np.ix_(v1, v1)] != 0) or np.any(w[np.ix_(v2, v2)] != 0):
+        h = self.bipartition
+        if h is not None:
+            if not 0 <= h <= self.n:
+                raise InvalidParameter(f"first part size {h} outside [0, {self.n}]")
+            if np.any(w[:h, :h] != 0) or np.any(w[h:, h:] != 0):
                 raise InvalidParameter("bipartition admits no intra-part edges")
-            v1.flags.writeable = False
-            v2.flags.writeable = False
-            object.__setattr__(self, "bipartition", (v1, v2))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -183,14 +181,14 @@ def _is_connected(weights: np.ndarray) -> bool:
     return ncomp == 1
 
 
-def _bipartite(block: np.ndarray):
-    """Weights and bipartition of the bipartite graph with cross-part
-    weights ``block``, first part first."""
+def _bipartite(block: np.ndarray) -> np.ndarray:
+    """Weights of the bipartite graph with cross-part weights ``block``,
+    first part first."""
     h = block.shape[0]
     w = np.zeros((2 * h, 2 * h))
     w[:h, h:] = block
     w[h:, :h] = block.T
-    return w, (np.arange(h), np.arange(h, 2 * h))
+    return w
 
 
 def gen_circular(n: int) -> Graph:
@@ -248,9 +246,9 @@ def gen_random_bipartite(n_half: int, seed: int, p: float = 0.5) -> Graph:
         raise InvalidParameter("need 0 < p <= 1")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
-        w, parts = _bipartite((rng.random((n_half, n_half)) < p).astype(float))
+        w = _bipartite((rng.random((n_half, n_half)) < p).astype(float))
         if _is_connected(w):
-            return Graph(2 * n_half, w, bipartition=parts)
+            return Graph(2 * n_half, w, bipartition=n_half)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
@@ -275,31 +273,23 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
             # n_half - 1 columns, skipping over partner[i].
             idx = rng.choice(n_half - 1, size=_MATCH_EXTRA, replace=False)
             block[i, idx + (idx >= partner[i])] = 1.0
-        w, parts = _bipartite(block)
+        w = _bipartite(block)
         if _is_connected(w):
-            return Graph(2 * n_half, w, bipartition=parts)
+            return Graph(2 * n_half, w, bipartition=n_half)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
 def complete_bipartite(n_half: int) -> Graph:
     """K_{n_half,n_half} with unit weights, first part first."""
-    w, parts = _bipartite(np.ones((n_half, n_half)))
-    return Graph(2 * n_half, w, bipartition=parts)
+    return Graph(2 * n_half, _bipartite(np.ones((n_half, n_half))), bipartition=n_half)
 
 
 def save_graph(g: Graph, path: str) -> None:
     """Write an edge-list text file: header ``N <count> [bipartite <size_v1>]``
-    then one ``m n weight`` line per edge (m < n).
-
-    The format stores a bipartition only as the size of the leading block,
-    so bipartite graphs must have their first part at indices 0..|V1|-1.
-    """
+    then one ``m n weight`` line per edge (m < n)."""
     header = f"N {g.n}"
     if g.bipartition is not None:
-        v1 = g.bipartition[0]
-        if not np.array_equal(np.sort(v1), np.arange(len(v1))):
-            raise InvalidParameter("serialization requires the first part at indices 0..|V1|-1")
-        header += f" bipartite {len(v1)}"
+        header += f" bipartite {g.bipartition}"
     lines = [header]
     rows, cols = np.nonzero(np.triu(g.weights))
     for m, n_ in zip(rows, cols):
@@ -312,8 +302,9 @@ def save_graph(g: Graph, path: str) -> None:
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph written by :func:`save_graph`. A malformed line, or one
-    naming a vertex outside [0, N), raises IoFailure with its number."""
+    """Read a graph written by :func:`save_graph`. A malformed line, one
+    naming a vertex outside [0, N), or a first-part size outside [0, N]
+    raises IoFailure with its number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
@@ -326,8 +317,9 @@ def load_graph(path: str) -> Graph:
         n = int(head[1])
         bipartition = None
         if len(head) >= 4 and head[2] == "bipartite":
-            size_v1 = int(head[3])
-            bipartition = (np.arange(size_v1), np.arange(size_v1, n))
+            bipartition = int(head[3])
+            if not 0 <= bipartition <= n:
+                raise ValueError(f"first part size {bipartition} outside [0, {n}]")
         w = np.zeros((n, n))
         for no, ln in lines[1:]:
             a, b, val = ln.split()

@@ -191,8 +191,8 @@ def test_07_pipeline_equivalence_random_filters():
             x = rng.normal(size=n)
             vx = vertex_pipeline(sys_, s, build_wprime(w, h), x)
             design = RecoveryDesign(h, w, Strategy.DS, Mode.PREDEFINED)
-            chat = frequency_sample(sys_.basis_b, s, sys_.to_internal(x), sys_.cfg)
-            fx = sys_.to_caller(reconstruct(sys_.basis_b, design, chat))
+            chat = frequency_sample(sys_.basis_b, s, x, sys_.cfg)
+            fx = reconstruct(sys_.basis_b, design, chat)
             worst = max(worst, float(np.max(np.abs(vx - fx)) / np.linalg.norm(x)))
     _report("07 vertex pipeline equals frequency pipeline (random filters, N<=128)",
             worst <= 1e-9, f"worst residual {worst:.2e} per unit norm")

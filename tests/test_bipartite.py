@@ -24,6 +24,7 @@ from specsamp import (
     mse_db,
     one_branch_roundtrip,
     reconstruct,
+    reconstruct_from_part,
     reduction_identity_residual,
     sample_first_part,
     verify_corollary1,
@@ -78,11 +79,25 @@ def test_build_system_requires_bipartition():
         build_system(Graph(4, w))
 
 
+def test_build_system_validates_no_second_graph(monkeypatch):
+    calls = []
+    validate = Graph.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    g = gen_random_bipartite(8, seed=41)
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    build_system(g)
+    assert calls == []
+
+
 def test_build_system_requires_equal_parts():
     w = np.zeros((3, 3))
     w[0, 2] = w[2, 0] = 1.0
     w[1, 2] = w[2, 1] = 1.0
-    g = Graph(3, w, bipartition=(np.array([0, 1]), np.array([2])))
+    g = Graph(3, w, bipartition=2)
     with pytest.raises(UnequalParts):
         build_system(g)
 
@@ -110,9 +125,8 @@ def test_vertex_sample_matches_reduced_spectrum_view(sys16):
     # of the energy-normalized folded spectrum.
     x = np.random.default_rng(13).normal(size=16)
     s = inverted_ramp(sys16.basis_b)
-    x_int = sys16.to_internal(x)
-    kept = sample_first_part(sys16, s, x_int)
-    chat = frequency_sample(sys16.basis_b, s, x_int, sys16.cfg)
+    kept = sample_first_part(sys16, s, x)
+    chat = frequency_sample(sys16.basis_b, s, x, sys16.cfg)
     bridged = sys16.basis_reduced.vectors @ (chat.values / np.sqrt(2.0))
     assert_allclose(kept, bridged, atol=1e-10)
 
@@ -136,8 +150,7 @@ def test_vertex_pipeline_identity_filters_scale_by_ratio(sys16):
     # pipeline's ratio gain (which aligns it with the frequency-domain
     # chain) makes the identity-filter case come out scaled by M.
     x = np.zeros(16)
-    v1 = np.sort(sys16.graph.bipartition[0])
-    x[v1] = np.random.default_rng(3).normal(size=8)
+    x[:8] = np.random.default_rng(3).normal(size=8)
     ones = identity_filter(16)
     out = vertex_pipeline(sys16, ones, ones, x)
     assert_allclose(out, sys16.cfg.m * x, atol=1e-10)
@@ -152,9 +165,8 @@ def test_vertex_pipeline_equals_frequency_pipeline_random_filters(sys16):
     wprime = build_wprime(w, h)
     vx = vertex_pipeline(sys16, s, wprime, x)
     design = RecoveryDesign(h, w, Strategy.DS, Mode.PREDEFINED)
-    x_int = sys16.to_internal(x)
-    chat = frequency_sample(sys16.basis_b, s, x_int, sys16.cfg)
-    fx = sys16.to_caller(reconstruct(sys16.basis_b, design, chat))
+    chat = frequency_sample(sys16.basis_b, s, x, sys16.cfg)
+    fx = reconstruct(sys16.basis_b, design, chat)
     assert np.max(np.abs(vx - fx)) < 1e-10
 
 
@@ -170,30 +182,6 @@ def test_vertex_pipeline_perfect_recovery_ramp_generation(sys16):
     wprime = build_wprime(res.design.w, res.design.h)
     again = vertex_pipeline(sys16, s, wprime, res.original)
     assert_allclose(again, res.decoded, atol=1e-9)
-
-
-def test_vertex_pipeline_caller_ordering_preserved():
-    # Same graph with shuffled vertex labels: outputs must follow the labels.
-    base = gen_random_bipartite(6, seed=45)
-    rng = np.random.default_rng(6)
-    relabel = rng.permutation(12)
-    w_new = base.weights[np.ix_(relabel, relabel)]
-    inv = np.empty(12, dtype=int)
-    inv[relabel] = np.arange(12)
-    v1_new = np.sort(inv[base.bipartition[0]])
-    v2_new = np.sort(inv[base.bipartition[1]])
-    shuffled = Graph(12, w_new, bipartition=(v1_new, v2_new))
-
-    sys_a = build_system(base)
-    sys_b = build_system(shuffled)
-    x = rng.normal(size=12)
-    s = inverted_ramp(sys_a.basis_b)
-    wprime = build_wprime(inverted_ramp(sys_a.basis_b), np.ones(6))
-    out_a = vertex_pipeline(sys_a, s, wprime, x)
-    s_b = inverted_ramp(sys_b.basis_b)
-    wprime_b = build_wprime(inverted_ramp(sys_b.basis_b), np.ones(6))
-    out_b = vertex_pipeline(sys_b, s_b, wprime_b, x[relabel])
-    assert_allclose(out_b, out_a[relabel], atol=1e-9)
 
 
 def test_chebyshev_pipeline_constant_exact(sys16):
@@ -243,3 +231,15 @@ def test_one_branch_chebyshev_error_shrinks_with_order():
         errs.append(mse_db(res.original, res.decoded))
     assert errs[1] < errs[0]
     assert errs[2] < errs[1]
+
+
+@pytest.mark.parametrize("kind", ["exact", "chebyshev"])
+def test_vertex_steps_reject_wrong_length_signals(sys16, kind):
+    f = (identity_filter(16) if kind == "exact"
+         else chebyshev_fit(lambda lam: 1.0, (0.0, 2.0), 3))
+    with pytest.raises(DimensionMismatch):
+        sample_first_part(sys16, f, np.ones(15))
+    with pytest.raises(DimensionMismatch):
+        reconstruct_from_part(sys16, f, np.ones(7))
+    with pytest.raises(DimensionMismatch):
+        vertex_pipeline(sys16, f, f, np.ones(17))

@@ -178,16 +178,28 @@ def test_generated_graphs_satisfy_invariants(factory):
     assert np.all(np.diag(g.weights) == 0)
     assert np.all(g.weights >= 0)
     if g.bipartition is not None:
-        v1, v2 = g.bipartition
-        assert np.all(g.weights[np.ix_(v1, v1)] == 0)
-        assert np.all(g.weights[np.ix_(v2, v2)] == 0)
+        h = g.bipartition
+        assert np.all(g.weights[:h, :h] == 0)
+        assert np.all(g.weights[h:, h:] == 0)
 
 
 def test_bipartite_generator_records_partition():
     g = gen_random_bipartite(4, seed=2)
-    assert g.bipartition is not None
-    v1, v2 = g.bipartition
-    assert len(v1) == len(v2) == 4
+    assert g.bipartition == 4
+    assert complete_bipartite(3).bipartition == 3
+
+
+def test_graph_rejects_bad_bipartition():
+    k22 = complete_bipartite(2).weights
+    assert Graph(4, k22, bipartition=2).bipartition == 2
+    for i, j in [(0, 1), (2, 3)]:   # an edge inside the first part, then the second
+        w = k22.copy()
+        w[i, j] = w[j, i] = 1.0
+        with pytest.raises(InvalidParameter):
+            Graph(4, w, bipartition=2)
+    for h in (-1, 5):
+        with pytest.raises(InvalidParameter):
+            Graph(4, k22, bipartition=h)
 
 
 def test_graph_rejects_asymmetry_and_self_loops():
@@ -221,7 +233,7 @@ def test_edge_list_roundtrip_bipartite(tmp_path):
     path = tmp_path / "b.txt"
     save_graph(g, str(path))
     back = load_graph(str(path))
-    assert back.bipartition is not None
+    assert back.bipartition == 5
     assert_allclose(back.weights, g.weights)
     head = path.read_text().splitlines()[0]
     assert head == "N 10 bipartite 5"
@@ -231,7 +243,9 @@ def test_edge_list_roundtrip_bipartite(tmp_path):
     ("N 3\n0 1 1.0\n1 2\n", 3),
     ("N 3\n0 1 1.0\n\n1 3 1.0\n", 4),
     ("N 3\n0 -1 1.0\n", 2),
-], ids=["graph-two-fields", "graph-index-out-of-range", "graph-negative-index"])
+    ("N 4 bipartite 5\n0 2 1.0\n", 1),
+], ids=["graph-two-fields", "graph-index-out-of-range", "graph-negative-index",
+        "graph-bipartite-size-out-of-range"])
 def test_loaders_raise_io_failure_naming_the_line(tmp_path, text, line):
     path = tmp_path / "in.txt"
     path.write_text(text)
