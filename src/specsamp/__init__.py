@@ -31,7 +31,6 @@ from .errors import (
     NotBipartite,
     PairingFailure,
     SingularCorrelation,
-    SingularInteriorBlock,
     SpecSampError,
     UnequalParts,
     ZeroReference,
@@ -60,7 +59,6 @@ from .filters import (
 )
 from .graphs import (
     Graph,
-    OperatorKind,
     VariationOperator,
     combinatorial_laplacian,
     complete_bipartite,
@@ -68,7 +66,6 @@ from .graphs import (
     gen_matched_bipartite,
     gen_random_bipartite,
     gen_random_sensor,
-    kron_reduce,
     load_graph,
     normalized_laplacian,
     save_graph,

@@ -9,10 +9,12 @@ spectrum exactly.
 
 The paired basis comes from one SVD of the normalized adjacency block:
 B = Phi Sigma Psi^T gives eigenvectors [phi; psi]/sqrt(2) at 1 - sigma and
-[phi; -psi]/sqrt(2) at 1 + sigma, while Phi is simultaneously an
-eigenbasis of the Kron-reduced Laplacian I - B B^T. Both identities then
-hold to machine precision by construction, degenerate eigenvalues
-included.
+[phi; -psi]/sqrt(2) at 1 + sigma. The reduced graph is the Kron reduction
+of the normalized Laplacian onto the first part. The graph is stored first
+part first, so the eliminated block is exactly I and the reduced Laplacian
+is I - B B^T, which the same Phi diagonalizes at 1 - sigma^2. Both
+identities then hold to machine precision by construction, degenerate
+eigenvalues included.
 
 The spectral decimation pair used for the bridge is energy-preserving
 (scaled by 1/sqrt(M)); its inverse direction surfaces as a gain of M in
@@ -33,7 +35,7 @@ from .errors import (
     UnequalParts,
 )
 from .filters import SpectralFilter, bandlimit, bandlimit_response, from_response
-from .graphs import Graph, VariationOperator, kron_reduce, normalized_laplacian
+from .graphs import Graph, VariationOperator, normalized_laplacian
 from .recovery import RecoveryDesign, Strategy, design_subspace_unconstrained
 from .sampling import SamplingConfig, frequency_sample
 from .spectral import SpectralBasis, _column_signs, apply_filter
@@ -53,7 +55,6 @@ class BipartiteSystem:
 
     op_b: VariationOperator
     basis_b: SpectralBasis
-    reduced_op: VariationOperator
     basis_reduced: SpectralBasis
     cfg: SamplingConfig
 
@@ -63,8 +64,8 @@ class BipartiteSystem:
 
 
 def build_system(g: Graph) -> BipartiteSystem:
-    """Construct the paired eigenbasis and Kron-reduced basis for a
-    bipartite graph with equal parts.
+    """Construct the paired eigenbasis and the reduced-graph basis for a
+    bipartite graph with equal parts, both from one SVD.
 
     Raises
     ------
@@ -80,7 +81,6 @@ def build_system(g: Graph) -> BipartiteSystem:
     if 2 * half != n:
         raise UnequalParts(f"parts have sizes {half} and {n - half}")
     op_b = normalized_laplacian(g)
-    reduced_op = kron_reduce(op_b, np.arange(half))
 
     block = -op_b.matrix[:half, half:]
     phi, sigma, psi_t = np.linalg.svd(block)
@@ -96,8 +96,11 @@ def build_system(g: Graph) -> BipartiteSystem:
     u_b *= 1.0 / np.sqrt(2.0)
     basis_b = SpectralBasis(u_b, np.concatenate([lam_low, 2.0 - lam_low]))
 
-    sys = BipartiteSystem(op_b, basis_b, reduced_op, basis_reduced, SamplingConfig(n, 2))
-    diag_res = np.max(np.abs(phi.T @ reduced_op.matrix @ phi - np.diag(basis_reduced.lambdas)))
+    sys = BipartiteSystem(op_b, basis_b, basis_reduced, SamplingConfig(n, 2))
+    # The eliminated block op_b[half:, half:] is exactly I, so the Kron
+    # reduction onto the first part is I - B B^T.
+    reduced = np.eye(half) - block @ block.T
+    diag_res = np.max(np.abs(phi.T @ reduced @ phi - np.diag(basis_reduced.lambdas)))
     if diag_res > _RESIDUAL_TOL or reduction_identity_residual(sys) > _RESIDUAL_TOL:
         raise PairingFailure("paired basis construction missed its residual bound")
     return sys

@@ -21,10 +21,6 @@ class ConnectivityFailure(SpecSampError):
     """Random graph generation failed to produce a connected graph."""
 
 
-class SingularInteriorBlock(SpecSampError):
-    """The eliminated block in a Kron reduction is numerically singular."""
-
-
 class EigensolveFailure(SpecSampError):
     """The symmetric eigensolver did not converge."""
 

@@ -1,4 +1,4 @@
-"""Graph representation, generators, Laplacian operators, and Kron reduction.
+"""Graph representation, generators and Laplacian operators.
 
 Graphs are undirected, weighted, without self-loops, and stored dense: the
 target sizes (a few thousand vertices at most) make the eigendecomposition
@@ -9,10 +9,10 @@ Chebyshev recurrence multiplies by a variation operator's
 the matrix is sparse enough for that to pay, else the dense matrix itself.
 """
 
+import operator
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -23,7 +23,6 @@ from .errors import (
     InvalidParameter,
     IoFailure,
     IsolatedVertex,
-    SingularInteriorBlock,
 )
 
 _SYMMETRY_RTOL = 1e-12
@@ -36,11 +35,6 @@ _MAX_RESAMPLE = 100
 # gen_matched_bipartite: matching edge weight, unit-weight extra edges per vertex.
 _MATCH_WEIGHT = 6.0
 _MATCH_EXTRA = 2
-
-
-class OperatorKind(Enum):
-    COMBINATORIAL = "combinatorial"
-    SYMMETRIC_NORMALIZED = "symmetric_normalized"
 
 
 @dataclass(frozen=True)
@@ -65,21 +59,29 @@ class Graph:
     bipartition: Optional[int] = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise InvalidParameter(f"weights must be {self.n}x{self.n}, got {w.shape}")
-        if not (np.array_equal(w, w.T)
-                or np.allclose(w, w.T, rtol=0, atol=1e-12 * max(1.0, np.abs(w).max(initial=0.0)))):
+        exact = np.array_equal(w, w.T)
+        if not (exact or np.allclose(w, w.T, rtol=0, atol=_SYMMETRY_RTOL
+                                     * max(1.0, np.abs(w).max(initial=0.0)))):
             raise InvalidParameter("weights must be symmetric")
         if np.any(np.diag(w) != 0):
             raise InvalidParameter("self-loops are not allowed")
         if np.any(w < 0):
             raise InvalidParameter("weights must be nonnegative")
-        w = 0.5 * (w + w.T)
+        if not exact:
+            w = 0.5 * (w + w.T)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         h = self.bipartition
         if h is not None:
+            try:
+                h = operator.index(h)
+            except TypeError:
+                raise InvalidParameter(
+                    f"first part size must be an integer, got {type(h).__name__}") from None
+            object.__setattr__(self, "bipartition", h)
             if not 0 <= h <= self.n:
                 raise InvalidParameter(f"first part size {h} outside [0, {self.n}]")
             if np.any(w[:h, :h] != 0) or np.any(w[h:, h:] != 0):
@@ -95,7 +97,6 @@ class VariationOperator:
     """Real symmetric positive semidefinite matrix used to define a GFT."""
 
     matrix: np.ndarray
-    kind: OperatorKind
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -123,7 +124,7 @@ class VariationOperator:
 def combinatorial_laplacian(g: Graph) -> VariationOperator:
     """Return L = D - A with D the diagonal degree matrix."""
     lap = np.diag(g.degrees) - g.weights
-    return VariationOperator(lap, OperatorKind.COMBINATORIAL)
+    return VariationOperator(lap)
 
 
 def normalized_laplacian(g: Graph) -> VariationOperator:
@@ -140,40 +141,7 @@ def normalized_laplacian(g: Graph) -> VariationOperator:
     dinv = 1.0 / np.sqrt(deg)
     norm_adj = g.weights * dinv[:, None] * dinv[None, :]
     lap = np.eye(g.n) - norm_adj
-    return VariationOperator(lap, OperatorKind.SYMMETRIC_NORMALIZED)
-
-
-def kron_reduce(op: VariationOperator, v1: Sequence[int]) -> VariationOperator:
-    """Schur-complement elimination of the complement of ``v1``.
-
-    Returns L_{v1,v1} - L_{v1,v2} L_{v2,v2}^{-1} L_{v2,v1}, the reduced
-    variation operator on the retained vertex set.
-
-    Raises
-    ------
-    SingularInteriorBlock
-        If the eliminated block is numerically singular (condition
-        estimate above 1e12).
-    """
-    if op.kind is not OperatorKind.SYMMETRIC_NORMALIZED:
-        raise InvalidParameter("Kron reduction is defined for the normalized Laplacian")
-    keep = np.asarray(sorted(v1), dtype=int)
-    if len(np.unique(keep)) != len(keep) or (len(keep) and (keep[0] < 0 or keep[-1] >= op.n)):
-        raise InvalidParameter("v1 must be a set of valid vertex indices")
-    drop = np.setdiff1d(np.arange(op.n), keep)
-    m = op.matrix
-    if drop.size == 0:
-        return VariationOperator(m.copy(), op.kind)
-    interior = m[np.ix_(drop, drop)]
-    # The 2-norm condition number; the block is symmetric, so its
-    # singular values are the magnitudes of its eigenvalues.
-    mags = np.abs(np.linalg.eigvalsh(interior))
-    if mags.min() == 0 or mags.max() / mags.min() > 1e12:
-        raise SingularInteriorBlock("eliminated block is numerically singular")
-    coupling = m[np.ix_(keep, drop)]
-    reduced = m[np.ix_(keep, keep)] - coupling @ np.linalg.solve(interior, coupling.T)
-    reduced = 0.5 * (reduced + reduced.T)
-    return VariationOperator(reduced, op.kind)
+    return VariationOperator(lap)
 
 
 def _is_connected(weights: np.ndarray) -> bool:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, reject, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specsamp import (
+    ConnectivityFailure,
     DimensionMismatch,
     Mode,
     NotBipartite,
@@ -64,10 +67,31 @@ def test_paired_basis_is_orthonormal_and_diagonalizes(sys16):
     assert np.max(np.abs(d - np.diag(sys16.basis_b.lambdas))) < 1e-10
 
 
-def test_reduced_basis_diagonalizes_reduced_operator(sys16):
-    phi = sys16.basis_reduced.vectors
-    d = phi.T @ sys16.reduced_op.matrix @ phi
-    assert np.max(np.abs(d - np.diag(sys16.basis_reduced.lambdas))) < 1e-10
+@settings(max_examples=50, deadline=None)
+@given(matched=st.booleans(), n_half=st.integers(2, 40), p=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(matched=False, n_half=8, p=0.5, seed=41)  # the graph of sys16
+def test_reduced_basis_diagonalizes_reduced_operator(matched, n_half, p, seed):
+    if matched:
+        assume(n_half >= 3)
+        g = gen_matched_bipartite(n_half, seed)
+    else:
+        try:
+            g = gen_random_bipartite(n_half, seed, p)
+        except ConnectivityFailure:
+            reject()
+    sys_ = build_system(g)
+    h, m = sys_.half, sys_.op_b.matrix
+    # The eliminated block is exactly I, so the Kron reduction onto the
+    # first part is I - B B^T with B the block that build_system factors.
+    assert np.array_equal(m[h:, h:], np.eye(h))
+    schur = m[:h, :h] - m[:h, h:] @ np.linalg.solve(m[h:, h:], m[h:, :h])
+    block = -m[:h, h:]
+    reduced = np.eye(h) - block @ block.T
+    assert_allclose(schur, reduced, rtol=0, atol=1e-12)
+    phi = sys_.basis_reduced.vectors
+    d = phi.T @ reduced @ phi
+    assert np.max(np.abs(d - np.diag(sys_.basis_reduced.lambdas))) < 1e-10
 
 
 def test_build_system_requires_bipartition():

@@ -11,7 +11,6 @@ from specsamp import (
     IntervalMismatch,
     InvalidParameter,
     Mode,
-    OperatorKind,
     RecoveryDesign,
     SpectralFilter,
     Strategy,
@@ -143,7 +142,7 @@ def test_chebyshev_linear_exact():
 def test_chebyshev_evaluate_matches_apply_on_diagonal_operator():
     lam = np.random.default_rng(3).uniform(0.0, 2.0, 40)
     cf = chebyshev_fit(lambda v: float(np.exp(-v) * np.cos(3 * v)), (0.0, 2.0), 12)
-    op = VariationOperator(np.diag(lam), OperatorKind.SYMMETRIC_NORMALIZED)
+    op = VariationOperator(np.diag(lam))
     assert_allclose(apply_chebyshev(op, cf, np.ones(40)), evaluate(cf, lam),
                     rtol=1e-12, atol=1e-12)
 
@@ -256,10 +255,10 @@ def test_apply_chebyshev_matches_dense_recurrence(n, chords, seed, order, normal
 
 def test_product_matrix_is_csr_up_to_ten_percent_nonzero():
     m = np.diag(np.arange(1.0, 11.0))  # 10 of 100 entries nonzero
-    at_cut = VariationOperator(m, OperatorKind.COMBINATORIAL)
+    at_cut = VariationOperator(m)
     assert isinstance(at_cut.product_matrix, csr_matrix)
     m[0, 1] = m[1, 0] = -1.0
-    above = VariationOperator(m, OperatorKind.COMBINATORIAL)
+    above = VariationOperator(m)
     assert above.product_matrix is above.matrix
 
 

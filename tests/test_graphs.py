@@ -9,15 +9,12 @@ from specsamp import (
     InvalidParameter,
     IoFailure,
     IsolatedVertex,
-    OperatorKind,
-    SingularInteriorBlock,
     combinatorial_laplacian,
     complete_bipartite,
     gen_circular,
     gen_matched_bipartite,
     gen_random_bipartite,
     gen_random_sensor,
-    kron_reduce,
     load_graph,
     normalized_laplacian,
     save_graph,
@@ -31,7 +28,6 @@ def two_vertex():
 def test_combinatorial_single_edge():
     op = combinatorial_laplacian(two_vertex())
     assert_allclose(op.matrix, [[1, -1], [-1, 1]])
-    assert op.kind is OperatorKind.COMBINATORIAL
 
 
 def test_combinatorial_edgeless_is_zero():
@@ -84,49 +80,6 @@ def test_normalized_eigenvalues_within_two():
     eigs = np.linalg.eigvalsh(normalized_laplacian(g).matrix)
     assert eigs[0] > -1e-10
     assert eigs[-1] < 2 + 1e-10
-
-
-def test_kron_keep_all_is_identity_operation():
-    op = normalized_laplacian(complete_bipartite(3))
-    red = kron_reduce(op, np.arange(6))
-    assert_allclose(red.matrix, op.matrix)
-
-
-def test_kron_complete_bipartite_part():
-    op = normalized_laplacian(complete_bipartite(2))
-    red = kron_reduce(op, [0, 1])
-    m = op.matrix
-    keep, drop = [0, 1], [2, 3]
-    oracle = m[np.ix_(keep, keep)] - m[np.ix_(keep, drop)] @ np.linalg.solve(
-        m[np.ix_(drop, drop)], m[np.ix_(drop, keep)])
-    assert_allclose(red.matrix, oracle, atol=1e-12)
-    assert_allclose(red.matrix, red.matrix.T, atol=1e-10)
-    assert np.linalg.eigvalsh(red.matrix)[0] > -1e-10
-
-
-def test_kron_path_eliminates_middle_vertex():
-    w = np.zeros((3, 3))
-    w[0, 1] = w[1, 0] = 1.0
-    w[1, 2] = w[2, 1] = 1.0
-    op = normalized_laplacian(Graph(3, w))
-    red = kron_reduce(op, [0, 2])
-    assert_allclose(red.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
-
-
-def test_kron_requires_normalized_kind():
-    op = combinatorial_laplacian(two_vertex())
-    with pytest.raises(InvalidParameter):
-        kron_reduce(op, [0])
-
-
-def test_kron_singular_interior_block():
-    # Two disjoint edges: eliminating one whole component leaves a singular block.
-    w = np.zeros((4, 4))
-    w[0, 1] = w[1, 0] = 1.0
-    w[2, 3] = w[3, 2] = 1.0
-    op = normalized_laplacian(Graph(4, w))
-    with pytest.raises(SingularInteriorBlock):
-        kron_reduce(op, [0, 1])
 
 
 def test_circular_has_cycle_edges():
@@ -197,7 +150,8 @@ def test_graph_rejects_bad_bipartition():
         w[i, j] = w[j, i] = 1.0
         with pytest.raises(InvalidParameter):
             Graph(4, w, bipartition=2)
-    for h in (-1, 5):
+    assert Graph(4, k22, bipartition=np.int64(2)).bipartition == 2
+    for h in (-1, 5, 2.0, (np.arange(2), np.arange(2, 4))):
         with pytest.raises(InvalidParameter):
             Graph(4, k22, bipartition=h)
 

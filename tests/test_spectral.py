@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from specsamp import (
     DimensionMismatch,
-    OperatorKind,
     SpectralFilter,
     VariationOperator,
     apply_filter,
@@ -22,7 +21,7 @@ from specsamp import (
 
 
 def test_eigendecompose_diagonal_matrix():
-    op = VariationOperator(np.diag([3.0, 1.0, 2.0]), OperatorKind.COMBINATORIAL)
+    op = VariationOperator(np.diag([3.0, 1.0, 2.0]))
     basis = eigendecompose(op)
     assert_allclose(basis.lambdas, [1.0, 2.0, 3.0])
     perm = np.zeros((3, 3))
