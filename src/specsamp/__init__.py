@@ -5,13 +5,11 @@ __version__ = "0.1.0"
 
 from .bipartite import (
     BipartiteSystem,
-    OneBranchResult,
     build_system,
     build_wprime,
     fit_one_branch,
     generate_one_branch,
     one_branch_design,
-    one_branch_roundtrip,
     reconstruct_from_part,
     reduction_identity_residual,
     sample_first_part,
@@ -47,7 +45,6 @@ from .experiments import (
 from .filters import (
     SpectralFilter,
     bandlimit,
-    bandlimit_response,
     cosine_taper,
     exponential_decay,
     from_response,

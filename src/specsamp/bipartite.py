@@ -16,6 +16,11 @@ is I - B B^T, which the same Phi diagonalizes at 1 - sigma^2. Both
 identities then hold to machine precision by construction, degenerate
 eigenvalues included.
 
+Under the pairing lambda_max = 2, the one-branch bandlimit cuts at
+lambda = 1 and its DS correction is h = 1/a on the lower half, so the
+sampling filter is the step at 1 and the decoding response of generator a
+is a(lambda) / a(min(lambda, 2 - lambda)): their Chebyshev fits need no basis.
+
 The spectral decimation pair used for the bridge is energy-preserving
 (scaled by 1/sqrt(M)); its inverse direction surfaces as a gain of M in
 the vertex-domain reconstruction, which makes the vertex pipeline agree
@@ -23,20 +28,21 @@ exactly with the plain frequency-domain sampling/reconstruction chain.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
 from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
 from .errors import (
     DimensionMismatch,
+    DsConditionViolated,
     NotBipartite,
     PairingFailure,
     UnequalParts,
 )
-from .filters import SpectralFilter, bandlimit, bandlimit_response, from_response
+from .filters import SpectralFilter, bandlimit
 from .graphs import Graph, VariationOperator, normalized_laplacian
-from .recovery import RecoveryDesign, Strategy, design_subspace_unconstrained
+from .recovery import Strategy, design_subspace_unconstrained
 from .sampling import SamplingConfig, frequency_sample
 from .spectral import SpectralBasis, _column_signs, apply_filter
 
@@ -72,8 +78,9 @@ def build_system(g: Graph) -> BipartiteSystem:
     NotBipartite, UnequalParts
         If the graph carries no bipartition or its parts differ in size.
     PairingFailure
-        If the constructed bases miss the sampling-identity residual
-        (should not happen; exposed rather than assumed).
+        If the SVD it takes is not one: Phi or Psi is not orthonormal, or
+        B Psi misses Phi Sigma (should not happen; exposed rather than
+        assumed).
     """
     if g.bipartition is None:
         raise NotBipartite("graph carries no bipartition")
@@ -96,14 +103,14 @@ def build_system(g: Graph) -> BipartiteSystem:
     u_b *= 1.0 / np.sqrt(2.0)
     basis_b = SpectralBasis(u_b, np.concatenate([lam_low, 2.0 - lam_low]))
 
-    sys = BipartiteSystem(op_b, basis_b, basis_reduced, SamplingConfig(n, 2))
-    # The eliminated block op_b[half:, half:] is exactly I, so the Kron
-    # reduction onto the first part is I - B B^T.
-    reduced = np.eye(half) - block @ block.T
-    diag_res = np.max(np.abs(phi.T @ reduced @ phi - np.diag(basis_reduced.lambdas)))
-    if diag_res > _RESIDUAL_TOL or reduction_identity_residual(sys) > _RESIDUAL_TOL:
-        raise PairingFailure("paired basis construction missed its residual bound")
-    return sys
+    # Phi and Psi are square, so orthonormal factors with B Psi = Phi Sigma
+    # give both the pairing and the reduced basis of I - B B^T.
+    eye = np.eye(half)
+    residual = max(np.max(np.abs(phi.T @ phi - eye)), np.max(np.abs(psi.T @ psi - eye)),
+                   np.max(np.abs(block @ psi - phi * sigma)))
+    if residual > _RESIDUAL_TOL:
+        raise PairingFailure(f"SVD residual {residual!r} exceeds its bound")
+    return BipartiteSystem(op_b, basis_b, basis_reduced, SamplingConfig(n, 2))
 
 
 def reduction_identity_residual(sys: BipartiteSystem) -> float:
@@ -112,6 +119,10 @@ def reduction_identity_residual(sys: BipartiteSystem) -> float:
 
     The energy-preserving decimator is required here: with the plain fold
     the product is exactly sqrt(M) [I 0] for any orthonormal bases.
+
+    With the paired basis built as [Phi Phi; Psi -Psi] / sqrt(2), the
+    folded product is [Phi Phi^T, 0] by construction, so this measures
+    max |Phi Phi^T - I|, not the theorem itself.
     """
     half = sys.half
     u_b = sys.basis_b.vectors
@@ -194,80 +205,44 @@ def vertex_pipeline(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilt
     return reconstruct_from_part(sys, wprime, sample_first_part(sys, g, x))
 
 
-def _correction_response(sys: BipartiteSystem, h: np.ndarray) -> Callable[[float], float]:
-    """Interpolate length-N/2 correction values into a function of the
-    graph frequency, using the pairing lambda <-> 2 - lambda to fold upper
-    frequencies onto the lower half."""
-    h = np.asarray(h, dtype=float)
-    lam_low = sys.basis_b.lambdas[: sys.half]
-    order = np.argsort(lam_low)
-    xs, ys = lam_low[order], h[order]
+def _step_response(lam: float) -> float:
+    """The one-branch sampling filter as a function of frequency: the
+    bandlimit to the lower half, whose cut under the pairing is lambda = 1."""
+    return 1.0 if lam < 1.0 else 0.0
 
+
+def _decoding_response(a_resp: Callable[[float], float]) -> Callable[[float], float]:
+    """The one-branch decoding response a(lambda) / a(min(lambda, 2 - lambda)):
+    the generator times its DS correction 1/a, folded onto the lower half."""
     def resp(lam: float) -> float:
-        folded = min(lam, 2.0 - lam)
-        return float(np.interp(folded, xs, ys))
+        folded = a_resp(min(lam, 2.0 - lam))
+        if folded == 0:
+            raise DsConditionViolated(f"generator vanishes at folded frequency {lam!r}")
+        return a_resp(lam) / folded
 
     return resp
 
 
-def fit_one_branch(sys: BipartiteSystem, a_resp: Callable[[float], float],
-                   h: np.ndarray, order: int) -> Tuple[ChebyshevFilter, ChebyshevFilter]:
-    """Order-``order`` Chebyshev fits of the one-branch sampling filter
-    (the bandlimit surrogate) and of the combined decoding response
-    a * h on the normalized interval [0, 2]."""
-    s_resp = bandlimit_response(sys.basis_b, sys.half)
-    h_resp = _correction_response(sys, h)
-
-    def combined(lam: float) -> float:
-        return a_resp(lam) * h_resp(lam)
-
-    return (chebyshev_fit(s_resp, NORMALIZED_INTERVAL, order),
-            chebyshev_fit(combined, NORMALIZED_INTERVAL, order))
-
-
-def one_branch_design(sys: BipartiteSystem, a: SpectralFilter
-                      ) -> Tuple[SpectralFilter, RecoveryDesign, SpectralFilter]:
-    """The one-branch design for generator ``a``: the bandlimited sampling
-    filter, its unconstrained DS design, and the combined reconstruction
-    response a * h (see :func:`build_wprime`)."""
-    s = bandlimit(sys.basis_b, sys.half)
-    design = design_subspace_unconstrained(s, a, sys.cfg, Strategy.DS)
-    return s, design, build_wprime(a, design.h)
-
-
-@dataclass(frozen=True)
-class OneBranchResult:
-    """A one-branch signal, its decode and the design that decoded it."""
-
-    original: np.ndarray
-    decoded: np.ndarray
-    design: RecoveryDesign
-
-
-def one_branch_roundtrip(sys: BipartiteSystem, a_resp: Callable[[float], float],
-                         d: np.ndarray, order: Optional[int] = None) -> OneBranchResult:
-    """Compress a full-band signal through one bandlimited branch and
-    decode it in the vertex domain.
-
-    The signal is synthesized from length-N/2 coefficients ``d`` by
-    zero-padding onto the first part and filtering with the combined
-    reconstruction response; encoding keeps the first part of the
-    bandlimited signal; decoding runs the vertex pipeline with the same
-    combined response. With exact filters the round trip is lossless
-    whenever the direct-sum condition holds; ``order`` switches sampling
-    and decoding to Chebyshev-approximated filters.
+def fit_one_branch(a_resp: Callable[[float], float],
+                   order: int) -> Tuple[ChebyshevFilter, ChebyshevFilter]:
+    """Order-``order`` Chebyshev fits on [0, 2] of the one-branch sampling
+    filter and decoding response, closed forms of ``a_resp`` that need no
+    basis.
 
     Raises
     ------
     DsConditionViolated
-        If the bandlimited sampling filter and the generator fail the
-        direct-sum condition.
+        If the generator vanishes on the lower half of the interval.
     """
-    d = np.asarray(d, dtype=float)
-    half = sys.half
-    if d.shape[0] != half:
-        raise DimensionMismatch(f"expected {half} coefficients, got {d.shape[0]}")
-    s, design, wprime = one_branch_design(sys, from_response(sys.basis_b, a_resp))
-    x = generate_one_branch(sys, wprime, d)
-    g, w = (s, wprime) if order is None else fit_one_branch(sys, a_resp, design.h, order)
-    return OneBranchResult(x, vertex_pipeline(sys, g, w, x), design)
+    return (chebyshev_fit(_step_response, NORMALIZED_INTERVAL, order),
+            chebyshev_fit(_decoding_response(a_resp), NORMALIZED_INTERVAL, order))
+
+
+def one_branch_design(sys: BipartiteSystem, a: SpectralFilter
+                      ) -> Tuple[SpectralFilter, SpectralFilter]:
+    """The one-branch design for generator ``a`` on the paired basis: the
+    bandlimited sampling filter and the combined reconstruction response
+    a * h of its unconstrained DS design (see :func:`build_wprime`)."""
+    s = bandlimit(sys.basis_b, sys.half)
+    design = design_subspace_unconstrained(s, a, sys.cfg, Strategy.DS)
+    return s, build_wprime(a, design.h)

@@ -304,7 +304,7 @@ def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[dict]:
     else:
         sys_ = build_system(gen_random_bipartite(cfg.n_half, cfg.graph_seed, cfg.p))
     a = inverted_ramp(sys_.basis_b)
-    s, design, wprime = one_branch_design(sys_, a)
+    s, wprime = one_branch_design(sys_, a)
 
     d, _ = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, sys_.half)
     x = generate_one_branch(sys_, wprime, d)
@@ -315,7 +315,7 @@ def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[dict]:
     xt = reconstruct_from_part(sys_, wprime, sample_first_part(sys_, s, x))
     rows = _trial_rows(labels("exact", "exact"), x, xt)
     for order in cfg.orders:
-        cf_s, cf_w = fit_one_branch(sys_, a.response, design.h, order)
+        cf_s, cf_w = fit_one_branch(a.response, order)
         kept = sample_first_part(sys_, cf_s, x)
         rows.extend(_trial_rows(labels(f"chebyshev_p{order}", str(order)), x,
                                 reconstruct_from_part(sys_, cf_w, kept)))

@@ -57,9 +57,7 @@ def identity_filter(n: int) -> SpectralFilter:
 def bandlimit(basis, k: int) -> SpectralFilter:
     """Bandlimiting low-pass filter: 1 on the first k frequency indices, 0 above.
 
-    Index-defined, so no closed-form response is attached; see
-    :func:`bandlimit_response` for the continuous surrogate used when a
-    polynomial approximation is needed.
+    Index-defined, so no closed-form response is attached.
     """
     n = len(basis.lambdas)
     if not 0 < k <= n:
@@ -67,19 +65,6 @@ def bandlimit(basis, k: int) -> SpectralFilter:
     vals = np.zeros(n)
     vals[:k] = 1.0
     return SpectralFilter(vals)
-
-
-def bandlimit_response(basis, k: int) -> Response:
-    """Continuous surrogate for :func:`bandlimit`: the indicator of
-    lambda below the midpoint between the passband's largest frequency and
-    the stopband's smallest."""
-    lams = np.asarray(basis.lambdas, dtype=float)
-    if not 0 < k <= len(lams):
-        raise InvalidParameter("need 0 < k <= n")
-    if k == len(lams):
-        return lambda lam: 1.0
-    cut = 0.5 * (np.max(lams[:k]) + np.min(lams[k:]))
-    return lambda lam: 1.0 if lam < cut else 0.0
 
 
 def inverted_ramp(basis) -> SpectralFilter:

@@ -99,8 +99,9 @@ class VariationOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m = 0.5 * (m + m.T)
+        m = np.array(self.matrix, dtype=float)
+        if not np.array_equal(m, m.T):
+            m = 0.5 * (m + m.T)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

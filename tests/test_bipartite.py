@@ -7,25 +7,29 @@ from numpy.testing import assert_allclose
 from specsamp import (
     ConnectivityFailure,
     DimensionMismatch,
+    DsConditionViolated,
     Mode,
     NotBipartite,
+    PairingFailure,
     RecoveryDesign,
     SpectralFilter,
     Strategy,
     UnequalParts,
     bandlimit,
-    bandlimit_response,
     build_system,
     build_wprime,
     chebyshev_fit,
     complete_bipartite,
+    fit_one_branch,
     frequency_sample,
+    from_response,
     gen_matched_bipartite,
     gen_random_bipartite,
+    generate_one_branch,
     identity_filter,
     inverted_ramp,
     mse_db,
-    one_branch_roundtrip,
+    one_branch_design,
     reconstruct,
     reconstruct_from_part,
     reduction_identity_residual,
@@ -33,6 +37,7 @@ from specsamp import (
     verify_corollary1,
     vertex_pipeline,
 )
+from specsamp.bipartite import _decoding_response, _step_response
 from specsamp.graphs import Graph
 
 
@@ -197,15 +202,16 @@ def test_vertex_pipeline_equals_frequency_pipeline_random_filters(sys16):
 def test_vertex_pipeline_perfect_recovery_ramp_generation(sys16):
     # Half-band sampling of a full-band signal built from the ramp
     # generator: recovery needs no correction and is exact.
-    res = one_branch_roundtrip(sys16, inverted_ramp(sys16.basis_b).response,
-                               np.random.default_rng(5).normal(1, 1, sys16.half))
-    assert_allclose(res.design.h, np.ones(sys16.half), atol=1e-12)
-    rel = np.linalg.norm(res.decoded - res.original) / np.linalg.norm(res.original)
+    a = inverted_ramp(sys16.basis_b)
+    s, wprime = one_branch_design(sys16, a)
+    assert np.array_equal(wprime.values, a.values)
+    x = generate_one_branch(sys16, wprime, np.random.default_rng(5).normal(1, 1, sys16.half))
+    decoded = vertex_pipeline(sys16, s, wprime, x)
+    rel = np.linalg.norm(decoded - x) / np.linalg.norm(x)
     assert rel < 1e-9
-    s = bandlimit(sys16.basis_b, sys16.half)
-    wprime = build_wprime(res.design.w, res.design.h)
-    again = vertex_pipeline(sys16, s, wprime, res.original)
-    assert_allclose(again, res.decoded, atol=1e-9)
+    again = vertex_pipeline(sys16, bandlimit(sys16.basis_b, sys16.half),
+                            build_wprime(a, np.ones(sys16.half)), x)
+    assert_allclose(again, decoded, atol=1e-9)
 
 
 def test_chebyshev_pipeline_constant_exact(sys16):
@@ -229,32 +235,92 @@ def test_chebyshev_pipeline_converges_for_smooth_responses():
     assert np.linalg.norm(approx - exact) < 1e-6 * np.linalg.norm(x)
 
 
+def _exact_roundtrip_error(sys_, a, d):
+    s, wprime = one_branch_design(sys_, a)
+    x = generate_one_branch(sys_, wprime, d)
+    return np.linalg.norm(vertex_pipeline(sys_, s, wprime, x) - x) / np.linalg.norm(x)
+
+
 def test_one_branch_bandlimited_generator_roundtrip(sys16):
-    resp = bandlimit_response(sys16.basis_b, sys16.half)
+    a = from_response(sys16.basis_b, _step_response)
     d = np.random.default_rng(9).normal(1, 1, sys16.half)
-    res = one_branch_roundtrip(sys16, resp, d)
-    rel = np.linalg.norm(res.decoded - res.original) / np.linalg.norm(res.original)
-    assert rel < 1e-9
+    assert _exact_roundtrip_error(sys16, a, d) < 1e-9
 
 
 def test_one_branch_exact_roundtrip_larger_graph():
     sys_ = build_system(gen_random_bipartite(32, seed=47))
     d = np.random.default_rng(10).normal(1, 1, 32)
-    res = one_branch_roundtrip(sys_, inverted_ramp(sys_.basis_b).response, d)
-    rel = np.linalg.norm(res.decoded - res.original) / np.linalg.norm(res.original)
-    assert rel < 1e-9
+    assert _exact_roundtrip_error(sys_, inverted_ramp(sys_.basis_b), d) < 1e-9
 
 
 def test_one_branch_chebyshev_error_shrinks_with_order():
     sys_ = build_system(gen_matched_bipartite(32, seed=48))
     d = np.random.default_rng(11).normal(1, 1, 32)
-    resp = inverted_ramp(sys_.basis_b).response
+    a = inverted_ramp(sys_.basis_b)
+    x = generate_one_branch(sys_, one_branch_design(sys_, a)[1], d)
     errs = []
     for order in (4, 16, 32):
-        res = one_branch_roundtrip(sys_, resp, d, order=order)
-        errs.append(mse_db(res.original, res.decoded))
+        g, w = fit_one_branch(a.response, order)
+        errs.append(mse_db(x, vertex_pipeline(sys_, g, w, x)))
     assert errs[1] < errs[0]
     assert errs[2] < errs[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(matched=st.booleans(), n_half=st.integers(2, 40), p=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1), ramp=st.booleans(), c1=st.floats(-1.0, 1.0),
+       margin=st.floats(0.1, 2.0), c2=st.floats(0.0, 4.0))
+def test_closed_form_one_branch_is_the_ds_design(matched, n_half, p, seed, ramp, c1,
+                                                 margin, c2):
+    # Under the pairing the one-branch design needs no basis: the sampling
+    # filter is the step at 1 and the decoding response is
+    # a(lam) / a(min(lam, 2 - lam)).
+    if matched:
+        assume(n_half >= 3)
+        g = gen_matched_bipartite(n_half, seed)
+    else:
+        try:
+            g = gen_random_bipartite(n_half, seed, p)
+        except ConnectivityFailure:
+            reject()
+    sys_ = build_system(g)
+    lams = sys_.basis_b.lambdas
+    if ramp:
+        a_resp = inverted_ramp(sys_.basis_b).response
+    else:
+        c0 = abs(c1) + margin
+        a_resp = lambda lam: c0 + c1 * float(np.cos(c2 * lam))
+    s, wprime = one_branch_design(sys_, from_response(sys_.basis_b, a_resp))
+    decoding = _decoding_response(a_resp)
+    assert_allclose([decoding(lam) for lam in lams], wprime.values, rtol=1e-12, atol=0)
+    off_cut = lams != 1.0
+    step = np.array([_step_response(lam) for lam in lams])
+    assert np.array_equal(step[off_cut], s.values[off_cut])
+
+
+@pytest.mark.parametrize("a_resp", [lambda lam: 0.0 if lam <= 1.0 else 1.0,
+                                    lambda lam: lam],
+                         ids=["vanishing-on-lower-half", "vanishing-at-0"])
+def test_fit_one_branch_rejects_vanishing_generator(a_resp):
+    with pytest.raises(DsConditionViolated):
+        fit_one_branch(a_resp, 4)
+
+
+@pytest.mark.parametrize("factor", ["phi", "psi"])
+def test_build_system_checks_the_svd_it_takes(monkeypatch, factor):
+    svd = np.linalg.svd
+
+    def corrupted(a, *args, **kwargs):
+        u, sigma, vt = svd(a, *args, **kwargs)
+        if factor == "phi":
+            u[:, 0] += 1e-6
+        else:
+            vt[0, :] += 1e-6  # row 0 of Psi^T is column 0 of Psi
+        return u, sigma, vt
+
+    monkeypatch.setattr(np.linalg, "svd", corrupted)
+    with pytest.raises(PairingFailure):
+        build_system(gen_random_bipartite(8, seed=41))
 
 
 @pytest.mark.parametrize("kind", ["exact", "chebyshev"])

@@ -18,7 +18,6 @@ from specsamp import (
     apply_chebyshev,
     apply_filter,
     bandlimit,
-    bandlimit_response,
     chebyshev_fit,
     combinatorial_laplacian,
     cosine_taper,
@@ -89,16 +88,6 @@ def test_sampled_values_match_response(sensor_basis):
         assert_allclose(f.values, resampled, atol=1e-12)
 
 
-def test_bandlimit_response_midpoint_cut(sensor_basis):
-    resp = bandlimit_response(sensor_basis, 5)
-    lams = sensor_basis.lambdas
-    cut = 0.5 * (lams[4] + lams[5])
-    assert resp(cut - 1e-9) == 1.0
-    assert resp(cut + 1e-9) == 0.0
-    vals = np.array([resp(lam) for lam in lams])
-    assert_allclose(vals, bandlimit(sensor_basis, 5).values)
-
-
 def test_filter_table_roundtrip(tmp_path, sensor_basis):
     f = cosine_taper(sensor_basis)
     path = tmp_path / "f.txt"
@@ -113,11 +102,12 @@ def test_filter_table_roundtrip(tmp_path, sensor_basis):
     (lambda a: ChebyshevFilter(a, (0.0, 2.0), 3), np.arange(4.0)),
     (lambda a: RecoveryDesign(a, identity_filter(8), Strategy.DS, Mode.UNCONSTRAINED),
      np.arange(4.0)),
-], ids=["spectral-filter", "chebyshev-coeffs", "design-h"])
+    (lambda a: VariationOperator(a), np.eye(3)),
+], ids=["spectral-filter", "chebyshev-coeffs", "design-h", "variation-operator"])
 def test_constructors_leave_caller_array_writeable(build, a):
     build(a)
-    a[0] = 3
-    assert a[0] == 3
+    a.flat[0] = 3
+    assert a.flat[0] == 3
 
 
 def test_nonfinite_values_rejected():
@@ -130,6 +120,31 @@ def test_chebyshev_constant_coefficients():
     cf = chebyshev_fit(lambda lam: 1.0, (0.0, 2.0), 5)
     assert_allclose(cf.coeffs, [2, 0, 0, 0, 0, 0], atol=1e-14)
     assert cf.fit_error < 1e-14
+
+
+def test_variation_operator_symmetrizes_only_asymmetric_matrices():
+    sym = np.array([[2.0, 0.1], [0.1, 1.0]])
+    assert np.array_equal(VariationOperator(sym).matrix, sym)
+    asym = np.array([[2.0, 0.1], [0.3, 1.0]])
+    assert np.array_equal(VariationOperator(asym).matrix, 0.5 * (asym + asym.T))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), order=st.integers(1, 40), lo=st.floats(-5.0, 5.0),
+       width=st.floats(0.1, 10.0))
+def test_chebyshev_fit_exact_on_polynomials(data, order, lo, width):
+    # A degree-P fit of a degree-<=P polynomial is exact; in the T_0/2
+    # convention its coefficients are [2 b0, b1, ..., bP].
+    b = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=order + 1,
+                                    max_size=order + 1)))
+    hi = lo + width
+
+    def poly(lam):
+        return float(np.polynomial.chebyshev.chebval((2.0 * lam - (lo + hi)) / width, b))
+
+    cf = chebyshev_fit(poly, (lo, hi), order)
+    assert_allclose(cf.coeffs, np.concatenate([[2.0 * b[0]], b[1:]]), rtol=0, atol=1e-12)
+    assert cf.fit_error <= 1e-10
 
 
 def test_chebyshev_linear_exact():
