@@ -80,7 +80,9 @@ from .recovery import (
     design_subspace_unconstrained,
     generate_pgs,
     mse_db,
+    pgs_spectrum,
     reconstruct,
+    reconstruct_spectrum,
     smoothness_energy,
 )
 from .sampling import (

@@ -19,6 +19,7 @@ from .bipartite import build_system, reduction_identity_residual, verify_corolla
 from .errors import InvalidParameter, IoFailure, SpecSampError
 from .experiments import (
     FILTERS,
+    GRAPH_KINDS,
     BipartiteExperimentConfig,
     ExperimentConfig,
     basis_for_config,
@@ -163,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="generate a graph and write its edge list")
-    p.add_argument("--kind", default="sensor",
-                   choices=["sensor", "circular", "bipartite", "complete-bipartite"])
+    p.add_argument("--kind", default="sensor", choices=GRAPH_KINDS)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5)
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filters", help="filter table utilities")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     fd = fsub.add_parser("dump", help="write two-column (lambda, value) filter tables")
-    fd.add_argument("--kind", default="sensor", choices=["sensor", "circular", "bipartite"])
+    fd.add_argument("--kind", default="sensor", choices=GRAPH_KINDS)
     fd.add_argument("--n", type=int, default=64)
     fd.add_argument("--seed", type=int, default=0)
     fd.add_argument("--m", type=int, default=8)
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     fd.set_defaults(fn=_cmd_filters_dump)
 
     p = sub.add_parser("recover", help="run a single recovery pipeline")
-    p.add_argument("--kind", default="sensor", choices=["sensor", "circular", "bipartite"])
+    p.add_argument("--kind", default="sensor", choices=GRAPH_KINDS)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=8)
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp", help="experiment harness")
     esub = p.add_subparsers(dest="subcommand", required=True)
     t2 = esub.add_parser("table2", help="full recovery method/filter/noise matrix")
-    t2.add_argument("--kind", default="sensor", choices=["sensor", "circular"])
+    t2.add_argument("--kind", default="sensor", choices=GRAPH_KINDS)
     t2.add_argument("--n", type=int, default=256)
     t2.add_argument("--seed", type=int, default=0)
     t2.add_argument("--m", type=int, default=8)

@@ -90,14 +90,19 @@ def _small(corr: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
     return np.abs(corr) <= (1e-10 * np.abs(corr).max(initial=0.0) if tol is None else tol)
 
 
-def generate_pgs(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
-    """Synthesize a PGS signal from length-K expansion coefficients:
-    x = U diag(generator) upsample(dhat)."""
+def pgs_spectrum(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
+    """Spectrum of a PGS signal from length-K expansion coefficients:
+    xhat = diag(generator) upsample(dhat)."""
     dhat = np.asarray(dhat)
     if dhat.shape[0] != model.cfg.k:
         raise DimensionMismatch(f"expected {model.cfg.k} coefficients, got {dhat.shape[0]}")
-    return igft(model.basis, _scale_rows(model.generator.values,
-                                         spectral_upsample(dhat, model.cfg)))
+    return _scale_rows(model.generator.values, spectral_upsample(dhat, model.cfg))
+
+
+def generate_pgs(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
+    """Synthesize a PGS signal from length-K expansion coefficients:
+    x = U pgs_spectrum(model, dhat)."""
+    return igft(model.basis, pgs_spectrum(model, dhat))
 
 
 def check_ds(s: SpectralFilter, a: SpectralFilter, cfg: SamplingConfig,
@@ -212,14 +217,20 @@ def design_smoothness_predefined(s: SpectralFilter, v: SpectralFilter,
     return RecoveryDesign(h, w, Strategy.MX, Mode.PREDEFINED)
 
 
+def reconstruct_spectrum(design: RecoveryDesign, chat: SampledSpectrum) -> np.ndarray:
+    """Correct, upsample and filter a sampled spectrum: the spectrum
+    diag(w) upsample(h * chat) of the reconstruction."""
+    if design.w.n != chat.config.n or design.h.shape[0] != chat.config.k:
+        raise DimensionMismatch("design and sampled spectrum sizes must agree")
+    corrected = _scale_rows(design.h, chat.values)
+    return _scale_rows(design.w.values, spectral_upsample(corrected, chat.config))
+
+
 def reconstruct(b: SpectralBasis, design: RecoveryDesign,
                 chat: SampledSpectrum) -> np.ndarray:
-    """Correct, upsample, filter, and inverse-transform a sampled spectrum:
-    x = U diag(w) upsample(h * chat)."""
-    if design.w.n != b.n or design.h.shape[0] != chat.config.k or chat.config.n != b.n:
-        raise DimensionMismatch("design, basis, and sampled spectrum sizes must agree")
-    corrected = _scale_rows(design.h, chat.values)
-    return igft(b, _scale_rows(design.w.values, spectral_upsample(corrected, chat.config)))
+    """Reconstruct a signal from a sampled spectrum:
+    x = U reconstruct_spectrum(design, chat)."""
+    return igft(b, reconstruct_spectrum(design, chat))
 
 
 def smoothness_energy(b: SpectralBasis, v: SpectralFilter, x: np.ndarray) -> float:

@@ -2,14 +2,17 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from specsamp import InvalidParameter, IoFailure, SpecSampError, cli, experiments
 from specsamp.cli import main
 from specsamp.experiments import (
+    GRAPH_KINDS,
     REPORT_COLUMNS,
     BipartiteExperimentConfig,
     ExperimentConfig,
+    _trial_rows,
     build_experiment_graph,
     emit_report,
     parse_report_csv,
@@ -17,6 +20,7 @@ from specsamp.experiments import (
     run_recovery_experiment,
     run_recovery_table,
 )
+from specsamp.recovery import MSE_FLOOR_DB
 
 SMALL = dict(graph_kind="sensor", n=32, graph_seed=1, m=4, trials=3, rng_seed=5)
 
@@ -220,6 +224,28 @@ def test_cli_exp_table2_small(tmp_path):
     assert len(rows) == (10 + 1) * 2 * 2 * 2
 
 
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+def test_cli_exp_table2_runs_on_every_graph_kind(tmp_path, kind):
+    out = tmp_path / "table.csv"
+    assert main(["exp", "table2", "--kind", kind, "--n", "16", "--m", "4",
+                 "--trials", "2", "--out", str(out)]) == 0
+    assert len(parse_report_csv(str(out))) == 44 * 2
+
+
+@pytest.mark.parametrize("command", [["gen-graph"], ["filters", "dump"], ["recover"],
+                                     ["exp", "table2"]])
+def test_cli_commands_offer_every_graph_kind(command):
+    for kind in GRAPH_KINDS:
+        args = cli.build_parser().parse_args([*command, "--kind", kind, "--out", "x"])
+        assert args.kind == kind
+
+
+def test_trial_rows_read_the_floor_on_exact_recovery():
+    x = np.arange(1.0, 7.0).reshape(3, 2)
+    rows = _trial_rows(("subspace", "unconstrained", "ds", "bl", "gen1", 0.0), x, x.copy())
+    assert [(r["mse_db"], r["mean_mse_db"]) for r in rows] == [(MSE_FLOOR_DB,) * 2] * 2
+
+
 def test_cli_exp_bipartite_small(tmp_path):
     out = tmp_path / "bp.csv"
     code = main(["exp", "bipartite", "--n", "32", "--orders", "2,4",
@@ -316,7 +342,7 @@ def test_cli_verify_identity(capsys):
 GOLDEN_REPORTS = [
     (["exp", "table2", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "3",
       "--rng-seed", "1"],
-     "a8368c11df899d361f62320dd89b2f98dae842a63eea89378101e330e23e1bee"),
+     "40c0885e6436ffafa5738730ea11c4cbee64a871535602d0d8e294b961ae5d01"),
     (["exp", "bipartite", "--n", "32", "--orders", "2,4", "--trials", "3"],
      "870e3f099d6f510239995769209dccfa84421605038099a783b49828bfc6e8c3"),
     (["exp", "bipartite", "--n", "128", "--orders", "2,4", "--trials", "3"],
