@@ -36,8 +36,10 @@ from .errors import (
 from .experiments import (
     BipartiteExperimentConfig,
     ExperimentConfig,
+    ReportGroup,
     emit_report,
     parse_report_csv,
+    report_rows,
     run_bipartite_experiment,
     run_recovery_experiment,
     run_recovery_table,

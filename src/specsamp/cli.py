@@ -98,22 +98,20 @@ def _cmd_filters_dump(args) -> int:
 def _cmd_recover(args) -> int:
     cfg = _experiment_config(args, generator=args.generator, sampling_filter=args.sampling,
                              prior=args.prior, mode=args.mode, strategy=args.strategy)
-    rows = run_recovery_experiment(cfg)
+    groups = run_recovery_experiment(cfg)
     if args.out:
-        emit_report(rows, args.format, args.out)
-    print(f"mean_mse_db={rows[0]['mean_mse_db']!r} over {cfg.trials} trial(s)")
+        emit_report(groups, args.format, args.out)
+    print(f"mean_mse_db={groups[0].mean_db!r} over {cfg.trials} trial(s)")
     return 0
 
 
 def _cmd_exp_table2(args) -> int:
     base = _experiment_config(args)
-    rows = run_recovery_table(base)
-    emit_report(rows, args.format, args.out)
-    means = sorted({(r["prior"], r["mode"], r["strategy"], r["sampling_filter"],
-                     r["generator"], r["noise"], r["mean_mse_db"]) for r in rows})
-    for rec in means:
+    groups = run_recovery_table(base)
+    emit_report(groups, args.format, args.out)
+    for rec in sorted({(*g.labels, g.mean_db) for g in groups}):
         print(" ".join(str(v) for v in rec))
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {sum(len(g.mse_db) for g in groups)} rows to {args.out}")
     return 0
 
 
@@ -123,12 +121,11 @@ def _cmd_exp_bipartite(args) -> int:
                   graph_kind=args.graph, p=args.p,
                   orders=tuple(int(p) for p in args.orders.split(",")),
                   trials=args.trials, rng_seed=args.rng_seed, coeff_mean=args.coeff_mean)
-    rows = run_bipartite_experiment(cfg)
-    emit_report(rows, args.format, args.out)
-    means = sorted({(r["mode"], r["mean_mse_db"]) for r in rows})
-    for mode, db in means:
+    groups = run_bipartite_experiment(cfg)
+    emit_report(groups, args.format, args.out)
+    for mode, db in sorted({(g.labels[1], g.mean_db) for g in groups}):
         print(f"{mode}: {db:.2f} dB")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {sum(len(g.mse_db) for g in groups)} rows to {args.out}")
     return 0
 
 

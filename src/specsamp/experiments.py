@@ -16,12 +16,19 @@ earlier vertex-domain scoring to round-off, and the exact direct-sum
 rows, which measure round-off alone, read lower (about -320 to -314 dB
 against -298 to -291 dB at N = 1024), since no transform round trip
 adds to it.
+
+A Table 2 run shares one graph, basis, trial draw and noise GFT, folds
+once per (generator, noise, sampling filter) and builds each filter once.
+Results stay per-configuration columns (:class:`ReportGroup`) until
+:func:`emit_report` writes them; :func:`report_rows` flattens them.
 """
 
 import csv
 import json
 from dataclasses import dataclass, replace
-from typing import List
+from functools import cache
+from itertools import repeat
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
@@ -164,15 +171,12 @@ def basis_for_config(cfg: ExperimentConfig, graph) -> SpectralBasis:
     return eigendecompose(combinatorial_laplacian(graph))
 
 
-def design_for_config(cfg: ExperimentConfig, basis: SpectralBasis,
+def design_for_config(cfg: ExperimentConfig, build: Callable[[str], SpectralFilter],
                       scfg: SamplingConfig, a: SpectralFilter):
     """Build (sampling filter, design) for one experiment configuration
-    with generator ``a``."""
+    with generator ``a``, taking each filter by its FILTERS id from
+    ``build``."""
     strategy = Strategy(cfg.strategy)
-
-    def build(fid: str) -> SpectralFilter:
-        return FILTERS[fid](basis, cfg.eps, scfg.k)
-
     if cfg.prior == "baseline":
         # Bandlimited sampling and reconstruction with no correction.
         s = build("bl")
@@ -205,30 +209,46 @@ def _draw_trials(seed: int, trials: int, mean: float, k: int,
     return coeffs, noise
 
 
-def _trial_rows(labels: tuple, x: np.ndarray, xt: np.ndarray) -> List[dict]:
-    """Report rows for the trials (columns) of one configuration: the
-    labels fill the first six report columns, then trial, the trial's
-    error against x in decibels and the mean over trials."""
-    ratios = np.sum(np.abs(xt - x) ** 2, axis=0) / np.sum(np.abs(x) ** 2, axis=0)
-    mean = np.mean(ratios)
-    mean_db = MSE_FLOOR_DB if mean == 0 else float(max(10.0 * np.log10(mean), MSE_FLOOR_DB))
-    rows = []
-    for t, ratio in enumerate(ratios):
-        trial_db = MSE_FLOOR_DB if ratio == 0 else max(10.0 * np.log10(ratio), MSE_FLOOR_DB)
-        rows.append(dict(zip(REPORT_COLUMNS, (*labels, t, float(trial_db), mean_db))))
-    return rows
+class ReportGroup(NamedTuple):
+    """One configuration's report rows as columns: the six label values,
+    the per-trial errors in dB (indexed by trial) and their mean."""
+
+    labels: tuple
+    mse_db: np.ndarray
+    mean_db: float
 
 
-def _recovery_rows(base: ExperimentConfig, generators, noises, methods) -> List[dict]:
-    """Per-trial report rows of ``base`` for every generator, noise variance
-    and (prior, mode, strategy, sampling filter) method, in that loop order.
+def _floored_db(ratio):
+    """10 log10(ratio), floored at MSE_FLOOR_DB; a zero ratio reads the floor."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(10.0 * np.log10(ratio), MSE_FLOOR_DB)
 
-    One graph, basis and trial draw serve every row. Each trial draws its
+
+def _energy(x: np.ndarray) -> np.ndarray:
+    """Per-trial energy: the squared norm of each column."""
+    return np.sum(np.abs(x) ** 2, axis=0)
+
+
+def _trial_group(labels: tuple, err: np.ndarray, energy: np.ndarray) -> ReportGroup:
+    """The group of one configuration's trials (columns): the energy of
+    each trial's error ``err`` relative to its signal energy ``energy``."""
+    ratios = _energy(err) / energy
+    mse = _floored_db(ratios)
+    mse.flags.writeable = False
+    return ReportGroup(labels, mse, float(_floored_db(np.mean(ratios))))
+
+
+def _recovery_groups(base: ExperimentConfig, generators, noises,
+                     methods) -> List[ReportGroup]:
+    """Report groups of ``base`` for every generator, noise variance and
+    (prior, mode, strategy, sampling filter) method, in that loop order.
+
+    One graph, basis and trial draw serve every group. Each trial draws its
     coefficients before its noise, once, at ``max(noises)``, so the
-    noise-free rows get the coefficients of a noise-free draw; every nonzero
-    variance in ``noises`` must equal that maximum.
+    noise-free groups get the coefficients of a noise-free draw; every
+    nonzero variance in ``noises`` must equal that maximum.
 
-    Every row runs on spectra, scored between the clean and the
+    Every group runs on spectra, scored between the clean and the
     reconstructed spectrum; only the noise block is transformed.
     """
     scfg = SamplingConfig(base.n, base.m)
@@ -237,30 +257,35 @@ def _recovery_rows(base: ExperimentConfig, generators, noises, methods) -> List[
                                  scfg.n, float(np.sqrt(max(noises))))
     if noise is not None:
         noise = gft(basis, noise)  # rebound, so that the vertex block is freed
-    rows: List[dict] = []
+    build = cache(lambda fid: FILTERS[fid](basis, base.eps, scfg.k))
+    groups: List[ReportGroup] = []
     for generator in generators:
-        a = FILTERS[generator](basis, base.eps, scfg.k)
+        a = build(generator)
         xhat = pgs_spectrum(PgsModel(a, scfg, basis), coeffs)
+        energy = _energy(xhat)
         for noise_variance in noises:
             yhat = xhat + noise if noise_variance > 0 else xhat
+            folded = {}  # sampling filter id -> sampled spectrum
             for prior, mode, strategy, sampling in methods:
                 cfg = replace(base, generator=generator, noise_variance=noise_variance,
                               prior=prior, mode=mode, strategy=strategy,
                               sampling_filter=sampling)
-                s, design = design_for_config(cfg, basis, scfg, a)
-                chat = spectral_fold(_scale_rows(s.values, yhat), scfg)
+                s, design = design_for_config(cfg, build, scfg, a)
                 label = sampling if prior != "baseline" else "bl"
-                rows.extend(_trial_rows((prior, mode, strategy, label, generator,
-                                         noise_variance), xhat,
-                                        reconstruct_spectrum(design, chat)))
-    return rows
+                if label not in folded:
+                    folded[label] = spectral_fold(_scale_rows(s.values, yhat), scfg)
+                err = reconstruct_spectrum(design, folded[label])
+                err -= xhat
+                groups.append(_trial_group((prior, mode, strategy, label, generator,
+                                            noise_variance), err, energy))
+    return groups
 
 
-def run_recovery_experiment(cfg: ExperimentConfig) -> List[dict]:
-    """Run one experiment configuration and return per-trial report rows:
+def run_recovery_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
+    """Run one experiment configuration and return its one report group:
     the recovery table over that one configuration."""
-    return _recovery_rows(cfg, (cfg.generator,), (cfg.noise_variance,),
-                          [(cfg.prior, cfg.mode, cfg.strategy, cfg.sampling_filter)])
+    return _recovery_groups(cfg, (cfg.generator,), (cfg.noise_variance,),
+                            [(cfg.prior, cfg.mode, cfg.strategy, cfg.sampling_filter)])
 
 
 TABLE_METHODS = (
@@ -273,14 +298,14 @@ TABLE_METHODS = (
 )
 
 
-def run_recovery_table(base: ExperimentConfig) -> List[dict]:
+def run_recovery_table(base: ExperimentConfig) -> List[ReportGroup]:
     """Full method/filter/noise matrix: every method with both sampling
     filters and both generators, plus the bandlimited baseline, noise-free
     and, when ``base.noise_variance`` > 0, at that noise variance."""
     noises = (0.0, base.noise_variance) if base.noise_variance > 0 else (0.0,)
     methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
     methods.append(("baseline", "predefined", "ds", "bl"))
-    return _recovery_rows(base, GENERATOR_IDS, noises, methods)
+    return _recovery_groups(base, GENERATOR_IDS, noises, methods)
 
 
 @dataclass(frozen=True)
@@ -312,7 +337,7 @@ class BipartiteExperimentConfig:
             raise InvalidParameter(f"unknown bipartite graph kind {self.graph_kind!r}")
 
 
-def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[dict]:
+def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[ReportGroup]:
     """One-branch recovery on a bipartite graph across Chebyshev orders.
 
     Signals are synthesized with the exact combined reconstruction
@@ -330,24 +355,32 @@ def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[dict]:
 
     d, _ = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, sys_.half)
     x = generate_one_branch(sys_, wprime, d)
+    energy = _energy(x)
 
-    def labels(mode: str, order_label: str) -> tuple:
-        return ("subspace", mode, order_label, "bl", "ir", 0.0)
+    def group(mode: str, order_label: str, w, kept) -> ReportGroup:
+        err = reconstruct_from_part(sys_, w, kept)
+        err -= x
+        return _trial_group(("subspace", mode, order_label, "bl", "ir", 0.0), err, energy)
 
-    xt = reconstruct_from_part(sys_, wprime, sample_first_part(sys_, s, x))
-    rows = _trial_rows(labels("exact", "exact"), x, xt)
+    groups = [group("exact", "exact", wprime, sample_first_part(sys_, s, x))]
     for order in cfg.orders:
         cf_s, cf_w = fit_one_branch(a.response, order)
         kept = sample_first_part(sys_, cf_s, x)
-        rows.extend(_trial_rows(labels(f"chebyshev_p{order}", str(order)), x,
-                                reconstruct_from_part(sys_, cf_w, kept)))
-        rows.extend(_trial_rows(labels(f"chebyshev_baseline_p{order}", str(order)), x,
-                                reconstruct_from_part(sys_, cf_s, kept)))
-    return rows
+        groups.append(group(f"chebyshev_p{order}", str(order), cf_w, kept))
+        groups.append(group(f"chebyshev_baseline_p{order}", str(order), cf_s, kept))
+    return groups
 
 
-def emit_report(rows: List[dict], fmt: str, path: str) -> None:
-    """Write report rows as CSV or JSON with a stable column order."""
+def report_rows(groups: List[ReportGroup]) -> List[dict]:
+    """The groups flattened to report rows, one dict per trial keyed by
+    REPORT_COLUMNS: the records of a JSON report."""
+    return [dict(zip(REPORT_COLUMNS, (*g.labels, t, db, g.mean_db)))
+            for g in groups for t, db in enumerate(g.mse_db.tolist())]
+
+
+def emit_report(groups: List[ReportGroup], fmt: str, path: str) -> None:
+    """Write report groups as CSV or JSON, one row per trial, with a stable
+    column order. Every float is written as its repr."""
     if fmt not in ("csv", "json"):
         raise InvalidParameter(f"unknown report format {fmt!r}")
     try:
@@ -355,13 +388,13 @@ def emit_report(rows: List[dict], fmt: str, path: str) -> None:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(REPORT_COLUMNS)
-                for row in rows:
-                    writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
-                                     for c in REPORT_COLUMNS])
+                for g in groups:
+                    labels = [repr(v) if isinstance(v, float) else v for v in g.labels]
+                    writer.writerows(zip(*map(repeat, labels), range(len(g.mse_db)),
+                                         map(repr, g.mse_db.tolist()), repeat(repr(g.mean_db))))
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump([{c: row[c] for c in REPORT_COLUMNS} for row in rows],
-                          fh, indent=1)
+                json.dump(report_rows(groups), fh, indent=1)
                 fh.write("\n")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

@@ -28,8 +28,8 @@ from .filters import SpectralFilter
 from .sampling import (
     SampledSpectrum,
     SamplingConfig,
+    _scaled_upsample,
     sampled_cross_correlation,
-    spectral_upsample,
 )
 from .spectral import SpectralBasis, _scale_rows, gft, igft
 
@@ -96,7 +96,7 @@ def pgs_spectrum(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
     dhat = np.asarray(dhat)
     if dhat.shape[0] != model.cfg.k:
         raise DimensionMismatch(f"expected {model.cfg.k} coefficients, got {dhat.shape[0]}")
-    return _scale_rows(model.generator.values, spectral_upsample(dhat, model.cfg))
+    return _scaled_upsample(model.generator.values, dhat, model.cfg)
 
 
 def generate_pgs(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
@@ -222,8 +222,7 @@ def reconstruct_spectrum(design: RecoveryDesign, chat: SampledSpectrum) -> np.nd
     diag(w) upsample(h * chat) of the reconstruction."""
     if design.w.n != chat.config.n or design.h.shape[0] != chat.config.k:
         raise DimensionMismatch("design and sampled spectrum sizes must agree")
-    corrected = _scale_rows(design.h, chat.values)
-    return _scale_rows(design.w.values, spectral_upsample(corrected, chat.config))
+    return _scaled_upsample(design.w.values, _scale_rows(design.h, chat.values), chat.config)
 
 
 def reconstruct(b: SpectralBasis, design: RecoveryDesign,

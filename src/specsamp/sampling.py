@@ -69,6 +69,13 @@ def spectral_upsample(dhat: np.ndarray, cfg: SamplingConfig) -> np.ndarray:
     return np.tile(dhat, (cfg.m,) + (1,) * (dhat.ndim - 1))
 
 
+def _scaled_upsample(f: np.ndarray, dhat: np.ndarray, cfg: SamplingConfig) -> np.ndarray:
+    """diag(f) spectral_upsample(dhat) as one broadcast, without the
+    upsampled copy: out[i] = f[i] * dhat[i mod K]."""
+    tail = dhat.shape[1:]
+    return (f.reshape(cfg.m, cfg.k, *[1] * len(tail)) * dhat[None]).reshape(cfg.n, *tail)
+
+
 def frequency_sample(b: SpectralBasis, s: SpectralFilter, x: np.ndarray,
                      cfg: SamplingConfig) -> SampledSpectrum:
     """Graph-frequency-domain sampling: fold the filtered spectrum.

@@ -46,7 +46,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 
 def _mean_db(cfg: ExperimentConfig) -> float:
-    return run_recovery_experiment(cfg)[0]["mean_mse_db"]
+    return run_recovery_experiment(cfg)[0].mean_db
 
 
 SENSOR = dict(graph_kind="sensor", n=256, graph_seed=1, m=8)
@@ -201,8 +201,7 @@ def test_07_pipeline_equivalence_random_filters():
 def test_08_chebyshev_order_sweep():
     cfg = BipartiteExperimentConfig(n_half=128, graph_seed=2, trials=100,
                                     rng_seed=9, orders=(2, 4, 8, 16, 24, 32))
-    rows = run_bipartite_experiment(cfg)
-    means = {r["mode"]: r["mean_mse_db"] for r in rows}
+    means = {g.labels[1]: g.mean_db for g in run_bipartite_experiment(cfg)}
     sweep = [means[f"chebyshev_p{p}"] for p in cfg.orders]
     monotone = all(sweep[i + 1] <= sweep[i] + 0.5 for i in range(len(sweep) - 1))
     gap = means["chebyshev_baseline_p16"] - means["chebyshev_p16"]

@@ -1,21 +1,33 @@
+import csv
 import hashlib
+import io
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsamp import InvalidParameter, IoFailure, SpecSampError, cli, experiments
 from specsamp.cli import main
 from specsamp.experiments import (
+    GENERATOR_IDS,
     GRAPH_KINDS,
+    MODE_IDS,
+    PRIOR_IDS,
     REPORT_COLUMNS,
+    SAMPLING_IDS,
+    STRATEGY_IDS,
     BipartiteExperimentConfig,
     ExperimentConfig,
-    _trial_rows,
+    ReportGroup,
+    _trial_group,
     build_experiment_graph,
     emit_report,
     parse_report_csv,
+    report_rows,
     run_bipartite_experiment,
     run_recovery_experiment,
     run_recovery_table,
@@ -29,13 +41,12 @@ def test_run_is_deterministic():
     cfg = ExperimentConfig(**SMALL)
     a = run_recovery_experiment(cfg)
     b = run_recovery_experiment(cfg)
-    assert a == b
+    assert report_rows(a) == report_rows(b)
 
 
 def test_unconstrained_noiseless_is_machine_precision():
     cfg = ExperimentConfig(prior="subspace", mode="unconstrained", **SMALL)
-    rows = run_recovery_experiment(cfg)
-    assert rows[0]["mean_mse_db"] <= -200
+    assert run_recovery_experiment(cfg)[0].mean_db <= -200
 
 
 def test_noise_degrades_recovery():
@@ -43,13 +54,13 @@ def test_noise_degrades_recovery():
     noisy_args = dict(SMALL)
     noisy = ExperimentConfig(prior="subspace", mode="unconstrained",
                              noise_variance=0.1, **noisy_args)
-    db_clean = run_recovery_experiment(clean)[0]["mean_mse_db"]
-    db_noisy = run_recovery_experiment(noisy)[0]["mean_mse_db"]
+    db_clean = run_recovery_experiment(clean)[0].mean_db
+    db_noisy = run_recovery_experiment(noisy)[0].mean_db
     assert db_noisy > db_clean + 50
 
 
 def test_rows_have_report_columns():
-    rows = run_recovery_experiment(ExperimentConfig(**SMALL))
+    rows = report_rows(run_recovery_experiment(ExperimentConfig(**SMALL)))
     assert len(rows) == SMALL["trials"]
     for row in rows:
         assert tuple(row.keys()) == REPORT_COLUMNS
@@ -58,8 +69,7 @@ def test_rows_have_report_columns():
 def test_baseline_forces_bandlimited_sampling():
     cfg = ExperimentConfig(prior="baseline", mode="predefined",
                            sampling_filter="ir", **SMALL)
-    rows = run_recovery_experiment(cfg)
-    assert rows[0]["sampling_filter"] == "bl"
+    assert report_rows(run_recovery_experiment(cfg))[0]["sampling_filter"] == "bl"
 
 
 def test_config_validation():
@@ -73,7 +83,7 @@ def test_config_validation():
 
 def test_table_matrix_row_counts():
     base = ExperimentConfig(noise_variance=0.1, **SMALL)
-    rows = run_recovery_table(base)
+    rows = report_rows(run_recovery_table(base))
     # 5 methods x 2 sampling filters = 10 proposed rows per generator/noise
     # cell, each row repeated per trial, plus one baseline per cell.
     proposed = [r for r in rows if r["prior"] != "baseline"]
@@ -95,16 +105,14 @@ def test_table_is_one_experiment(monkeypatch):
 
     monkeypatch.setattr(experiments, "eigendecompose", counted)
     base = ExperimentConfig(noise_variance=0.1, **SMALL)
-    rows = run_recovery_table(base)
+    groups = run_recovery_table(base)
     assert len(calls) == 1
-    # Every row is the row `recover` gives for that row's configuration.
-    trials = SMALL["trials"]
-    for i in range(0, len(rows), trials):
-        r = rows[i]
-        cfg = replace(base, prior=r["prior"], mode=r["mode"], strategy=r["strategy"],
-                      sampling_filter=r["sampling_filter"], generator=r["generator"],
-                      noise_variance=r["noise"])
-        assert rows[i:i + trials] == run_recovery_experiment(cfg)
+    # Every group is the group `recover` gives for that group's configuration.
+    for group in groups:
+        prior, mode, strategy, sampling, generator, noise = group.labels
+        cfg = replace(base, prior=prior, mode=mode, strategy=strategy,
+                      sampling_filter=sampling, generator=generator, noise_variance=noise)
+        assert report_rows([group]) == report_rows(run_recovery_experiment(cfg))
 
 
 @pytest.mark.parametrize("kind", ["bipartite", "complete-bipartite"])
@@ -125,11 +133,11 @@ def test_cli_exp_bipartite_rejects_odd_n(tmp_path, capsys):
 
 
 def test_emit_report_csv_roundtrip(tmp_path):
-    rows = run_recovery_experiment(ExperimentConfig(**SMALL))
+    groups = run_recovery_experiment(ExperimentConfig(**SMALL))
     path = tmp_path / "r.csv"
-    emit_report(rows, "csv", str(path))
+    emit_report(groups, "csv", str(path))
     back = parse_report_csv(str(path))
-    assert back == rows
+    assert back == report_rows(groups)
 
 
 def test_emit_report_empty_rows_header_only(tmp_path):
@@ -139,16 +147,16 @@ def test_emit_report_empty_rows_header_only(tmp_path):
 
 
 def test_emit_report_json(tmp_path):
-    rows = run_recovery_experiment(ExperimentConfig(**SMALL))
+    groups = run_recovery_experiment(ExperimentConfig(**SMALL))
     path = tmp_path / "r.json"
-    emit_report(rows, "json", str(path))
-    assert json.loads(path.read_text()) == rows
+    emit_report(groups, "json", str(path))
+    assert json.loads(path.read_text()) == report_rows(groups)
 
 
 def test_emit_report_deterministic_bytes(tmp_path):
-    rows = run_recovery_experiment(ExperimentConfig(trials=1, **{k: v for k, v in SMALL.items() if k != "trials"}))
+    groups = run_recovery_experiment(ExperimentConfig(trials=1, **{k: v for k, v in SMALL.items() if k != "trials"}))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(rows, "csv", str(p1))
+    emit_report(groups, "csv", str(p1))
     emit_report(run_recovery_experiment(
         ExperimentConfig(trials=1, **{k: v for k, v in SMALL.items() if k != "trials"})),
         "csv", str(p2))
@@ -158,18 +166,18 @@ def test_emit_report_deterministic_bytes(tmp_path):
 def test_bipartite_experiment_modes_and_exact_floor():
     cfg = BipartiteExperimentConfig(n_half=16, graph_seed=2, orders=(2, 8),
                                     trials=4, rng_seed=7)
-    rows = run_bipartite_experiment(cfg)
-    modes = {r["mode"] for r in rows}
-    assert modes == {"exact", "chebyshev_p2", "chebyshev_p8",
-                     "chebyshev_baseline_p2", "chebyshev_baseline_p8"}
-    exact_db = next(r["mean_mse_db"] for r in rows if r["mode"] == "exact")
+    means = {g.labels[1]: g.mean_db for g in run_bipartite_experiment(cfg)}
+    assert set(means) == {"exact", "chebyshev_p2", "chebyshev_p8",
+                          "chebyshev_baseline_p2", "chebyshev_baseline_p8"}
+    exact_db = means["exact"]
     assert exact_db <= -180
 
 
 def test_bipartite_experiment_deterministic():
     cfg = BipartiteExperimentConfig(n_half=8, graph_seed=3, orders=(4,), trials=2,
                                     rng_seed=9)
-    assert run_bipartite_experiment(cfg) == run_bipartite_experiment(cfg)
+    assert report_rows(run_bipartite_experiment(cfg)) == \
+        report_rows(run_bipartite_experiment(cfg))
 
 
 def test_cli_gen_graph(tmp_path):
@@ -242,8 +250,10 @@ def test_cli_commands_offer_every_graph_kind(command):
 
 def test_trial_rows_read_the_floor_on_exact_recovery():
     x = np.arange(1.0, 7.0).reshape(3, 2)
-    rows = _trial_rows(("subspace", "unconstrained", "ds", "bl", "gen1", 0.0), x, x.copy())
-    assert [(r["mse_db"], r["mean_mse_db"]) for r in rows] == [(MSE_FLOOR_DB,) * 2] * 2
+    group = _trial_group(("subspace", "unconstrained", "ds", "bl", "gen1", 0.0),
+                         x - x, np.sum(x**2, axis=0))
+    assert group.mse_db.tolist() == [MSE_FLOOR_DB] * 2
+    assert group.mean_db == MSE_FLOOR_DB
 
 
 def test_cli_exp_bipartite_small(tmp_path):
@@ -332,27 +342,130 @@ def test_cli_verify_identity(capsys):
     assert "OK" in out
 
 
-# sha256 of three small reports, pinned so that a refactor that moves any
-# digit of any row shows.  The digests were taken with numpy 2.4 and its
-# bundled OpenBLAS 0.3.31 on x86-64; another BLAS build may change the last
-# bits of the products, and with them these digests.  The 32-vertex bipartite
+# sha256 of small reports, pinned so that a refactor that moves any digit of
+# any row shows.  The digests were taken with numpy 2.4 and its bundled
+# OpenBLAS 0.3.31 on x86-64; another BLAS build may change the last bits of
+# the products, and with them these digests.  The 32-vertex bipartite
 # operator is 12.5% nonzero, so its Chebyshev products are dense; the
 # 128-vertex one is 3.1% nonzero, so they are scipy.sparse CSR products and
-# that digest also depends on their summation order.
+# that digest also depends on their summation order.  The circular table
+# runs on the complex DFT basis.
+TABLE2 = ["exp", "table2", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "3",
+          "--rng-seed", "1"]
+BIPARTITE = ["exp", "bipartite", "--n", "32", "--orders", "2,4", "--trials", "3"]
+RECOVER = ["recover", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "3",
+           "--rng-seed", "1", "--noise", "0.1"]
 GOLDEN_REPORTS = [
-    (["exp", "table2", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "3",
-      "--rng-seed", "1"],
-     "40c0885e6436ffafa5738730ea11c4cbee64a871535602d0d8e294b961ae5d01"),
-    (["exp", "bipartite", "--n", "32", "--orders", "2,4", "--trials", "3"],
-     "870e3f099d6f510239995769209dccfa84421605038099a783b49828bfc6e8c3"),
+    (TABLE2, "40c0885e6436ffafa5738730ea11c4cbee64a871535602d0d8e294b961ae5d01"),
+    (BIPARTITE, "870e3f099d6f510239995769209dccfa84421605038099a783b49828bfc6e8c3"),
     (["exp", "bipartite", "--n", "128", "--orders", "2,4", "--trials", "3"],
      "cfdca75cebafe73c55c3d311fb62e03b3ef420988b72c888d1bed3df7385774a"),
+    ([*TABLE2, "--format", "json"],
+     "36629dc42ab3282698d73b5b0c9bb26788383c8d6d3e93c0af0021b788d9724f"),
+    (["exp", "table2", "--kind", "circular", "--n", "32", "--m", "4", "--trials", "3",
+      "--rng-seed", "1"],
+     "5f6959d82e0728ddc919257750e60ccc6c209212f121d79448b503355b8509f1"),
+    (RECOVER, "e0940bbfd97a82947e6189481309cbf9fdcd625079478b0678be22f195b52720"),
+]
+
+# sha256 of each command's standard output, the report path written as OUT.
+GOLDEN_STDOUTS = [
+    (TABLE2, "cff46019cd5ee1c4312272ffd8f5fb1a78a2c5fc448d6b6de4ad86f799d58a7a"),
+    (BIPARTITE, "f4eecb531a63cfd06f32e0f9a10b41731af3a20c97cd3eae98648d2dbbd5d462"),
+    (RECOVER, "42336e62dcf8cfe8377d9f40ca62283a957f72085e257af9fc30a581e94d8daf"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_REPORTS,
-                         ids=["table2", "bipartite", "bipartite-csr"])
+                         ids=["table2", "bipartite", "bipartite-csr", "table2-json",
+                              "table2-circular", "recover"])
 def test_cli_report_golden_digest(tmp_path, argv, digest):
     out = tmp_path / "report.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUTS, ids=["table2", "bipartite", "recover"])
+def test_cli_stdout_golden_digest(tmp_path, capsys, argv, digest):
+    out = tmp_path / "report.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    text = capsys.readouterr().out.replace(str(out), "OUT")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Report values the writer must keep exactly: the floor, a negative zero,
+# extremes, NaN and infinities.
+DB_VALUES = st.one_of(st.sampled_from([MSE_FLOOR_DB, -0.0, 0.0, 1e308, -1e308, 5e-324,
+                                       1e-300, math.nan, math.inf]), st.floats())
+GROUPS = st.lists(st.builds(
+    lambda labels, column, mean: ReportGroup(labels, np.array(column, dtype=float), mean),
+    st.tuples(st.sampled_from(PRIOR_IDS), st.sampled_from(MODE_IDS + ("exact",)),
+              st.sampled_from(STRATEGY_IDS + ("exact", "4")), st.sampled_from(SAMPLING_IDS),
+              st.sampled_from(GENERATOR_IDS + ("ir",)), DB_VALUES),
+    st.lists(DB_VALUES, min_size=1, max_size=5), DB_VALUES), max_size=4)
+
+
+def _oracle_rows(groups):
+    """One dict per trial, built without the library's flattener."""
+    rows = []
+    for g in groups:
+        for t in range(len(g.mse_db)):
+            rows.append({"prior": g.labels[0], "mode": g.labels[1], "strategy": g.labels[2],
+                         "sampling_filter": g.labels[3], "generator": g.labels[4],
+                         "noise": g.labels[5], "trial": t, "mse_db": float(g.mse_db[t]),
+                         "mean_mse_db": g.mean_db})
+    return rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(groups=GROUPS)
+def test_emit_report_matches_a_row_by_row_oracle(tmp_path_factory, groups):
+    folder = tmp_path_factory.mktemp("reports")
+    rows = _oracle_rows(groups)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    for row in rows:
+        writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
+                         for c in REPORT_COLUMNS])
+    emit_report(groups, "csv", str(folder / "r.csv"))
+    assert (folder / "r.csv").read_text(encoding="utf-8") == expected.getvalue()
+    # repr keeps NaN and the sign of zero visible to the comparison.
+    assert repr(parse_report_csv(str(folder / "r.csv"))) == repr(rows)
+    assert repr(report_rows(groups)) == repr(rows)
+    emit_report(groups, "json", str(folder / "r.json"))
+    assert (folder / "r.json").read_text(encoding="utf-8") == json.dumps(rows, indent=1) + "\n"
+
+
+def _loop_group(labels, err, energy):
+    """The per-trial loop the report groups replaced, kept as their reference."""
+    ratios = np.sum(np.abs(err) ** 2, axis=0) / energy
+    mean = np.mean(ratios)
+    mean_db = MSE_FLOOR_DB if mean == 0 else float(max(10.0 * np.log10(mean), MSE_FLOOR_DB))
+    trial_db = [MSE_FLOOR_DB if r == 0 else float(max(10.0 * np.log10(r), MSE_FLOOR_DB))
+                for r in ratios]
+    return labels, trial_db, mean_db
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["sensor", "bipartite"]), n=st.sampled_from([16, 24, 32]),
+       m=st.sampled_from([1, 2, 4, 8]), graph_seed=st.integers(0, 2**32 - 1),
+       rng_seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4))
+def test_noise_free_ds_recovery_is_exact(kind, n, m, graph_seed, rng_seed, trials):
+    built = []
+    group = experiments._trial_group
+
+    def spied(labels, err, energy):
+        built.append((_loop_group(labels, err, energy), group(labels, err, energy)))
+        return built[-1][1]
+
+    base = ExperimentConfig(graph_kind=kind, n=n, m=m, graph_seed=graph_seed,
+                            rng_seed=rng_seed, trials=trials)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_trial_group", spied)
+        groups = run_recovery_table(base)
+    assert len(groups) == len(built) == 22
+    for (labels, trial_db, mean_db), g in built:
+        assert (g.labels, g.mse_db.tolist(), g.mean_db) == (labels, trial_db, mean_db)
+        if labels[:3] == ("subspace", "unconstrained", "ds"):
+            assert max(trial_db) <= -200.0 and mean_db <= -200.0, labels

@@ -47,10 +47,11 @@ from specsamp.experiments import (
     TABLE_METHODS,
     ExperimentConfig,
     _draw_trials,
-    _trial_rows,
+    _trial_group,
     basis_for_config,
     build_experiment_graph,
     design_for_config,
+    report_rows,
     run_recovery_table,
 )
 
@@ -103,6 +104,26 @@ def test_fold_is_the_adjoint_of_upsample(ratio, t, seed):
                     np.vdot(xhat, spectral_upsample(d, cfg)), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["sensor", "dft"])
+@pytest.mark.parametrize("tail", [(), (3,), (16,)], ids=["1-D", "T=3", "T=N"])
+def test_spectral_halves_scale_the_upsampled_spectrum_bit_for_bit(kind, tail):
+    # The broadcast product equals diag(f) times the replicated copy exactly.
+    cfg = SamplingConfig(16, 4)
+    basis = _basis(kind, cfg.n, 3)
+    a, s = linear_decay(basis, 0.1), inverted_ramp(basis)
+    rng = np.random.default_rng(7)
+    d = rng.normal(size=(cfg.k, *tail))
+    assert np.array_equal(pgs_spectrum(PgsModel(a, cfg, basis), d),
+                          spectral._scale_rows(a.values, spectral_upsample(d, cfg)))
+    design = design_subspace_unconstrained(s, a, cfg)
+    chat = spectral_fold(rng.normal(size=(cfg.n, *tail)) + 1j * rng.normal(size=(cfg.n, *tail)),
+                         cfg)
+    corrected = spectral._scale_rows(design.h, chat.values)
+    assert np.array_equal(reconstruct_spectrum(design, chat),
+                          spectral._scale_rows(design.w.values,
+                                               spectral_upsample(corrected, cfg)))
+
+
 def test_spectral_halves_reject_mismatched_sizes():
     basis, cfg = dft_basis(8), SamplingConfig(8, 2)
     a = linear_decay(basis, 0.1)
@@ -128,9 +149,13 @@ def _vertex_domain_rows(base):
                                  scfg.n, float(np.sqrt(base.noise_variance)))
     methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
     methods.append(("baseline", "predefined", "ds", "bl"))
-    rows = []
+
+    def build(fid):
+        return FILTERS[fid](basis, base.eps, scfg.k)
+
+    groups = []
     for generator in GENERATOR_IDS:
-        a = FILTERS[generator](basis, base.eps, scfg.k)
+        a = build(generator)
         x = generate_pgs(PgsModel(a, scfg, basis), coeffs)
         for noise_variance in (0.0, base.noise_variance):
             y = x + noise if noise_variance > 0 else x
@@ -138,12 +163,13 @@ def _vertex_domain_rows(base):
                 cfg = replace(base, generator=generator, noise_variance=noise_variance,
                               prior=prior, mode=mode, strategy=strategy,
                               sampling_filter=sampling)
-                s, design = design_for_config(cfg, basis, scfg, a)
+                s, design = design_for_config(cfg, build, scfg, a)
                 xt = reconstruct(basis, design, frequency_sample(basis, s, y, scfg))
                 label = sampling if prior != "baseline" else "bl"
-                rows.extend(_trial_rows((prior, mode, strategy, label, generator,
-                                         noise_variance), x, xt))
-    return rows
+                groups.append(_trial_group((prior, mode, strategy, label, generator,
+                                            noise_variance), xt - x,
+                                           np.sum(np.abs(x) ** 2, axis=0)))
+    return report_rows(groups)
 
 
 @settings(max_examples=15, deadline=None)
@@ -154,7 +180,7 @@ def test_spectral_scoring_equals_vertex_scoring(kind, ratio, graph_seed, rng_see
     n, m = ratio
     base = ExperimentConfig(graph_kind=kind, n=n, m=m, graph_seed=graph_seed,
                             rng_seed=rng_seed, trials=trials, noise_variance=0.1)
-    rows = run_recovery_table(base)
+    rows = report_rows(run_recovery_table(base))
     expected = _vertex_domain_rows(base)
     assert len(rows) == len(expected) == 44 * trials
     for row, ref in zip(rows, expected):
