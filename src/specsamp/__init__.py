@@ -71,7 +71,6 @@ from .graphs import (
 )
 from .recovery import (
     DsCheck,
-    Mode,
     PgsModel,
     RecoveryDesign,
     Strategy,
@@ -91,6 +90,7 @@ from .sampling import (
     SampledSpectrum,
     SamplingConfig,
     frequency_sample,
+    sample_spectrum,
     sampled_cross_correlation,
     spectral_fold,
     spectral_upsample,

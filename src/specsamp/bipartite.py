@@ -42,8 +42,8 @@ from .errors import (
 )
 from .filters import SpectralFilter, bandlimit
 from .graphs import Graph, VariationOperator, normalized_laplacian
-from .recovery import Strategy, design_subspace_unconstrained
-from .sampling import SamplingConfig, frequency_sample
+from .recovery import design_subspace_unconstrained
+from .sampling import SamplingConfig, _scaled_upsample, frequency_sample, spectral_fold
 from .spectral import SpectralBasis, _column_signs, apply_filter
 
 _RESIDUAL_TOL = 1e-8
@@ -125,8 +125,7 @@ def reduction_identity_residual(sys: BipartiteSystem) -> float:
     max |Phi Phi^T - I|, not the theorem itself.
     """
     half = sys.half
-    u_b = sys.basis_b.vectors
-    folded = (u_b.T[:half, :] + u_b.T[half:, :]) / np.sqrt(2.0)
+    folded = spectral_fold(sys.basis_b.vectors.T, sys.cfg).values / np.sqrt(sys.cfg.m)
     product = sys.basis_reduced.vectors @ folded
     target = np.zeros((half, sys.cfg.n))
     target[:, :half] = np.eye(half)
@@ -148,7 +147,7 @@ def build_wprime(w: SpectralFilter, h: np.ndarray) -> SpectralFilter:
     h = np.asarray(h, dtype=float)
     if w.n != 2 * h.shape[0]:
         raise DimensionMismatch("need len(w) == 2 * len(h)")
-    return SpectralFilter(w.values * np.tile(h, 2))
+    return SpectralFilter(_scaled_upsample(w.values, h, SamplingConfig(w.n, 2)))
 
 
 def _apply(sys: BipartiteSystem, f: Union[SpectralFilter, ChebyshevFilter],
@@ -182,11 +181,13 @@ def reconstruct_from_part(sys: BipartiteSystem, w: Union[SpectralFilter, Chebysh
     return sys.cfg.m * _apply(sys, w, _zero_pad(kept))
 
 
-def generate_one_branch(sys: BipartiteSystem, wprime: SpectralFilter,
+def generate_one_branch(sys: BipartiteSystem,
+                        wprime: Union[SpectralFilter, ChebyshevFilter],
                         d: np.ndarray) -> np.ndarray:
     """Synthesize a one-branch signal from length-N/2 coefficients:
-    zero-pad onto the first part and filter by wprime."""
-    return apply_filter(sys.basis_b, wprime, _zero_pad(d))
+    zero-pad onto the first part and filter by wprime (as in
+    :func:`sample_first_part`)."""
+    return _apply(sys, wprime, _zero_pad(d))
 
 
 def vertex_pipeline(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilter],
@@ -244,5 +245,5 @@ def one_branch_design(sys: BipartiteSystem, a: SpectralFilter
     bandlimited sampling filter and the combined reconstruction response
     a * h of its unconstrained DS design (see :func:`build_wprime`)."""
     s = bandlimit(sys.basis_b, sys.half)
-    design = design_subspace_unconstrained(s, a, sys.cfg, Strategy.DS)
+    design = design_subspace_unconstrained(s, a, sys.cfg)
     return s, build_wprime(a, design.h)

@@ -18,8 +18,14 @@ from . import __version__
 from .bipartite import build_system, reduction_identity_residual, verify_corollary1
 from .errors import InvalidParameter, IoFailure, SpecSampError
 from .experiments import (
+    BIPARTITE_KINDS,
     FILTERS,
+    GENERATOR_IDS,
     GRAPH_KINDS,
+    MODE_IDS,
+    PRIOR_IDS,
+    SAMPLING_IDS,
+    STRATEGY_IDS,
     BipartiteExperimentConfig,
     ExperimentConfig,
     basis_for_config,
@@ -38,10 +44,15 @@ from .sampling import SamplingConfig
 _CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
 
 
-def _config(cls, path, **flags):
-    """``cls`` built from the flag values, with the keys of the JSON object
-    in the ``--config`` file ``path`` (if given) overriding them."""
+def _config(cls, args, **derived):
+    """``cls`` built from the flags whose dest is one of its fields, then
+    ``derived``, then the keys of the JSON object in the ``--config`` file
+    (if the command takes one and it is given), each overriding the one
+    before."""
+    types = {f.name: type(f.default) for f in fields(cls)}
+    flags = {k: v for k, v in vars(args).items() if k in types}
     overrides = {}
+    path = getattr(args, "config", None)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -50,11 +61,11 @@ def _config(cls, path, **flags):
             raise IoFailure(str(exc)) from exc
         if not isinstance(overrides, dict):
             raise InvalidParameter("config file must hold a JSON object")
-    types = {f.name: type(f.default) for f in fields(cls)}
     bad = set(overrides) - set(types)
     if bad:
         raise InvalidParameter(f"unknown config keys: {sorted(bad)}")
-    return cls(**{**flags, **{k: _typed(k, types[k], v) for k, v in overrides.items()}})
+    return cls(**{**flags, **derived,
+                  **{k: _typed(k, types[k], v) for k, v in overrides.items()}})
 
 
 def _typed(key, kind, value):
@@ -68,36 +79,27 @@ def _typed(key, kind, value):
     raise InvalidParameter(f"wrong type for config key {key!r}: {value!r}")
 
 
-def _experiment_config(args, **flags) -> ExperimentConfig:
-    return _config(ExperimentConfig, args.config, graph_kind=args.kind, n=args.n,
-                   graph_seed=args.seed, m=args.m, trials=args.trials,
-                   noise_variance=args.noise, rng_seed=args.rng_seed, **flags)
-
-
 def _cmd_gen_graph(args) -> int:
-    g = build_experiment_graph(ExperimentConfig(graph_kind=args.kind, n=args.n,
-                                                graph_seed=args.seed, p=args.p))
+    cfg = _config(ExperimentConfig, args)
+    g = build_experiment_graph(cfg)
     save_graph(g, args.out)
-    print(f"wrote {args.kind} graph with n={g.n} to {args.out}")
+    print(f"wrote {cfg.graph_kind} graph with n={g.n} to {args.out}")
     return 0
 
 
 def _cmd_filters_dump(args) -> int:
-    cfg = ExperimentConfig(graph_kind=args.kind, n=args.n, graph_seed=args.seed,
-                           m=args.m, eps=args.eps)
-    graph = build_experiment_graph(cfg)
-    basis = basis_for_config(cfg, graph)
-    k = SamplingConfig(args.n, args.m).k
+    cfg = _config(ExperimentConfig, args)
+    basis = basis_for_config(cfg, build_experiment_graph(cfg))
+    k = SamplingConfig(cfg.n, cfg.m).k
     os.makedirs(args.out, exist_ok=True)
     for name, build in FILTERS.items():
-        save_filter(build(basis, args.eps, k), basis, os.path.join(args.out, f"{name}.txt"))
+        save_filter(build(basis, cfg.eps, k), basis, os.path.join(args.out, f"{name}.txt"))
     print(f"wrote {len(FILTERS)} filter tables to {args.out}")
     return 0
 
 
 def _cmd_recover(args) -> int:
-    cfg = _experiment_config(args, generator=args.generator, sampling_filter=args.sampling,
-                             prior=args.prior, mode=args.mode, strategy=args.strategy)
+    cfg = _config(ExperimentConfig, args)
     groups = run_recovery_experiment(cfg)
     if args.out:
         emit_report(groups, args.format, args.out)
@@ -106,8 +108,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_exp_table2(args) -> int:
-    base = _experiment_config(args)
-    groups = run_recovery_table(base)
+    groups = run_recovery_table(_config(ExperimentConfig, args))
     emit_report(groups, args.format, args.out)
     for rec in sorted({(*g.labels, g.mean_db) for g in groups}):
         print(" ".join(str(v) for v in rec))
@@ -116,11 +117,8 @@ def _cmd_exp_table2(args) -> int:
 
 
 def _cmd_exp_bipartite(args) -> int:
-    cfg = _config(BipartiteExperimentConfig, args.config,
-                  n_half=part_size(args.n, "bipartite"), graph_seed=args.seed,
-                  graph_kind=args.graph, p=args.p,
-                  orders=tuple(int(p) for p in args.orders.split(",")),
-                  trials=args.trials, rng_seed=args.rng_seed, coeff_mean=args.coeff_mean)
+    cfg = _config(BipartiteExperimentConfig, args, n_half=part_size(args.n, "bipartite"),
+                  orders=tuple(int(p) for p in args.orders.split(",")))
     groups = run_bipartite_experiment(cfg)
     emit_report(groups, args.format, args.out)
     for mode, db in sorted({(g.labels[1], g.mean_db) for g in groups}):
@@ -161,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="generate a graph and write its edge list")
-    p.add_argument("--kind", default="sensor", choices=GRAPH_KINDS)
+    p.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", dest="graph_seed", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen_graph)
@@ -171,25 +169,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filters", help="filter table utilities")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     fd = fsub.add_parser("dump", help="write two-column (lambda, value) filter tables")
-    fd.add_argument("--kind", default="sensor", choices=GRAPH_KINDS)
+    fd.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
     fd.add_argument("--n", type=int, default=64)
-    fd.add_argument("--seed", type=int, default=0)
+    fd.add_argument("--seed", dest="graph_seed", type=int, default=0)
     fd.add_argument("--m", type=int, default=8)
     fd.add_argument("--eps", type=float, default=0.1)
     fd.add_argument("--out", required=True)
     fd.set_defaults(fn=_cmd_filters_dump)
 
     p = sub.add_parser("recover", help="run a single recovery pipeline")
-    p.add_argument("--kind", default="sensor", choices=GRAPH_KINDS)
+    p.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", dest="graph_seed", type=int, default=0)
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--generator", default="gen1", choices=["gen1", "gen2"])
-    p.add_argument("--sampling", default="bl", choices=["bl", "ir"])
-    p.add_argument("--prior", default="subspace", choices=["subspace", "smoothness", "baseline"])
-    p.add_argument("--mode", default="unconstrained", choices=["unconstrained", "predefined"])
-    p.add_argument("--strategy", default="ds", choices=["ds", "ls", "mx"])
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--generator", default="gen1", choices=GENERATOR_IDS)
+    p.add_argument("--sampling", dest="sampling_filter", default="bl", choices=SAMPLING_IDS)
+    p.add_argument("--prior", default="subspace", choices=PRIOR_IDS)
+    p.add_argument("--mode", default="unconstrained", choices=MODE_IDS)
+    p.add_argument("--strategy", default="ds", choices=STRATEGY_IDS)
+    p.add_argument("--noise", dest="noise_variance", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--config", default=None)
@@ -200,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp", help="experiment harness")
     esub = p.add_subparsers(dest="subcommand", required=True)
     t2 = esub.add_parser("table2", help="full recovery method/filter/noise matrix")
-    t2.add_argument("--kind", default="sensor", choices=GRAPH_KINDS)
+    t2.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
     t2.add_argument("--n", type=int, default=256)
-    t2.add_argument("--seed", type=int, default=0)
+    t2.add_argument("--seed", dest="graph_seed", type=int, default=0)
     t2.add_argument("--m", type=int, default=8)
     t2.add_argument("--trials", type=int, default=1000)
-    t2.add_argument("--noise", type=float, default=0.1)
+    t2.add_argument("--noise", dest="noise_variance", type=float, default=0.1)
     t2.add_argument("--rng-seed", type=int, default=0)
     t2.add_argument("--config", default=None)
     t2.add_argument("--out", required=True)
@@ -214,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bp = esub.add_parser("bipartite", help="one-branch Chebyshev-order sweep")
     bp.add_argument("--n", type=int, default=256)
-    bp.add_argument("--seed", type=int, default=0)
-    bp.add_argument("--graph", default="matched", choices=["matched", "random"])
+    bp.add_argument("--seed", dest="graph_seed", type=int, default=0)
+    bp.add_argument("--graph", dest="graph_kind", default="matched", choices=BIPARTITE_KINDS)
     bp.add_argument("--p", type=float, default=0.5)
     bp.add_argument("--orders", default="2,4,8,16,24,32")
     bp.add_argument("--trials", type=int, default=100)

@@ -10,12 +10,7 @@ The recovery experiments (``recover``, ``exp table2``) sample, correct and
 reconstruct in the graph frequency domain and score each trial between
 the clean and the reconstructed spectrum. Every basis here is orthonormal
 or unitary, so by Parseval that is the vertex-domain error; a run makes
-one GFT, of the noise block, and none when it is noise-free. This moved
-the report bits once, on purpose: rows that are not exact agree with the
-earlier vertex-domain scoring to round-off, and the exact direct-sum
-rows, which measure round-off alone, read lower (about -320 to -314 dB
-against -298 to -291 dB at N = 1024), since no transform round trip
-adds to it.
+one GFT, of the noise block, and none when it is noise-free.
 
 A Table 2 run shares one graph, basis, trial draw and noise GFT, folds
 once per (generator, noise, sampling filter) and builds each filter once.
@@ -25,7 +20,8 @@ Results stay per-configuration columns (:class:`ReportGroup`) until
 
 import csv
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from typing import Callable, List, NamedTuple
@@ -60,11 +56,11 @@ from .graphs import (
     gen_random_sensor,
 )
 from .recovery import (
-    MSE_FLOOR_DB,
-    Mode,
     PgsModel,
     RecoveryDesign,
     Strategy,
+    _energy,
+    _floored_db,
     design_smoothness_predefined,
     design_smoothness_unconstrained,
     design_subspace_predefined,
@@ -72,8 +68,8 @@ from .recovery import (
     pgs_spectrum,
     reconstruct_spectrum,
 )
-from .sampling import SamplingConfig, spectral_fold
-from .spectral import SpectralBasis, _scale_rows, dft_basis, eigendecompose, gft
+from .sampling import SamplingConfig, sample_spectrum
+from .spectral import SpectralBasis, dft_basis, eigendecompose, gft
 
 REPORT_COLUMNS = ("prior", "mode", "strategy", "sampling_filter", "generator",
                   "noise", "trial", "mse_db", "mean_mse_db")
@@ -122,8 +118,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameter("need trials >= 1")
-        if self.noise_variance < 0:
-            raise InvalidParameter("need noise variance >= 0")
+        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
+            raise InvalidParameter("need a finite noise variance >= 0")
+        if not math.isfinite(self.coeff_mean):
+            raise InvalidParameter("need a finite coefficient mean")
         if self.generator not in GENERATOR_IDS:
             raise InvalidParameter(f"unknown generator id {self.generator!r}")
         if self.sampling_filter not in SAMPLING_IDS:
@@ -131,6 +129,8 @@ class ExperimentConfig:
         if self.prior not in PRIOR_IDS or self.mode not in MODE_IDS \
                 or self.strategy not in STRATEGY_IDS:
             raise InvalidParameter("unknown prior/mode/strategy id")
+        if self.prior == "smoothness" and self.strategy == "ds":
+            raise InvalidParameter("smoothness-prior designs are ls or mx, not ds")
 
 
 def part_size(n: int, kind: str) -> int:
@@ -171,25 +171,25 @@ def basis_for_config(cfg: ExperimentConfig, graph) -> SpectralBasis:
     return eigendecompose(combinatorial_laplacian(graph))
 
 
-def design_for_config(cfg: ExperimentConfig, build: Callable[[str], SpectralFilter],
+def design_for_config(method: tuple, build: Callable[[str], SpectralFilter],
                       scfg: SamplingConfig, a: SpectralFilter):
-    """Build (sampling filter, design) for one experiment configuration
-    with generator ``a``, taking each filter by its FILTERS id from
-    ``build``."""
-    strategy = Strategy(cfg.strategy)
-    if cfg.prior == "baseline":
+    """(sampling filter id, design) of one (prior, mode, strategy, sampling
+    filter) method with generator ``a``, taking each filter by its FILTERS
+    id from ``build``. The baseline samples with "bl" whatever its
+    sampling filter id."""
+    prior, mode, strategy, sampling = method
+    if prior == "baseline":
         # Bandlimited sampling and reconstruction with no correction.
-        s = build("bl")
-        return s, RecoveryDesign(np.ones(scfg.k), s, Strategy.DS, Mode.PREDEFINED)
-    s = build(cfg.sampling_filter)
-    if cfg.prior == "subspace":
-        if cfg.mode == "unconstrained":
-            return s, design_subspace_unconstrained(s, a, scfg, strategy)
-        return s, design_subspace_predefined(s, a, build("cos"), scfg, strategy)
+        return "bl", RecoveryDesign(np.ones(scfg.k), build("bl"))
+    s, strategy = build(sampling), Strategy(strategy)
+    if prior == "subspace":
+        if mode == "unconstrained":
+            return sampling, design_subspace_unconstrained(s, a, scfg, strategy)
+        return sampling, design_subspace_predefined(s, a, build("cos"), scfg, strategy)
     v = build("smooth")
-    if cfg.mode == "unconstrained":
-        return s, design_smoothness_unconstrained(s, v, scfg)
-    return s, design_smoothness_predefined(s, v, build("cos"), scfg, strategy)
+    if mode == "unconstrained":
+        return sampling, design_smoothness_unconstrained(s, v, scfg)
+    return sampling, design_smoothness_predefined(s, v, build("cos"), scfg, strategy)
 
 
 def _draw_trials(seed: int, trials: int, mean: float, k: int,
@@ -216,17 +216,6 @@ class ReportGroup(NamedTuple):
     labels: tuple
     mse_db: np.ndarray
     mean_db: float
-
-
-def _floored_db(ratio):
-    """10 log10(ratio), floored at MSE_FLOOR_DB; a zero ratio reads the floor."""
-    with np.errstate(divide="ignore"):
-        return np.maximum(10.0 * np.log10(ratio), MSE_FLOOR_DB)
-
-
-def _energy(x: np.ndarray) -> np.ndarray:
-    """Per-trial energy: the squared norm of each column."""
-    return np.sum(np.abs(x) ** 2, axis=0)
 
 
 def _trial_group(labels: tuple, err: np.ndarray, energy: np.ndarray) -> ReportGroup:
@@ -266,18 +255,14 @@ def _recovery_groups(base: ExperimentConfig, generators, noises,
         for noise_variance in noises:
             yhat = xhat + noise if noise_variance > 0 else xhat
             folded = {}  # sampling filter id -> sampled spectrum
-            for prior, mode, strategy, sampling in methods:
-                cfg = replace(base, generator=generator, noise_variance=noise_variance,
-                              prior=prior, mode=mode, strategy=strategy,
-                              sampling_filter=sampling)
-                s, design = design_for_config(cfg, build, scfg, a)
-                label = sampling if prior != "baseline" else "bl"
+            for method in methods:
+                label, design = design_for_config(method, build, scfg, a)
                 if label not in folded:
-                    folded[label] = spectral_fold(_scale_rows(s.values, yhat), scfg)
+                    folded[label] = sample_spectrum(build(label), yhat, scfg)
                 err = reconstruct_spectrum(design, folded[label])
                 err -= xhat
-                groups.append(_trial_group((prior, mode, strategy, label, generator,
-                                            noise_variance), err, energy))
+                groups.append(_trial_group((*method[:3], label, generator, noise_variance),
+                                           err, energy))
     return groups
 
 
@@ -308,6 +293,9 @@ def run_recovery_table(base: ExperimentConfig) -> List[ReportGroup]:
     return _recovery_groups(base, GENERATOR_IDS, noises, methods)
 
 
+BIPARTITE_KINDS = ("matched", "random")
+
+
 @dataclass(frozen=True)
 class BipartiteExperimentConfig:
     """Chebyshev-order sweep for one-branch vertex-domain recovery.
@@ -333,7 +321,9 @@ class BipartiteExperimentConfig:
             raise InvalidParameter("need trials >= 1")
         if any(p < 1 for p in self.orders):
             raise InvalidParameter("orders must be >= 1")
-        if self.graph_kind not in ("matched", "random"):
+        if not math.isfinite(self.coeff_mean):
+            raise InvalidParameter("need a finite coefficient mean")
+        if self.graph_kind not in BIPARTITE_KINDS:
             raise InvalidParameter(f"unknown bipartite graph kind {self.graph_kind!r}")
 
 

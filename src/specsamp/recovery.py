@@ -36,15 +36,22 @@ from .spectral import SpectralBasis, _scale_rows, gft, igft
 MSE_FLOOR_DB = -320.0
 
 
+def _energy(x: np.ndarray) -> np.ndarray:
+    """Per-trial energy: the squared norm of each column (of the whole
+    signal when it is 1-D)."""
+    return np.sum(np.abs(x) ** 2, axis=0)
+
+
+def _floored_db(ratio):
+    """10 log10(ratio), floored at MSE_FLOOR_DB; a zero ratio reads the floor."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(10.0 * np.log10(ratio), MSE_FLOOR_DB)
+
+
 class Strategy(Enum):
     DS = "ds"
     LS = "ls"
     MX = "mx"
-
-
-class Mode(Enum):
-    UNCONSTRAINED = "unconstrained"
-    PREDEFINED = "predefined"
 
 
 @dataclass(frozen=True)
@@ -64,12 +71,10 @@ class PgsModel:
 @dataclass(frozen=True)
 class RecoveryDesign:
     """Correction filter (K diagonal values) plus reconstruction filter
-    (length N) and the strategy/mode that produced them."""
+    (length N)."""
 
     h: np.ndarray
     w: SpectralFilter
-    strategy: Strategy
-    mode: Mode
 
     def __post_init__(self):
         h = np.array(self.h, dtype=float)
@@ -166,7 +171,7 @@ def design_subspace_unconstrained(s: SpectralFilter, a: SpectralFilter,
     signal exactly; LS/MX replace the inverse by a pseudo-inverse.
     """
     error = DsConditionViolated if strategy is Strategy.DS else None
-    return RecoveryDesign(_unconstrained_h(s, a, cfg, error), a, strategy, Mode.UNCONSTRAINED)
+    return RecoveryDesign(_unconstrained_h(s, a, cfg, error), a)
 
 
 def design_subspace_predefined(s: SpectralFilter, a: SpectralFilter,
@@ -183,7 +188,7 @@ def design_subspace_predefined(s: SpectralFilter, a: SpectralFilter,
     else:
         error = DsConditionViolated if strategy is Strategy.DS else None
         h = _predefined_h(s, a, w, cfg, strategy, error)
-    return RecoveryDesign(h, w, strategy, Mode.PREDEFINED)
+    return RecoveryDesign(h, w)
 
 
 def design_smoothness_unconstrained(s: SpectralFilter, v: SpectralFilter,
@@ -196,7 +201,7 @@ def design_smoothness_unconstrained(s: SpectralFilter, v: SpectralFilter,
     """
     wt = _smoothness_generator(s, v)
     h = _unconstrained_h(s, wt, cfg, SingularCorrelation)
-    return RecoveryDesign(h, wt, Strategy.LS, Mode.UNCONSTRAINED)
+    return RecoveryDesign(h, wt)
 
 
 def design_smoothness_predefined(s: SpectralFilter, v: SpectralFilter,
@@ -214,7 +219,7 @@ def design_smoothness_predefined(s: SpectralFilter, v: SpectralFilter,
         raise InvalidParameter("smoothness predefined designs are LS or MX")
     wt = _smoothness_generator(s, v)
     h = _predefined_h(s, wt, w, cfg, Strategy.MX, SingularCorrelation)
-    return RecoveryDesign(h, w, Strategy.MX, Mode.PREDEFINED)
+    return RecoveryDesign(h, w)
 
 
 def reconstruct_spectrum(design: RecoveryDesign, chat: SampledSpectrum) -> np.ndarray:
@@ -247,10 +252,7 @@ def mse_db(x: np.ndarray, xtilde: np.ndarray) -> float:
     xtilde = np.asarray(xtilde)
     if x.shape != xtilde.shape:
         raise DimensionMismatch("signals must have equal length")
-    ref = float(np.sum(np.abs(x) ** 2))
+    ref = _energy(x.ravel())
     if ref == 0.0:
         raise ZeroReference("reference signal has zero energy")
-    err = float(np.sum(np.abs(x - xtilde) ** 2))
-    if err == 0.0:
-        return MSE_FLOOR_DB
-    return max(10.0 * np.log10(err / ref), MSE_FLOOR_DB)
+    return float(_floored_db(_energy((x - xtilde).ravel()) / ref))

@@ -76,6 +76,15 @@ def _scaled_upsample(f: np.ndarray, dhat: np.ndarray, cfg: SamplingConfig) -> np
     return (f.reshape(cfg.m, cfg.k, *[1] * len(tail)) * dhat[None]).reshape(cfg.n, *tail)
 
 
+def sample_spectrum(s: SpectralFilter, xhat: np.ndarray,
+                    cfg: SamplingConfig) -> SampledSpectrum:
+    """Spectral half of :func:`frequency_sample`: fold the filtered
+    spectrum diag(s) xhat."""
+    if s.n != cfg.n:
+        raise DimensionMismatch("filter and config sizes must agree")
+    return spectral_fold(_scale_rows(s.values, xhat), cfg)
+
+
 def frequency_sample(b: SpectralBasis, s: SpectralFilter, x: np.ndarray,
                      cfg: SamplingConfig) -> SampledSpectrum:
     """Graph-frequency-domain sampling: fold the filtered spectrum.
@@ -83,9 +92,9 @@ def frequency_sample(b: SpectralBasis, s: SpectralFilter, x: np.ndarray,
     Equals the K x N sampling matrix [I_K I_K ...] diag(s) U* applied
     to x.
     """
-    if b.n != cfg.n or s.n != cfg.n:
-        raise DimensionMismatch("basis, filter, and config sizes must agree")
-    return spectral_fold(_scale_rows(s.values, gft(b, x)), cfg)
+    if b.n != cfg.n:
+        raise DimensionMismatch("basis and config sizes must agree")
+    return sample_spectrum(s, gft(b, x), cfg)
 
 
 def sampled_cross_correlation(f1: SpectralFilter, f2: SpectralFilter,

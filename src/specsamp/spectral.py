@@ -13,7 +13,6 @@ from .errors import DimensionMismatch, EigensolveFailure
 from .filters import SpectralFilter
 from .graphs import VariationOperator
 
-_TIE_TOL = 1e-8
 _SIGN_TOL = 1e-8
 
 
@@ -54,32 +53,12 @@ def _column_signs(u: np.ndarray) -> np.ndarray:
     return np.where(big.any(axis=0) & (lead < 0), -1.0, 1.0)
 
 
-def _order_ties(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Within groups of equal eigenvalues, order columns lexicographically
-    by rounded entries so degenerate subspaces get a reproducible basis
-    ordering."""
-    out = u.copy()
-    scale = max(1.0, np.abs(lam).max(initial=1.0))
-    start = 0
-    while start < len(lam):
-        stop = start + 1
-        while stop < len(lam) and lam[stop] - lam[start] <= _TIE_TOL * scale:
-            stop += 1
-        if stop - start > 1:
-            block = out[:, start:stop]
-            keys = np.round(block, 9)
-            order = sorted(range(block.shape[1]), key=lambda j: tuple(keys[:, j]))
-            out[:, start:stop] = block[:, order]
-        start = stop
-    return out
-
-
 def eigendecompose(op: VariationOperator) -> SpectralBasis:
     """Eigendecompose a variation operator into an orthonormal GFT basis.
 
-    Eigenvalues come out ascending; within a degenerate group the basis
-    ordering is made deterministic by making each eigenvector's first
-    nonzero entry positive and sorting on rounded entries.
+    Eigenvalues come out ascending, and each eigenvector's first entry
+    above threshold is positive. A degenerate eigenspace keeps the basis
+    LAPACK returns for it.
 
     Raises
     ------
@@ -90,7 +69,7 @@ def eigendecompose(op: VariationOperator) -> SpectralBasis:
         lam, u = np.linalg.eigh(op.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
-    u = _order_ties(u * _column_signs(u), lam)
+    u *= _column_signs(u)
     return SpectralBasis(u, lam)
 
 

@@ -37,7 +37,7 @@ from specsamp.experiments import (
     run_bipartite_experiment,
     run_recovery_experiment,
 )
-from specsamp.recovery import Mode, RecoveryDesign, Strategy
+from specsamp.recovery import RecoveryDesign, Strategy
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -190,7 +190,7 @@ def test_07_pipeline_equivalence_random_filters():
             h = rng.normal(size=n_half)
             x = rng.normal(size=n)
             vx = vertex_pipeline(sys_, s, build_wprime(w, h), x)
-            design = RecoveryDesign(h, w, Strategy.DS, Mode.PREDEFINED)
+            design = RecoveryDesign(h, w)
             chat = frequency_sample(sys_.basis_b, s, x, sys_.cfg)
             fx = reconstruct(sys_.basis_b, design, chat)
             worst = max(worst, float(np.max(np.abs(vx - fx)) / np.linalg.norm(x)))

@@ -8,12 +8,10 @@ from specsamp import (
     ConnectivityFailure,
     DimensionMismatch,
     DsConditionViolated,
-    Mode,
     NotBipartite,
     PairingFailure,
     RecoveryDesign,
     SpectralFilter,
-    Strategy,
     UnequalParts,
     bandlimit,
     build_system,
@@ -193,7 +191,7 @@ def test_vertex_pipeline_equals_frequency_pipeline_random_filters(sys16):
     x = rng.normal(size=16)
     wprime = build_wprime(w, h)
     vx = vertex_pipeline(sys16, s, wprime, x)
-    design = RecoveryDesign(h, w, Strategy.DS, Mode.PREDEFINED)
+    design = RecoveryDesign(h, w)
     chat = frequency_sample(sys16.basis_b, s, x, sys16.cfg)
     fx = reconstruct(sys16.basis_b, design, chat)
     assert np.max(np.abs(vx - fx)) < 1e-10
@@ -333,3 +331,5 @@ def test_vertex_steps_reject_wrong_length_signals(sys16, kind):
         reconstruct_from_part(sys16, f, np.ones(7))
     with pytest.raises(DimensionMismatch):
         vertex_pipeline(sys16, f, f, np.ones(17))
+    with pytest.raises(DimensionMismatch):
+        generate_one_branch(sys16, f, np.ones(7))

@@ -79,6 +79,54 @@ def test_config_validation():
         ExperimentConfig(noise_variance=-1.0)
     with pytest.raises(InvalidParameter):
         ExperimentConfig(generator="nope")
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter):
+            ExperimentConfig(noise_variance=value)
+        with pytest.raises(InvalidParameter):
+            ExperimentConfig(coeff_mean=value)
+        with pytest.raises(InvalidParameter):
+            BipartiteExperimentConfig(coeff_mean=value)
+
+
+SMALL_RUNS = {
+    "recover": ["recover", "--n", "32", "--m", "4", "--trials", "2"],
+    "table2": ["exp", "table2", "--n", "32", "--m", "4", "--trials", "2"],
+    "bipartite": ["exp", "bipartite", "--n", "32", "--orders", "2", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,flag,key", [
+    ("recover", "--noise", "noise_variance"),
+    ("table2", "--noise", "noise_variance"),
+    ("recover", None, "coeff_mean"),
+    ("table2", None, "coeff_mean"),
+    ("bipartite", "--coeff-mean", "coeff_mean"),
+])
+def test_cli_rejects_non_finite_settings(tmp_path, capsys, command, flag, key, value):
+    out = tmp_path / "r.csv"
+    forms = [["--config", str(tmp_path / "c.json")]]
+    (tmp_path / "c.json").write_text(json.dumps({key: float(value)}))
+    if flag is not None:
+        forms.append([flag, value])
+    for form in forms:
+        assert main([*SMALL_RUNS[command], *form, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", MODE_IDS)
+def test_smoothness_with_ds_is_rejected_before_any_graph(monkeypatch, tmp_path, capsys, mode):
+    built = []
+    monkeypatch.setattr(experiments, "build_experiment_graph", built.append)
+    with pytest.raises(InvalidParameter, match="ls.*mx"):
+        ExperimentConfig(prior="smoothness", mode=mode, strategy="ds")
+    assert main([*SMALL_RUNS["recover"], "--prior", "smoothness", "--mode", mode,
+                 "--strategy", "ds", "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "ls" in err and "mx" in err and "Traceback" not in err
+    assert built == []
 
 
 def test_table_matrix_row_counts():
@@ -245,7 +293,55 @@ def test_cli_exp_table2_runs_on_every_graph_kind(tmp_path, kind):
 def test_cli_commands_offer_every_graph_kind(command):
     for kind in GRAPH_KINDS:
         args = cli.build_parser().parse_args([*command, "--kind", kind, "--out", "x"])
-        assert args.kind == kind
+        assert args.graph_kind == kind
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture(cfg, *rest):
+    raise _Captured(cfg)
+
+
+# Each command with every flag that sets a config field at a non-default
+# value, the function that receives the config, and the fields it must hold.
+FLAG_FIELDS = [
+    (["gen-graph", "--kind", "circular", "--n", "12", "--seed", "3", "--p", "0.25"],
+     "build_experiment_graph", dict(graph_kind="circular", n=12, graph_seed=3, p=0.25)),
+    (["filters", "dump", "--kind", "bipartite", "--n", "12", "--seed", "3", "--m", "3",
+      "--eps", "0.25"],
+     "build_experiment_graph", dict(graph_kind="bipartite", n=12, graph_seed=3, m=3, eps=0.25)),
+    (["recover", "--kind", "circular", "--n", "12", "--seed", "3", "--m", "3",
+      "--generator", "gen2", "--sampling", "ir", "--prior", "smoothness", "--mode",
+      "predefined", "--strategy", "mx", "--noise", "0.5", "--trials", "7", "--rng-seed", "9"],
+     "run_recovery_experiment",
+     dict(graph_kind="circular", n=12, graph_seed=3, m=3, generator="gen2",
+          sampling_filter="ir", prior="smoothness", mode="predefined", strategy="mx",
+          noise_variance=0.5, trials=7, rng_seed=9)),
+    (["exp", "table2", "--kind", "bipartite", "--n", "12", "--seed", "3", "--m", "3",
+      "--trials", "7", "--noise", "0.5", "--rng-seed", "9"],
+     "run_recovery_table",
+     dict(graph_kind="bipartite", n=12, graph_seed=3, m=3, trials=7, noise_variance=0.5,
+          rng_seed=9)),
+    (["exp", "bipartite", "--n", "12", "--seed", "3", "--graph", "random", "--p", "0.25",
+      "--orders", "3,5", "--trials", "7", "--rng-seed", "9", "--coeff-mean", "2.5"],
+     "run_bipartite_experiment",
+     dict(n_half=6, graph_seed=3, graph_kind="random", p=0.25, orders=(3, 5), trials=7,
+          rng_seed=9, coeff_mean=2.5)),
+]
+
+
+@pytest.mark.parametrize("argv,target,expected", FLAG_FIELDS,
+                         ids=["gen-graph", "filters-dump", "recover", "table2", "bipartite"])
+def test_cli_flags_land_in_their_config_fields(monkeypatch, tmp_path, argv, target, expected):
+    monkeypatch.setattr(cli, target, _capture)
+    with pytest.raises(_Captured) as caught:
+        main([*argv, "--out", str(tmp_path / "out")])
+    cfg = caught.value.args[0]
+    default = type(cfg)()
+    assert {name: getattr(cfg, name) for name in expected} == expected
+    assert all(getattr(default, name) != value for name, value in expected.items())
 
 
 def test_trial_rows_read_the_floor_on_exact_recovery():

@@ -10,10 +10,8 @@ from specsamp import (
     Graph,
     IntervalMismatch,
     InvalidParameter,
-    Mode,
     RecoveryDesign,
     SpectralFilter,
-    Strategy,
     VariationOperator,
     apply_chebyshev,
     apply_filter,
@@ -100,7 +98,7 @@ def test_filter_table_roundtrip(tmp_path, sensor_basis):
 @pytest.mark.parametrize("build,a", [
     (lambda a: SpectralFilter(a), np.arange(4.0)),
     (lambda a: ChebyshevFilter(a, (0.0, 2.0), 3), np.arange(4.0)),
-    (lambda a: RecoveryDesign(a, identity_filter(8), Strategy.DS, Mode.UNCONSTRAINED),
+    (lambda a: RecoveryDesign(a, identity_filter(8)),
      np.arange(4.0)),
     (lambda a: VariationOperator(a), np.eye(3)),
 ], ids=["spectral-filter", "chebyshev-coeffs", "design-h", "variation-operator"])

@@ -8,7 +8,6 @@ from specsamp import (
     DimensionMismatch,
     DsConditionViolated,
     InvalidParameter,
-    Mode,
     PgsModel,
     SamplingConfig,
     SingularCorrelation,
@@ -134,7 +133,6 @@ def test_unconstrained_bandlimit_needs_no_correction(setup12):
     s = bandlimit(basis, cfg.k)
     design = design_subspace_unconstrained(s, s, cfg)
     assert_allclose(design.h, np.ones(cfg.k))
-    assert design.mode is Mode.UNCONSTRAINED
 
 
 def test_unconstrained_bipartite_ramp_needs_no_correction(bipartite16):

@@ -8,7 +8,6 @@ noise block.
 """
 
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from specsamp import (
     pgs_spectrum,
     reconstruct,
     reconstruct_spectrum,
+    sample_spectrum,
     spectral,
     spectral_fold,
     spectral_upsample,
@@ -88,6 +88,7 @@ def test_vertex_functions_are_transforms_of_their_spectral_halves(kind, ratio, t
     chat = frequency_sample(basis, s, x, cfg)
     folded = spectral_fold(s.values[:, None] * gft(basis, x), cfg)
     assert np.array_equal(chat.values, folded.values)
+    assert np.array_equal(chat.values, sample_spectrum(s, gft(basis, x), cfg).values)
     assert np.array_equal(reconstruct(basis, design, chat),
                           igft(basis, reconstruct_spectrum(design, chat)))
 
@@ -137,6 +138,8 @@ def test_spectral_halves_reject_mismatched_sizes():
         reconstruct_spectrum(design, spectral_fold(np.ones(12), SamplingConfig(12, 3)))
     with pytest.raises(DimensionMismatch):
         reconstruct(dft_basis(4), design, chat)
+    with pytest.raises(DimensionMismatch):
+        sample_spectrum(inverted_ramp(basis), np.ones(12), SamplingConfig(12, 3))
 
 
 def _vertex_domain_rows(base):
@@ -160,12 +163,9 @@ def _vertex_domain_rows(base):
         for noise_variance in (0.0, base.noise_variance):
             y = x + noise if noise_variance > 0 else x
             for prior, mode, strategy, sampling in methods:
-                cfg = replace(base, generator=generator, noise_variance=noise_variance,
-                              prior=prior, mode=mode, strategy=strategy,
-                              sampling_filter=sampling)
-                s, design = design_for_config(cfg, build, scfg, a)
-                xt = reconstruct(basis, design, frequency_sample(basis, s, y, scfg))
-                label = sampling if prior != "baseline" else "bl"
+                label, design = design_for_config((prior, mode, strategy, sampling),
+                                                  build, scfg, a)
+                xt = reconstruct(basis, design, frequency_sample(basis, build(label), y, scfg))
                 groups.append(_trial_group((prior, mode, strategy, label, generator,
                                             noise_variance), xt - x,
                                            np.sum(np.abs(x) ** 2, axis=0)))
