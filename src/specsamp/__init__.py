@@ -11,7 +11,6 @@ from .bipartite import (
     generate_one_branch,
     one_branch_design,
     reconstruct_from_part,
-    reduction_identity_residual,
     sample_first_part,
     verify_corollary1,
     vertex_pipeline,

@@ -43,7 +43,7 @@ from .errors import (
 from .filters import SpectralFilter, bandlimit
 from .graphs import Graph, VariationOperator, normalized_laplacian
 from .recovery import design_subspace_unconstrained
-from .sampling import SamplingConfig, _scaled_upsample, frequency_sample, spectral_fold
+from .sampling import SamplingConfig, _scaled_upsample, frequency_sample
 from .spectral import SpectralBasis, _column_signs, apply_filter
 
 _RESIDUAL_TOL = 1e-8
@@ -56,13 +56,15 @@ class BipartiteSystem:
 
     The graph is stored first part first (its ``bipartition`` is the first
     part's size, N/2), so vertices 0..N/2-1 are the first part and every
-    signal here is in the graph's own vertex order.
+    signal here is in the graph's own vertex order. ``residual`` is the
+    max-norm residual of the SVD both bases come from.
     """
 
     op_b: VariationOperator
     basis_b: SpectralBasis
     basis_reduced: SpectralBasis
     cfg: SamplingConfig
+    residual: float
 
     @property
     def half(self) -> int:
@@ -106,30 +108,12 @@ def build_system(g: Graph) -> BipartiteSystem:
     # Phi and Psi are square, so orthonormal factors with B Psi = Phi Sigma
     # give both the pairing and the reduced basis of I - B B^T.
     eye = np.eye(half)
-    residual = max(np.max(np.abs(phi.T @ phi - eye)), np.max(np.abs(psi.T @ psi - eye)),
-                   np.max(np.abs(block @ psi - phi * sigma)))
+    residual = float(max(np.max(np.abs(phi.T @ phi - eye)),
+                         np.max(np.abs(psi.T @ psi - eye)),
+                         np.max(np.abs(block @ psi - phi * sigma))))
     if residual > _RESIDUAL_TOL:
         raise PairingFailure(f"SVD residual {residual!r} exceeds its bound")
-    return BipartiteSystem(op_b, basis_b, basis_reduced, SamplingConfig(n, 2))
-
-
-def reduction_identity_residual(sys: BipartiteSystem) -> float:
-    """Max-norm residual of the vertex/frequency sampling identity:
-    U_reduced (1/sqrt(M)) [I_K I_K] U_B^T against [I 0].
-
-    The energy-preserving decimator is required here: with the plain fold
-    the product is exactly sqrt(M) [I 0] for any orthonormal bases.
-
-    With the paired basis built as [Phi Phi; Psi -Psi] / sqrt(2), the
-    folded product is [Phi Phi^T, 0] by construction, so this measures
-    max |Phi Phi^T - I|, not the theorem itself.
-    """
-    half = sys.half
-    folded = spectral_fold(sys.basis_b.vectors.T, sys.cfg).values / np.sqrt(sys.cfg.m)
-    product = sys.basis_reduced.vectors @ folded
-    target = np.zeros((half, sys.cfg.n))
-    target[:, :half] = np.eye(half)
-    return float(np.max(np.abs(product - target)))
+    return BipartiteSystem(op_b, basis_b, basis_reduced, SamplingConfig(n, 2), residual)
 
 
 def verify_corollary1(sys: BipartiteSystem, s: SpectralFilter, x: np.ndarray) -> float:

@@ -1,8 +1,8 @@
 """Monte Carlo recovery experiments and report emission.
 
 Every run is fully deterministic given its configuration and RNG seed:
-trial t draws from the t-th child of a single seed sequence, so the same
-rows come out whether trials execute serially or in parallel. Expansion
+trial t draws from the t-th child of a single seed sequence, so a T-trial
+run's per-trial columns are the first T of any longer run. Expansion
 coefficients are drawn from Normal(1, 1) (configurable mean), and noise,
 when enabled, is added to the signal before sampling.
 
@@ -12,8 +12,9 @@ the clean and the reconstructed spectrum. Every basis here is orthonormal
 or unitary, so by Parseval that is the vertex-domain error; a run makes
 one GFT, of the noise block, and none when it is noise-free.
 
-A Table 2 run shares one graph, basis, trial draw and noise GFT, folds
-once per (generator, noise, sampling filter) and builds each filter once.
+A Table 2 run shares one graph, basis, trial draw and noise GFT, builds
+each filter once and each design once per generator, and folds once per
+(generator, noise, sampling filter).
 Results stay per-configuration columns (:class:`ReportGroup`) until
 :func:`emit_report` writes them; :func:`report_rows` flattens them.
 """
@@ -79,7 +80,10 @@ GENERATOR_IDS = ("gen1", "gen2")
 SAMPLING_IDS = ("bl", "ir")
 PRIOR_IDS = ("subspace", "smoothness", "baseline")
 MODE_IDS = ("unconstrained", "predefined")
-STRATEGY_IDS = ("ds", "ls", "mx")
+STRATEGY_IDS = tuple(s.value for s in Strategy)
+# The bandlimited baseline: one method, whatever mode, strategy and sampling
+# filter a configuration names.
+BASELINE = ("baseline", "predefined", "ds", "bl")
 
 # Filter id -> builder(basis, eps, k), shared by the experiment
 # configurations and `filters dump`; a run builds only the filters it uses.
@@ -172,24 +176,22 @@ def basis_for_config(cfg: ExperimentConfig, graph) -> SpectralBasis:
 
 
 def design_for_config(method: tuple, build: Callable[[str], SpectralFilter],
-                      scfg: SamplingConfig, a: SpectralFilter):
-    """(sampling filter id, design) of one (prior, mode, strategy, sampling
-    filter) method with generator ``a``, taking each filter by its FILTERS
-    id from ``build``. The baseline samples with "bl" whatever its
-    sampling filter id."""
+                      scfg: SamplingConfig, a: SpectralFilter) -> RecoveryDesign:
+    """The design of one (prior, mode, strategy, sampling filter) method
+    with generator ``a``, taking each filter by its FILTERS id from ``build``."""
     prior, mode, strategy, sampling = method
     if prior == "baseline":
         # Bandlimited sampling and reconstruction with no correction.
-        return "bl", RecoveryDesign(np.ones(scfg.k), build("bl"))
+        return RecoveryDesign(np.ones(scfg.k), build("bl"))
     s, strategy = build(sampling), Strategy(strategy)
     if prior == "subspace":
         if mode == "unconstrained":
-            return sampling, design_subspace_unconstrained(s, a, scfg, strategy)
-        return sampling, design_subspace_predefined(s, a, build("cos"), scfg, strategy)
+            return design_subspace_unconstrained(s, a, scfg, strategy)
+        return design_subspace_predefined(s, a, build("cos"), scfg, strategy)
     v = build("smooth")
     if mode == "unconstrained":
-        return sampling, design_smoothness_unconstrained(s, v, scfg)
-    return sampling, design_smoothness_predefined(s, v, build("cos"), scfg, strategy)
+        return design_smoothness_unconstrained(s, v, scfg)
+    return design_smoothness_predefined(s, v, build("cos"), scfg, strategy)
 
 
 def _draw_trials(seed: int, trials: int, mean: float, k: int,
@@ -252,25 +254,24 @@ def _recovery_groups(base: ExperimentConfig, generators, noises,
         a = build(generator)
         xhat = pgs_spectrum(PgsModel(a, scfg, basis), coeffs)
         energy = _energy(xhat)
+        designs = [design_for_config(method, build, scfg, a) for method in methods]
         for noise_variance in noises:
             yhat = xhat + noise if noise_variance > 0 else xhat
-            folded = {}  # sampling filter id -> sampled spectrum
-            for method in methods:
-                label, design = design_for_config(method, build, scfg, a)
-                if label not in folded:
-                    folded[label] = sample_spectrum(build(label), yhat, scfg)
-                err = reconstruct_spectrum(design, folded[label])
+            folded = {sid: sample_spectrum(build(sid), yhat, scfg)
+                      for sid in dict.fromkeys(method[3] for method in methods)}
+            for method, design in zip(methods, designs):
+                err = reconstruct_spectrum(design, folded[method[3]])
                 err -= xhat
-                groups.append(_trial_group((*method[:3], label, generator, noise_variance),
-                                           err, energy))
+                groups.append(_trial_group((*method, generator, noise_variance), err, energy))
     return groups
 
 
 def run_recovery_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
-    """Run one experiment configuration and return its one report group:
-    the recovery table over that one configuration."""
-    return _recovery_groups(cfg, (cfg.generator,), (cfg.noise_variance,),
-                            [(cfg.prior, cfg.mode, cfg.strategy, cfg.sampling_filter)])
+    """Run one experiment configuration and return its one report group;
+    a baseline configuration runs, and is labelled, as BASELINE."""
+    method = (BASELINE if cfg.prior == "baseline"
+              else (cfg.prior, cfg.mode, cfg.strategy, cfg.sampling_filter))
+    return _recovery_groups(cfg, (cfg.generator,), (cfg.noise_variance,), [method])
 
 
 TABLE_METHODS = (
@@ -289,8 +290,7 @@ def run_recovery_table(base: ExperimentConfig) -> List[ReportGroup]:
     and, when ``base.noise_variance`` > 0, at that noise variance."""
     noises = (0.0, base.noise_variance) if base.noise_variance > 0 else (0.0,)
     methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
-    methods.append(("baseline", "predefined", "ds", "bl"))
-    return _recovery_groups(base, GENERATOR_IDS, noises, methods)
+    return _recovery_groups(base, GENERATOR_IDS, noises, [*methods, BASELINE])
 
 
 BIPARTITE_KINDS = ("matched", "random")

@@ -67,12 +67,19 @@ def bandlimit(basis, k: int) -> SpectralFilter:
     return SpectralFilter(vals)
 
 
+def _scale(basis, eps: float = 0.0) -> float:
+    """lambda_max + eps, the frequency scale of the closed-form responses;
+    InvalidParameter unless lambda_max > 0 and eps >= 0."""
+    lam_max = float(np.max(basis.lambdas))
+    if lam_max <= 0 or eps < 0:
+        raise InvalidParameter("need lambda_max > 0 and eps >= 0")
+    return lam_max + eps
+
+
 def inverted_ramp(basis) -> SpectralFilter:
     """Full-band sampling filter: unity below 2/lambda_max, then a negative
     ramp -2*lambda/lambda_max."""
-    lam_max = float(np.max(basis.lambdas))
-    if lam_max <= 0:
-        raise InvalidParameter("need lambda_max > 0")
+    lam_max = _scale(basis)
 
     def resp(lam: float) -> float:
         return 1.0 if lam <= 2.0 / lam_max else -2.0 * lam / lam_max
@@ -82,33 +89,25 @@ def inverted_ramp(basis) -> SpectralFilter:
 
 def linear_decay(basis, eps: float = 0.1) -> SpectralFilter:
     """Generator #1: 1 - lambda / (lambda_max + eps)."""
-    lam_max = float(np.max(basis.lambdas))
-    if lam_max <= 0 or eps < 0:
-        raise InvalidParameter("need lambda_max > 0 and eps >= 0")
-    return from_response(basis, lambda lam: 1.0 - lam / (lam_max + eps))
+    scale = _scale(basis, eps)
+    return from_response(basis, lambda lam: 1.0 - lam / scale)
 
 
 def exponential_decay(basis) -> SpectralFilter:
     """Generator #2: exp(-1.5 * lambda / lambda_max)."""
-    lam_max = float(np.max(basis.lambdas))
-    if lam_max <= 0:
-        raise InvalidParameter("need lambda_max > 0")
+    lam_max = _scale(basis)
     return from_response(basis, lambda lam: float(np.exp(-1.5 * lam / lam_max)))
 
 
 def cosine_taper(basis, eps: float = 0.1) -> SpectralFilter:
     """Predefined reconstruction filter: cos((pi/2) * lambda / (lambda_max + eps))."""
-    lam_max = float(np.max(basis.lambdas))
-    if lam_max <= 0 or eps < 0:
-        raise InvalidParameter("need lambda_max > 0 and eps >= 0")
-    return from_response(basis, lambda lam: float(np.cos(0.5 * np.pi * lam / (lam_max + eps))))
+    scale = _scale(basis, eps)
+    return from_response(basis, lambda lam: float(np.cos(0.5 * np.pi * lam / scale)))
 
 
 def smoothness_ramp(basis) -> SpectralFilter:
     """Smoothness weight: lambda / lambda_max + 1."""
-    lam_max = float(np.max(basis.lambdas))
-    if lam_max <= 0:
-        raise InvalidParameter("need lambda_max > 0")
+    lam_max = _scale(basis)
     return from_response(basis, lambda lam: lam / lam_max + 1.0)
 
 

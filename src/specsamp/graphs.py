@@ -32,9 +32,33 @@ _SYMMETRY_RTOL = 1e-12
 # 0.69x at 6% and 1.01x at 12.5%.
 _CSR_MAX_DENSITY = 0.1
 _MAX_RESAMPLE = 100
+# gen_random_sensor: nearest neighbors joined to each point.
+_SENSOR_NEIGHBORS = 6
 # gen_matched_bipartite: matching edge weight, unit-weight extra edges per vertex.
 _MATCH_WEIGHT = 6.0
 _MATCH_EXTRA = 2
+
+
+def _symmetric(a, name: str) -> np.ndarray:
+    """A read-only float copy of ``a``; InvalidParameter unless it is a finite
+    square matrix, symmetric to _SYMMETRY_RTOL of its largest entry (at
+    least 1). An inexactly symmetric one is replaced by its symmetric part."""
+    m = np.array(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidParameter(f"{name} must be a square matrix, got shape {m.shape}")
+    # Reductions and in-place steps: at most one N x N temporary.
+    lo, hi = m.min(initial=0.0), m.max(initial=0.0)  # NaN propagates
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InvalidParameter(f"{name} must be finite")
+    if not np.array_equal(m, m.T):
+        sym = np.add(m, m.T)
+        sym *= 0.5
+        m -= sym  # |m - sym| is half of |m - m^T|
+        if np.abs(m, out=m).max() > 0.5 * _SYMMETRY_RTOL * max(1.0, -lo, hi):
+            raise InvalidParameter(f"{name} must be symmetric")
+        m = sym
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -59,20 +83,13 @@ class Graph:
     bipartition: Optional[int] = None
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = _symmetric(self.weights, "weights")
         if w.shape != (self.n, self.n):
             raise InvalidParameter(f"weights must be {self.n}x{self.n}, got {w.shape}")
-        exact = np.array_equal(w, w.T)
-        if not (exact or np.allclose(w, w.T, rtol=0, atol=_SYMMETRY_RTOL
-                                     * max(1.0, np.abs(w).max(initial=0.0)))):
-            raise InvalidParameter("weights must be symmetric")
         if np.any(np.diag(w) != 0):
             raise InvalidParameter("self-loops are not allowed")
         if np.any(w < 0):
             raise InvalidParameter("weights must be nonnegative")
-        if not exact:
-            w = 0.5 * (w + w.T)
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         h = self.bipartition
         if h is not None:
@@ -94,16 +111,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class VariationOperator:
-    """Real symmetric positive semidefinite matrix used to define a GFT."""
+    """Real symmetric positive semidefinite matrix used to define a GFT,
+    checked and kept as Graph keeps its weights."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if not np.array_equal(m, m.T):
-            m = 0.5 * (m + m.T)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _symmetric(self.matrix, "matrix"))
 
     @property
     def n(self) -> int:
@@ -171,18 +185,18 @@ def gen_circular(n: int) -> Graph:
     return Graph(n, w)
 
 
-def gen_random_sensor(n: int, seed: int, k: int = 6) -> Graph:
-    """Random geometric graph: k-nearest-neighbor Gaussian-kernel weights.
+def gen_random_sensor(n: int, seed: int) -> Graph:
+    """Random geometric graph: 6-nearest-neighbor Gaussian-kernel weights.
 
     Vertices are points drawn uniformly in the unit square; each point is
-    joined to its k nearest neighbors with weight exp(-d^2 / (2 theta^2)),
-    theta being the mean k-NN distance, and the edge set symmetrized.
+    joined to its 6 nearest neighbors with weight exp(-d^2 / (2 theta^2)),
+    theta being the mean 6-NN distance, and the edge set symmetrized.
     Resamples until connected (at most 100 attempts).
     """
     if n < 2:
         raise InvalidParameter("need n >= 2")
     rng = np.random.default_rng(seed)
-    kk = min(k, n - 1)
+    kk = min(_SENSOR_NEIGHBORS, n - 1)
     for _ in range(_MAX_RESAMPLE):
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
         diff = pts[:, None, :] - pts[None, :, :]
@@ -250,6 +264,8 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
 
 def complete_bipartite(n_half: int) -> Graph:
     """K_{n_half,n_half} with unit weights, first part first."""
+    if n_half < 1:
+        raise InvalidParameter("need n_half >= 1")
     return Graph(2 * n_half, _bipartite(np.ones((n_half, n_half))), bipartition=n_half)
 
 

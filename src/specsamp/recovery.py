@@ -13,7 +13,6 @@ axis; synthesis and reconstruction act along axis 0.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -90,9 +89,9 @@ class DsCheck:
     min_abs: float
 
 
-def _small(corr: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-    # At or below the cut: tol, or else scale-relative (pseudo-inverse cutoff).
-    return np.abs(corr) <= (1e-10 * np.abs(corr).max(initial=0.0) if tol is None else tol)
+def _small(corr: np.ndarray) -> np.ndarray:
+    # At or below the scale-relative cut (the pseudo-inverse cutoff).
+    return np.abs(corr) <= 1e-10 * np.abs(corr).max(initial=0.0)
 
 
 def pgs_spectrum(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
@@ -110,12 +109,11 @@ def generate_pgs(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
     return igft(model.basis, pgs_spectrum(model, dhat))
 
 
-def check_ds(s: SpectralFilter, a: SpectralFilter, cfg: SamplingConfig,
-             tol: Optional[float] = None) -> DsCheck:
+def check_ds(s: SpectralFilter, a: SpectralFilter, cfg: SamplingConfig) -> DsCheck:
     """Direct-sum condition: the folded cross-correlation of the sampling
     and generator responses must be bounded away from zero."""
     corr = sampled_cross_correlation(s, a, cfg)
-    return DsCheck(holds=not np.any(_small(corr, tol)), min_abs=float(np.abs(corr).min()))
+    return DsCheck(holds=not np.any(_small(corr)), min_abs=float(np.abs(corr).min()))
 
 
 def _divide(num, denom: np.ndarray, small: np.ndarray, error) -> np.ndarray:

@@ -30,7 +30,6 @@ from specsamp import (
     one_branch_design,
     reconstruct,
     reconstruct_from_part,
-    reduction_identity_residual,
     sample_first_part,
     verify_corollary1,
     vertex_pipeline,
@@ -52,7 +51,16 @@ def sys16():
 ])
 def test_reduction_identity_residual_small(graph):
     sys_ = build_system(graph)
-    assert reduction_identity_residual(sys_) < 1e-10
+    h = sys_.half
+    # The residual is blind to the column signs build_system fixes.
+    block = -sys_.op_b.matrix[:h, h:]
+    phi, sigma, psi_t = np.linalg.svd(block)
+    psi = psi_t.T
+    expected = max(np.max(np.abs(phi.T @ phi - np.eye(h))),
+                   np.max(np.abs(psi.T @ psi - np.eye(h))),
+                   np.max(np.abs(block @ psi - phi * sigma)))
+    assert sys_.residual <= 1e-10
+    assert sys_.residual == expected
 
 
 def test_paired_spectrum_mirror(sys16):

@@ -72,6 +72,16 @@ def test_baseline_forces_bandlimited_sampling():
     assert report_rows(run_recovery_experiment(cfg))[0]["sampling_filter"] == "bl"
 
 
+def test_cli_recover_baseline_writes_canonical_labels(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main(["recover", "--prior", "baseline", "--mode", "unconstrained",
+                 "--strategy", "ls", "--sampling", "ir", "--n", "32", "--m", "4",
+                 "--trials", "2", "--out", str(out)]) == 0
+    rows = parse_report_csv(str(out))
+    assert {(r["prior"], r["mode"], r["strategy"], r["sampling_filter"]) for r in rows} \
+        == {("baseline", "predefined", "ds", "bl")}
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameter):
         ExperimentConfig(trials=0)
@@ -163,6 +173,31 @@ def test_table_is_one_experiment(monkeypatch):
         assert report_rows([group]) == report_rows(run_recovery_experiment(cfg))
 
 
+def test_table_builds_each_design_once_per_generator(monkeypatch):
+    calls = []
+    design = experiments.design_for_config
+
+    def counted(*args):
+        calls.append(args[0])
+        return design(*args)
+
+    monkeypatch.setattr(experiments, "design_for_config", counted)
+    groups = run_recovery_table(ExperimentConfig(noise_variance=0.1, **SMALL))
+    assert len(groups) == 44
+    assert len(calls) == 22 and len(set(calls)) == 11
+
+
+def test_trial_columns_are_a_prefix_of_longer_runs():
+    short, long = (run_recovery_table(ExperimentConfig(**{**SMALL, "trials": trials},
+                                                       noise_variance=0.1))
+                   for trials in (3, 7))
+    assert [g.labels for g in short] == [g.labels for g in long]
+    for a, b in zip(short, long):
+        head = b.mse_db[:3]
+        keep = (a.mse_db > -200.0) | (head > -200.0)
+        assert np.all(np.abs(a.mse_db - head)[keep] <= 1e-9), a.labels
+
+
 @pytest.mark.parametrize("kind", ["bipartite", "complete-bipartite"])
 def test_bipartite_kinds_reject_odd_n(tmp_path, kind):
     with pytest.raises(InvalidParameter):
@@ -233,6 +268,14 @@ def test_cli_gen_graph(tmp_path):
     code = main(["gen-graph", "--kind", "circular", "--n", "8", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("N 8")
+
+
+def test_cli_gen_graph_rejects_empty_complete_bipartite(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["gen-graph", "--kind", "complete-bipartite", "--n", "0",
+                 "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_gen_graph_connectivity_failure_exit_code(tmp_path):
@@ -434,8 +477,16 @@ def test_cli_exit_code_by_error_class(monkeypatch, capsys, tmp_path, error):
 def test_cli_verify_identity(capsys):
     code = main(["verify", "theorem1", "--count", "3", "--seed", "1"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "OK" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("OK")
+    assert len(out) == 2 + 3 + 1
+    assert all(": SVD residual " in line and ", filtered residual " in line
+               for line in out[:-1])
+
+
+def test_cli_verify_rejects_negative_count(capsys):
+    assert main(["verify", "theorem1", "--count", "-1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # sha256 of small reports, pinned so that a refactor that moves any digit of

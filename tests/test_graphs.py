@@ -9,6 +9,7 @@ from specsamp import (
     InvalidParameter,
     IoFailure,
     IsolatedVertex,
+    VariationOperator,
     combinatorial_laplacian,
     complete_bipartite,
     gen_circular,
@@ -171,6 +172,36 @@ def test_graph_accepts_rounding_asymmetry_and_symmetrizes():
     g = Graph(3, w)
     assert np.array_equal(g.weights, g.weights.T)
     assert g.weights[0, 1] == 0.5 * (w[0, 1] + w[1, 0])
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_graph_rejects_nonfinite_weights(tmp_path, value):
+    with pytest.raises(InvalidParameter, match="finite"):
+        Graph(2, np.array([[0.0, value], [value, 0.0]]))
+    path = tmp_path / "g.txt"
+    path.write_text(f"N 2\n0 1 {value!r}\n")
+    with pytest.raises(InvalidParameter, match="finite"):
+        load_graph(str(path))
+
+
+@pytest.mark.parametrize("m", [
+    np.ones(3),
+    np.ones((2, 3)),
+    np.ones((2, 2, 2)),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    np.array([[2.0, 0.1], [0.3, 1.0]]),
+], ids=["1-d", "non-square", "3-d", "nan", "inf", "asymmetric"])
+def test_variation_operator_rejects_what_graph_rejects(m):
+    with pytest.raises(InvalidParameter):
+        VariationOperator(m)
+
+
+def test_complete_bipartite_rejects_empty_parts():
+    for n_half in (0, -1):
+        with pytest.raises(InvalidParameter):
+            complete_bipartite(n_half)
+    assert complete_bipartite(1).n == 2
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -163,10 +163,9 @@ def _vertex_domain_rows(base):
         for noise_variance in (0.0, base.noise_variance):
             y = x + noise if noise_variance > 0 else x
             for prior, mode, strategy, sampling in methods:
-                label, design = design_for_config((prior, mode, strategy, sampling),
-                                                  build, scfg, a)
-                xt = reconstruct(basis, design, frequency_sample(basis, build(label), y, scfg))
-                groups.append(_trial_group((prior, mode, strategy, label, generator,
+                design = design_for_config((prior, mode, strategy, sampling), build, scfg, a)
+                xt = reconstruct(basis, design, frequency_sample(basis, build(sampling), y, scfg))
+                groups.append(_trial_group((prior, mode, strategy, sampling, generator,
                                             noise_variance), xt - x,
                                            np.sum(np.abs(x) ** 2, axis=0)))
     return report_rows(groups)
