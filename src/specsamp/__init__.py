@@ -13,7 +13,6 @@ from .bipartite import (
     reconstruct_from_part,
     sample_first_part,
     verify_corollary1,
-    vertex_pipeline,
 )
 from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
 from .errors import (
@@ -37,7 +36,6 @@ from .experiments import (
     ExperimentConfig,
     ReportGroup,
     emit_report,
-    parse_report_csv,
     report_rows,
     run_bipartite_experiment,
     run_recovery_experiment,
@@ -64,7 +62,6 @@ from .graphs import (
     gen_matched_bipartite,
     gen_random_bipartite,
     gen_random_sensor,
-    load_graph,
     normalized_laplacian,
     save_graph,
 )
@@ -83,7 +80,6 @@ from .recovery import (
     pgs_spectrum,
     reconstruct,
     reconstruct_spectrum,
-    smoothness_energy,
 )
 from .sampling import (
     SampledSpectrum,
@@ -92,6 +88,5 @@ from .sampling import (
     sample_spectrum,
     sampled_cross_correlation,
     spectral_fold,
-    spectral_upsample,
 )
 from .spectral import SpectralBasis, apply_filter, dft_basis, eigendecompose, gft, igft

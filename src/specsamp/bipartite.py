@@ -23,8 +23,8 @@ is a(lambda) / a(min(lambda, 2 - lambda)): their Chebyshev fits need no basis.
 
 The spectral decimation pair used for the bridge is energy-preserving
 (scaled by 1/sqrt(M)); its inverse direction surfaces as a gain of M in
-the vertex-domain reconstruction, which makes the vertex pipeline agree
-exactly with the plain frequency-domain sampling/reconstruction chain.
+the vertex-domain reconstruction, so that sample_first_part followed by
+reconstruct_from_part equals the frequency-domain chain exactly.
 """
 
 from dataclasses import dataclass
@@ -172,22 +172,6 @@ def generate_one_branch(sys: BipartiteSystem,
     zero-pad onto the first part and filter by wprime (as in
     :func:`sample_first_part`)."""
     return _apply(sys, wprime, _zero_pad(d))
-
-
-def vertex_pipeline(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilter],
-                    wprime: Union[SpectralFilter, ChebyshevFilter],
-                    x: np.ndarray) -> np.ndarray:
-    """Sample and reconstruct entirely in the vertex domain: filter by g,
-    keep the first part, zero-pad, filter by wprime, times the sampling
-    ratio M.
-
-    The M gain makes this composition equal the frequency-domain chain
-    (plain fold sampling followed by correct/upsample/filter
-    reconstruction) exactly, for every pair of spectral filters. With
-    ChebyshevFilters fitted on [0, 2] both filters run as recurrences on
-    the normalized Laplacian and no eigendecomposition is touched.
-    """
-    return reconstruct_from_part(sys, wprime, sample_first_part(sys, g, x))
 
 
 def _step_response(lam: float) -> float:

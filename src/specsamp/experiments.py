@@ -74,7 +74,6 @@ from .spectral import SpectralBasis, dft_basis, eigendecompose, gft
 
 REPORT_COLUMNS = ("prior", "mode", "strategy", "sampling_filter", "generator",
                   "noise", "trial", "mse_db", "mean_mse_db")
-_NUMERIC_COLUMNS = {"noise": float, "trial": int, "mse_db": float, "mean_mse_db": float}
 
 GENERATOR_IDS = ("gen1", "gen2")
 SAMPLING_IDS = ("bl", "ir")
@@ -386,15 +385,5 @@ def emit_report(groups: List[ReportGroup], fmt: str, path: str) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(report_rows(groups), fh, indent=1)
                 fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def parse_report_csv(path: str) -> List[dict]:
-    """Read back a CSV report emitted by :func:`emit_report`."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return [{c: _NUMERIC_COLUMNS.get(c, str)(rec[c]) for c in REPORT_COLUMNS}
-                    for rec in csv.DictReader(fh)]
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

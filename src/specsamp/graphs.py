@@ -284,34 +284,3 @@ def save_graph(g: Graph, path: str) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-
-
-def load_graph(path: str) -> Graph:
-    """Read a graph written by :func:`save_graph`. A malformed line, one
-    naming a vertex outside [0, N), or a first-part size outside [0, N]
-    raises IoFailure with its number."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    if not lines or not lines[0][1].startswith("N "):
-        raise IoFailure("missing graph header")
-    no, head = lines[0][0], lines[0][1].split()
-    try:
-        n = int(head[1])
-        bipartition = None
-        if len(head) >= 4 and head[2] == "bipartite":
-            bipartition = int(head[3])
-            if not 0 <= bipartition <= n:
-                raise ValueError(f"first part size {bipartition} outside [0, {n}]")
-        w = np.zeros((n, n))
-        for no, ln in lines[1:]:
-            a, b, val = ln.split()
-            i, j = int(a), int(b)
-            if not (0 <= i < n and 0 <= j < n):
-                raise IndexError(f"vertex index outside [0, {n})")
-            w[i, j] = w[j, i] = float(val)
-    except (ValueError, IndexError) as exc:
-        raise IoFailure(f"{path}, line {no}: {exc}") from exc
-    return Graph(n, w, bipartition=bipartition)

@@ -30,7 +30,7 @@ from .sampling import (
     _scaled_upsample,
     sampled_cross_correlation,
 )
-from .spectral import SpectralBasis, _scale_rows, gft, igft
+from .spectral import SpectralBasis, _scale_rows, igft
 
 MSE_FLOOR_DB = -320.0
 
@@ -233,14 +233,6 @@ def reconstruct(b: SpectralBasis, design: RecoveryDesign,
     """Reconstruct a signal from a sampled spectrum:
     x = U reconstruct_spectrum(design, chat)."""
     return igft(b, reconstruct_spectrum(design, chat))
-
-
-def smoothness_energy(b: SpectralBasis, v: SpectralFilter, x: np.ndarray) -> float:
-    """Quadratic smoothness measure: sum_i v[i]^2 |xhat[i]|^2."""
-    if v.n != b.n:
-        raise DimensionMismatch("filter and basis sizes must agree")
-    xhat = gft(b, x)
-    return float(np.sum(v.values**2 * np.abs(xhat) ** 2))
 
 
 def mse_db(x: np.ndarray, xtilde: np.ndarray) -> float:

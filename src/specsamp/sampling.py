@@ -61,17 +61,9 @@ def spectral_fold(xhat: np.ndarray, cfg: SamplingConfig) -> SampledSpectrum:
     return SampledSpectrum(folded, cfg)
 
 
-def spectral_upsample(dhat: np.ndarray, cfg: SamplingConfig) -> np.ndarray:
-    """Periodic replication back to length N: out[i] = dhat[i mod K]."""
-    dhat = np.asarray(dhat)
-    if dhat.shape[0] != cfg.k:
-        raise DimensionMismatch(f"expected length {cfg.k}, got {dhat.shape[0]}")
-    return np.tile(dhat, (cfg.m,) + (1,) * (dhat.ndim - 1))
-
-
 def _scaled_upsample(f: np.ndarray, dhat: np.ndarray, cfg: SamplingConfig) -> np.ndarray:
-    """diag(f) spectral_upsample(dhat) as one broadcast, without the
-    upsampled copy: out[i] = f[i] * dhat[i mod K]."""
+    """Upsample a length-K spectrum periodically to length N and scale it
+    by f, as one broadcast: out[i] = f[i] * dhat[i mod K]."""
     tail = dhat.shape[1:]
     return (f.reshape(cfg.m, cfg.k, *[1] * len(tail)) * dhat[None]).reshape(cfg.n, *tail)
 

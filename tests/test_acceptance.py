@@ -28,7 +28,8 @@ from specsamp import (
     gen_random_sensor,
     inverted_ramp,
     reconstruct,
-    vertex_pipeline,
+    reconstruct_from_part,
+    sample_first_part,
 )
 from specsamp.experiments import (
     BipartiteExperimentConfig,
@@ -188,7 +189,7 @@ def test_07_pipeline_equivalence_random_filters():
             w = SpectralFilter(rng.normal(size=n))
             h = rng.normal(size=n_half)
             x = rng.normal(size=n)
-            vx = vertex_pipeline(sys_, s, build_wprime(w, h), x)
+            vx = reconstruct_from_part(sys_, build_wprime(w, h), sample_first_part(sys_, s, x))
             design = RecoveryDesign(h, w)
             chat = frequency_sample(sys_.basis_b, s, x, sys_.cfg)
             fx = reconstruct(sys_.basis_b, design, chat)

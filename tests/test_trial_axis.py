@@ -33,10 +33,11 @@ from specsamp import (
     linear_decay,
     normalized_laplacian,
     reconstruct,
+    reconstruct_from_part,
+    sample_first_part,
     spectral_fold,
-    spectral_upsample,
-    vertex_pipeline,
 )
+from specsamp.sampling import _scaled_upsample
 
 N = 16
 CFG = SamplingConfig(N, 4)
@@ -83,7 +84,8 @@ def test_transforms(t, seed, kind):
 @example(t=N, seed=0, kind="sensor")
 def test_fold_and_upsample(t, seed, kind):
     _same(lambda v: spectral_fold(v, CFG).values, _signals(seed, N, t))
-    _same(lambda v: spectral_upsample(v, CFG), _signals(seed, CFG.k, t))
+    f = inverted_ramp(BASES[kind]).values
+    _same(lambda v: _scaled_upsample(f, v, CFG), _signals(seed, CFG.k, t))
 
 
 @trials
@@ -113,4 +115,5 @@ def test_chebyshev_and_vertex_pipeline(t, seed, kind):
     _same(lambda v: apply_chebyshev(op, cf, v, lambda_max=2.0), x)
     g = inverted_ramp(SYSTEM.basis_b)
     w = linear_decay(SYSTEM.basis_b)
-    _same(lambda v: vertex_pipeline(SYSTEM, g, w, v), x)
+    _same(lambda v: sample_first_part(SYSTEM, g, v), x)
+    _same(lambda v: reconstruct_from_part(SYSTEM, w, v), x[: SYSTEM.half])
