@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .bipartite import (
     BipartiteSystem,
     build_system,
-    build_wprime,
     fit_one_branch,
     generate_one_branch,
     one_branch_design,

@@ -12,14 +12,16 @@ B = Phi Sigma Psi^T gives eigenvectors [phi; psi]/sqrt(2) at 1 - sigma and
 [phi; -psi]/sqrt(2) at 1 + sigma. The reduced graph is the Kron reduction
 of the normalized Laplacian onto the first part. The graph is stored first
 part first, so the eliminated block is exactly I and the reduced Laplacian
-is I - B B^T, which the same Phi diagonalizes at 1 - sigma^2. Both
-identities then hold to machine precision by construction, degenerate
-eigenvalues included.
+is I - B B^T, which the same Phi diagonalizes at 1 - sigma^2: the
+reduced-graph basis is sqrt(2) times the top-left block of the paired
+basis, not a stored basis. Both identities hold to machine precision by
+construction, degenerate eigenvalues included.
 
 Under the pairing lambda_max = 2, the one-branch bandlimit cuts at
 lambda = 1 and its DS correction is h = 1/a on the lower half, so the
 sampling filter is the step at 1 and the decoding response of generator a
-is a(lambda) / a(min(lambda, 2 - lambda)): their Chebyshev fits need no basis.
+is a(lambda) / a(min(lambda, 2 - lambda)). The exact reconstruction filter
+is that response sampled at the paired frequencies; its fit needs no basis.
 
 The spectral decimation pair used for the bridge is energy-preserving
 (scaled by 1/sqrt(M)); its inverse direction surfaces as a gain of M in
@@ -33,17 +35,10 @@ from typing import Callable, Tuple, Union
 import numpy as np
 
 from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
-from .errors import (
-    DimensionMismatch,
-    DsConditionViolated,
-    NotBipartite,
-    PairingFailure,
-    UnequalParts,
-)
-from .filters import SpectralFilter, bandlimit
+from .errors import DsConditionViolated, NotBipartite, PairingFailure, UnequalParts
+from .filters import SpectralFilter, bandlimit, from_response
 from .graphs import Graph, VariationOperator, normalized_laplacian
-from .recovery import design_subspace_unconstrained
-from .sampling import SamplingConfig, _scaled_upsample, frequency_sample
+from .sampling import SamplingConfig, frequency_sample
 from .spectral import SpectralBasis, _column_signs, apply_filter
 
 _RESIDUAL_TOL = 1e-8
@@ -57,12 +52,12 @@ class BipartiteSystem:
     The graph is stored first part first (its ``bipartition`` is the first
     part's size, N/2), so vertices 0..N/2-1 are the first part and every
     signal here is in the graph's own vertex order. ``residual`` is the
-    max-norm residual of the SVD both bases come from.
+    max-norm residual of the SVD ``basis_b`` comes from; sqrt(2) times its
+    top-left ``half`` x ``half`` block is the reduced-graph basis.
     """
 
     op_b: VariationOperator
     basis_b: SpectralBasis
-    basis_reduced: SpectralBasis
     cfg: SamplingConfig
     residual: float
 
@@ -72,8 +67,8 @@ class BipartiteSystem:
 
 
 def build_system(g: Graph) -> BipartiteSystem:
-    """Construct the paired eigenbasis and the reduced-graph basis for a
-    bipartite graph with equal parts, both from one SVD.
+    """Construct the paired eigenbasis of a bipartite graph with equal
+    parts from one SVD; its top-left block holds the reduced-graph basis.
 
     Raises
     ------
@@ -99,7 +94,6 @@ def build_system(g: Graph) -> BipartiteSystem:
     psi *= signs
     # svd() sorts sigma descending, so 1 - sigma is already ascending.
     lam_low = 1.0 - sigma
-    basis_reduced = SpectralBasis(phi, 1.0 - sigma**2)
 
     u_b = np.block([[phi, phi], [psi, -psi]])
     u_b *= 1.0 / np.sqrt(2.0)
@@ -113,25 +107,17 @@ def build_system(g: Graph) -> BipartiteSystem:
                          np.max(np.abs(block @ psi - phi * sigma))))
     if residual > _RESIDUAL_TOL:
         raise PairingFailure(f"SVD residual {residual!r} exceeds its bound")
-    return BipartiteSystem(op_b, basis_b, basis_reduced, SamplingConfig(n, 2), residual)
+    return BipartiteSystem(op_b, basis_b, SamplingConfig(n, 2), residual)
 
 
 def verify_corollary1(sys: BipartiteSystem, s: SpectralFilter, x: np.ndarray) -> float:
     """Residual of filtered sampling equivalence: the reduced-basis view of
-    energy-normalized frequency sampling must equal keeping the first part
-    of the filtered signal. Returns max |difference|."""
+    energy-normalized frequency sampling, one product with the top-left
+    block of the paired basis, must equal keeping the first part of the
+    filtered signal. Returns max |difference|."""
     chat = frequency_sample(sys.basis_b, s, x, sys.cfg)
-    lhs = sys.basis_reduced.vectors @ (chat.values / np.sqrt(sys.cfg.m))
+    lhs = sys.basis_b.vectors[:sys.half, :sys.half] @ chat.values
     return float(np.max(np.abs(lhs - sample_first_part(sys, s, x))))
-
-
-def build_wprime(w: SpectralFilter, h: np.ndarray) -> SpectralFilter:
-    """Merge a reconstruction filter with a length-N/2 correction into one
-    diagonal response: out[i] = w[i] * h[i mod N/2]."""
-    h = np.asarray(h, dtype=float)
-    if w.n != 2 * h.shape[0]:
-        raise DimensionMismatch("need len(w) == 2 * len(h)")
-    return SpectralFilter(_scaled_upsample(w.values, h, SamplingConfig(w.n, 2)))
 
 
 def _apply(sys: BipartiteSystem, f: Union[SpectralFilter, ChebyshevFilter],
@@ -207,11 +193,9 @@ def fit_one_branch(a_resp: Callable[[float], float],
             chebyshev_fit(_decoding_response(a_resp), NORMALIZED_INTERVAL, order))
 
 
-def one_branch_design(sys: BipartiteSystem, a: SpectralFilter
+def one_branch_design(sys: BipartiteSystem, a_resp: Callable[[float], float]
                       ) -> Tuple[SpectralFilter, SpectralFilter]:
-    """The one-branch design for generator ``a`` on the paired basis: the
-    bandlimited sampling filter and the combined reconstruction response
-    a * h of its unconstrained DS design (see :func:`build_wprime`)."""
-    s = bandlimit(sys.basis_b, sys.half)
-    design = design_subspace_unconstrained(s, a, sys.cfg)
-    return s, build_wprime(a, design.h)
+    """Exact one-branch design: the closed forms of :func:`fit_one_branch`
+    sampled at the paired frequencies; DsConditionViolated where a(folded) is 0."""
+    return (bandlimit(sys.basis_b, sys.half),
+            from_response(sys.basis_b, _decoding_response(a_resp)))

@@ -2,8 +2,8 @@
 runs, the recovery-table and bipartite experiments, and the bipartite
 sampling-identity verification.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.
+Exit codes: 0 on success, 1 when standard output is closed before the
+command has written it, 2 on configuration errors, 3 on numerical failures.
 """
 
 import argparse
@@ -91,7 +91,10 @@ def _cmd_filters_dump(args) -> int:
     cfg = _config(ExperimentConfig, args)
     basis = basis_for_config(cfg, build_experiment_graph(cfg))
     k = SamplingConfig(cfg.n, cfg.m).k
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
     for name, build in FILTERS.items():
         save_filter(build(basis, cfg.eps, k), basis, os.path.join(args.out, f"{name}.txt"))
     print(f"wrote {len(FILTERS)} filter tables to {args.out}")
@@ -241,7 +244,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise InvalidParameter("need a finite noise variance >= 0")
         if not math.isfinite(self.coeff_mean):
             raise InvalidParameter("need a finite coefficient mean")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise InvalidParameter("need a finite eps >= 0")
         if self.generator not in GENERATOR_IDS:
             raise InvalidParameter(f"unknown generator id {self.generator!r}")
         if self.sampling_filter not in SAMPLING_IDS:
@@ -340,7 +342,7 @@ def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[ReportGroup
     else:
         sys_ = build_system(gen_random_bipartite(cfg.n_half, cfg.graph_seed, cfg.p))
     a = inverted_ramp(sys_.basis_b)
-    s, wprime = one_branch_design(sys_, a)
+    s, wprime = one_branch_design(sys_, a.response)
 
     d, _ = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, sys_.half)
     x = generate_one_branch(sys_, wprime, d)

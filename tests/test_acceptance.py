@@ -13,7 +13,6 @@ from specsamp import (
     SpectralFilter,
     bandlimit,
     build_system,
-    build_wprime,
     check_ds,
     combinatorial_laplacian,
     complete_bipartite,
@@ -189,7 +188,8 @@ def test_07_pipeline_equivalence_random_filters():
             w = SpectralFilter(rng.normal(size=n))
             h = rng.normal(size=n_half)
             x = rng.normal(size=n)
-            vx = reconstruct_from_part(sys_, build_wprime(w, h), sample_first_part(sys_, s, x))
+            wprime = SpectralFilter(w.values * np.tile(h, 2))
+            vx = reconstruct_from_part(sys_, wprime, sample_first_part(sys_, s, x))
             design = RecoveryDesign(h, w)
             chat = frequency_sample(sys_.basis_b, s, x, sys_.cfg)
             fx = reconstruct(sys_.basis_b, design, chat)

@@ -15,9 +15,9 @@ from specsamp import (
     UnequalParts,
     bandlimit,
     build_system,
-    build_wprime,
     chebyshev_fit,
     complete_bipartite,
+    design_subspace_unconstrained,
     fit_one_branch,
     frequency_sample,
     from_response,
@@ -33,7 +33,7 @@ from specsamp import (
     sample_first_part,
     verify_corollary1,
 )
-from specsamp.bipartite import _decoding_response, _step_response
+from specsamp.bipartite import _step_response
 from specsamp.graphs import Graph
 
 
@@ -45,6 +45,17 @@ def sys16():
 def _vertex_pipeline(sys_, g, wprime, x):
     """Sample by g and reconstruct by wprime, both in the vertex domain."""
     return reconstruct_from_part(sys_, wprime, sample_first_part(sys_, g, x))
+
+
+def _bipartite_graph(matched, n_half, p, seed):
+    """A matched or Bernoulli(p) bipartite graph, or a rejected example."""
+    if matched:
+        assume(n_half >= 3)
+        return gen_matched_bipartite(n_half, seed)
+    try:
+        return gen_random_bipartite(n_half, seed, p)
+    except ConnectivityFailure:
+        reject()
 
 
 @pytest.mark.parametrize("graph", [
@@ -87,15 +98,7 @@ def test_paired_basis_is_orthonormal_and_diagonalizes(sys16):
        seed=st.integers(0, 2**32 - 1))
 @example(matched=False, n_half=8, p=0.5, seed=41)  # the graph of sys16
 def test_reduced_basis_diagonalizes_reduced_operator(matched, n_half, p, seed):
-    if matched:
-        assume(n_half >= 3)
-        g = gen_matched_bipartite(n_half, seed)
-    else:
-        try:
-            g = gen_random_bipartite(n_half, seed, p)
-        except ConnectivityFailure:
-            reject()
-    sys_ = build_system(g)
+    sys_ = build_system(_bipartite_graph(matched, n_half, p, seed))
     h, m = sys_.half, sys_.op_b.matrix
     # The eliminated block is exactly I, so the Kron reduction onto the
     # first part is I - B B^T with B the block that build_system factors.
@@ -104,9 +107,11 @@ def test_reduced_basis_diagonalizes_reduced_operator(matched, n_half, p, seed):
     block = -m[:h, h:]
     reduced = np.eye(h) - block @ block.T
     assert_allclose(schur, reduced, rtol=0, atol=1e-12)
-    phi = sys_.basis_reduced.vectors
+    # The reduced basis is sqrt(2) times the top-left block of the paired one.
+    phi = np.sqrt(2.0) * sys_.basis_b.vectors[:h, :h]
     d = phi.T @ reduced @ phi
-    assert np.max(np.abs(d - np.diag(sys_.basis_reduced.lambdas))) < 1e-10
+    lam_low = sys_.basis_b.lambdas[:h]
+    assert np.max(np.abs(d - np.diag(1.0 - (1.0 - lam_low) ** 2))) < 1e-10
 
 
 def test_build_system_requires_bipartition():
@@ -166,22 +171,9 @@ def test_vertex_sample_matches_reduced_spectrum_view(sys16):
     s = inverted_ramp(sys16.basis_b)
     kept = sample_first_part(sys16, s, x)
     chat = frequency_sample(sys16.basis_b, s, x, sys16.cfg)
-    bridged = sys16.basis_reduced.vectors @ (chat.values / np.sqrt(2.0))
+    phi = np.sqrt(2.0) * sys16.basis_b.vectors[:sys16.half, :sys16.half]
+    bridged = phi @ (chat.values / np.sqrt(2.0))
     assert_allclose(kept, bridged, atol=1e-10)
-
-
-def test_build_wprime_passthrough(sys16):
-    w = inverted_ramp(sys16.basis_b)
-    combined = build_wprime(w, np.ones(sys16.half))
-    assert_allclose(combined.values, w.values)
-
-
-def test_build_wprime_tiles_correction():
-    w = identity_filter(4)
-    combined = build_wprime(w, np.array([2.0, 3.0]))
-    assert_allclose(combined.values, [2.0, 3.0, 2.0, 3.0])
-    with pytest.raises(DimensionMismatch):
-        build_wprime(w, np.array([1.0]))
 
 
 def test_vertex_pipeline_identity_filters_scale_by_ratio(sys16):
@@ -195,17 +187,22 @@ def test_vertex_pipeline_identity_filters_scale_by_ratio(sys16):
     assert_allclose(out, sys16.cfg.m * x, atol=1e-10)
 
 
-def test_vertex_pipeline_equals_frequency_pipeline_random_filters(sys16):
-    rng = np.random.default_rng(4)
-    s = SpectralFilter(rng.normal(size=16))
-    w = SpectralFilter(rng.normal(size=16))
-    h = rng.normal(size=8)
-    x = rng.normal(size=16)
-    wprime = build_wprime(w, h)
-    vx = _vertex_pipeline(sys16, s, wprime, x)
-    design = RecoveryDesign(h, w)
-    chat = frequency_sample(sys16.basis_b, s, x, sys16.cfg)
-    fx = reconstruct(sys16.basis_b, design, chat)
+@settings(max_examples=50, deadline=None)
+@given(matched=st.booleans(), n_half=st.integers(2, 40), p=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1), draw=st.integers(0, 2**32 - 1))
+@example(matched=False, n_half=8, p=0.5, seed=41, draw=4)  # the graph of sys16
+def test_vertex_pipeline_equals_frequency_pipeline_random_filters(matched, n_half, p, seed,
+                                                                  draw):
+    sys_ = build_system(_bipartite_graph(matched, n_half, p, seed))
+    rng = np.random.default_rng(draw)
+    n = sys_.cfg.n
+    s = SpectralFilter(rng.normal(size=n))
+    w = SpectralFilter(rng.normal(size=n))
+    h = rng.normal(size=n_half)
+    x = rng.normal(size=n)
+    vx = _vertex_pipeline(sys_, s, SpectralFilter(w.values * np.tile(h, 2)), x)
+    chat = frequency_sample(sys_.basis_b, s, x, sys_.cfg)
+    fx = reconstruct(sys_.basis_b, RecoveryDesign(h, w), chat)
     assert np.max(np.abs(vx - fx)) < 1e-10
 
 
@@ -213,14 +210,13 @@ def test_vertex_pipeline_perfect_recovery_ramp_generation(sys16):
     # Half-band sampling of a full-band signal built from the ramp
     # generator: recovery needs no correction and is exact.
     a = inverted_ramp(sys16.basis_b)
-    s, wprime = one_branch_design(sys16, a)
+    s, wprime = one_branch_design(sys16, a.response)
     assert np.array_equal(wprime.values, a.values)
     x = generate_one_branch(sys16, wprime, np.random.default_rng(5).normal(1, 1, sys16.half))
     decoded = _vertex_pipeline(sys16, s, wprime, x)
     rel = np.linalg.norm(decoded - x) / np.linalg.norm(x)
     assert rel < 1e-9
-    again = _vertex_pipeline(sys16, bandlimit(sys16.basis_b, sys16.half),
-                             build_wprime(a, np.ones(sys16.half)), x)
+    again = _vertex_pipeline(sys16, bandlimit(sys16.basis_b, sys16.half), a, x)
     assert_allclose(again, decoded, atol=1e-9)
 
 
@@ -245,29 +241,28 @@ def test_chebyshev_pipeline_converges_for_smooth_responses():
     assert np.linalg.norm(approx - exact) < 1e-6 * np.linalg.norm(x)
 
 
-def _exact_roundtrip_error(sys_, a, d):
-    s, wprime = one_branch_design(sys_, a)
+def _exact_roundtrip_error(sys_, a_resp, d):
+    s, wprime = one_branch_design(sys_, a_resp)
     x = generate_one_branch(sys_, wprime, d)
     return np.linalg.norm(_vertex_pipeline(sys_, s, wprime, x) - x) / np.linalg.norm(x)
 
 
 def test_one_branch_bandlimited_generator_roundtrip(sys16):
-    a = from_response(sys16.basis_b, _step_response)
     d = np.random.default_rng(9).normal(1, 1, sys16.half)
-    assert _exact_roundtrip_error(sys16, a, d) < 1e-9
+    assert _exact_roundtrip_error(sys16, _step_response, d) < 1e-9
 
 
 def test_one_branch_exact_roundtrip_larger_graph():
     sys_ = build_system(gen_random_bipartite(32, seed=47))
     d = np.random.default_rng(10).normal(1, 1, 32)
-    assert _exact_roundtrip_error(sys_, inverted_ramp(sys_.basis_b), d) < 1e-9
+    assert _exact_roundtrip_error(sys_, inverted_ramp(sys_.basis_b).response, d) < 1e-9
 
 
 def test_one_branch_chebyshev_error_shrinks_with_order():
     sys_ = build_system(gen_matched_bipartite(32, seed=48))
     d = np.random.default_rng(11).normal(1, 1, 32)
     a = inverted_ramp(sys_.basis_b)
-    x = generate_one_branch(sys_, one_branch_design(sys_, a)[1], d)
+    x = generate_one_branch(sys_, one_branch_design(sys_, a.response)[1], d)
     errs = []
     for order in (4, 16, 32):
         g, w = fit_one_branch(a.response, order)
@@ -284,25 +279,20 @@ def test_closed_form_one_branch_is_the_ds_design(matched, n_half, p, seed, ramp,
                                                  margin, c2):
     # Under the pairing the one-branch design needs no basis: the sampling
     # filter is the step at 1 and the decoding response is
-    # a(lam) / a(min(lam, 2 - lam)).
-    if matched:
-        assume(n_half >= 3)
-        g = gen_matched_bipartite(n_half, seed)
-    else:
-        try:
-            g = gen_random_bipartite(n_half, seed, p)
-        except ConnectivityFailure:
-            reject()
-    sys_ = build_system(g)
+    # a(lam) / a(min(lam, 2 - lam)). The oracle is the generic unconstrained
+    # DS design on the paired basis, combined as a * tile(1 / R_sa, 2).
+    sys_ = build_system(_bipartite_graph(matched, n_half, p, seed))
     lams = sys_.basis_b.lambdas
     if ramp:
         a_resp = inverted_ramp(sys_.basis_b).response
     else:
         c0 = abs(c1) + margin
         a_resp = lambda lam: c0 + c1 * float(np.cos(c2 * lam))
-    s, wprime = one_branch_design(sys_, from_response(sys_.basis_b, a_resp))
-    decoding = _decoding_response(a_resp)
-    assert_allclose([decoding(lam) for lam in lams], wprime.values, rtol=1e-12, atol=0)
+    s, wprime = one_branch_design(sys_, a_resp)
+    a = from_response(sys_.basis_b, a_resp)
+    design = design_subspace_unconstrained(bandlimit(sys_.basis_b, n_half), a, sys_.cfg)
+    assert_allclose(wprime.values, a.values * np.tile(design.h, 2), rtol=1e-12, atol=0)
+    assert np.array_equal(s.values, bandlimit(sys_.basis_b, n_half).values)
     off_cut = lams != 1.0
     step = np.array([_step_response(lam) for lam in lams])
     assert np.array_equal(step[off_cut], s.values[off_cut])
@@ -314,6 +304,12 @@ def test_closed_form_one_branch_is_the_ds_design(matched, n_half, p, seed, ramp,
 def test_fit_one_branch_rejects_vanishing_generator(a_resp):
     with pytest.raises(DsConditionViolated):
         fit_one_branch(a_resp, 4)
+
+
+def test_one_branch_design_rejects_vanishing_generator(sys16):
+    # The exact path raises where the fit does: at a folded value of 0.
+    with pytest.raises(DsConditionViolated):
+        one_branch_design(sys16, lambda lam: 0.0 if lam <= 1.0 else 1.0)
 
 
 @pytest.mark.parametrize("factor", ["phi", "psi"])

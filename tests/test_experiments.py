@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,8 @@ SMALL_RUNS = {
     ("recover", None, "coeff_mean"),
     ("table2", None, "coeff_mean"),
     ("bipartite", "--coeff-mean", "coeff_mean"),
+    ("recover", None, "eps"),
+    ("table2", None, "eps"),
 ])
 def test_cli_rejects_non_finite_settings(tmp_path, capsys, command, flag, key, value):
     out = tmp_path / "r.csv"
@@ -424,6 +430,42 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_filters_dump_into_an_existing_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "filters"
+    out.write_text("kept\n")
+    assert main(["filters", "dump", "--n", "16", "--m", "4", "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+def test_cli_filters_dump_rejects_a_bad_eps_before_writing(tmp_path, capsys, eps):
+    out = tmp_path / "filters"
+    out.mkdir()
+    assert main(["filters", "dump", "--n", "16", "--m", "4", "--eps", eps,
+                 "--out", str(out)]) == 2
+    assert "eps" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_exits_1_quietly_on_a_closed_stdout():
+    # The console script's entry point, with the read end of its stdout
+    # pipe closed before it writes.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from specsamp.cli import main; sys.exit(main())",
+             "verify", "theorem1", "--count", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_cli_exp_bipartite_config_keys(tmp_path, capsys):
     out = tmp_path / "bp.csv"
     argv = ["exp", "bipartite", "--n", "32", "--orders", "2", "--trials", "5",
@@ -531,11 +573,14 @@ GOLDEN_REPORTS = [
     (RECOVER, "e0940bbfd97a82947e6189481309cbf9fdcd625079478b0678be22f195b52720"),
 ]
 
-# sha256 of each command's standard output, the report path written as OUT.
+# sha256 of each command's standard output, the report path written as OUT;
+# `verify theorem1` writes no report.
+VERIFY = ["verify", "theorem1", "--count", "3", "--seed", "1"]
 GOLDEN_STDOUTS = [
     (TABLE2, "cff46019cd5ee1c4312272ffd8f5fb1a78a2c5fc448d6b6de4ad86f799d58a7a"),
     (BIPARTITE, "f4eecb531a63cfd06f32e0f9a10b41731af3a20c97cd3eae98648d2dbbd5d462"),
     (RECOVER, "42336e62dcf8cfe8377d9f40ca62283a957f72085e257af9fc30a581e94d8daf"),
+    (VERIFY, "87c35d60174bc5f966acaaac96b152e08618907fc51d5246a432b0202e6277d1"),
 ]
 
 
@@ -548,10 +593,11 @@ def test_cli_report_golden_digest(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUTS, ids=["table2", "bipartite", "recover"])
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUTS,
+                         ids=["table2", "bipartite", "recover", "verify"])
 def test_cli_stdout_golden_digest(tmp_path, capsys, argv, digest):
     out = tmp_path / "report.csv"
-    assert main([*argv, "--out", str(out)]) == 0
+    assert main(argv if argv is VERIFY else [*argv, "--out", str(out)]) == 0
     text = capsys.readouterr().out.replace(str(out), "OUT")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
