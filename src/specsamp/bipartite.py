@@ -35,7 +35,13 @@ from typing import Callable, Tuple, Union
 import numpy as np
 
 from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
-from .errors import DsConditionViolated, NotBipartite, PairingFailure, UnequalParts
+from .errors import (
+    DsConditionViolated,
+    EigensolveFailure,
+    NotBipartite,
+    PairingFailure,
+    UnequalParts,
+)
 from .filters import SpectralFilter, bandlimit, from_response
 from .graphs import Graph, VariationOperator, normalized_laplacian
 from .sampling import SamplingConfig, frequency_sample
@@ -74,6 +80,8 @@ def build_system(g: Graph) -> BipartiteSystem:
     ------
     NotBipartite, UnequalParts
         If the graph carries no bipartition or its parts differ in size.
+    EigensolveFailure
+        If the SVD does not converge.
     PairingFailure
         If the SVD it takes is not one: Phi or Psi is not orthonormal, or
         B Psi misses Phi Sigma (should not happen; exposed rather than
@@ -87,7 +95,10 @@ def build_system(g: Graph) -> BipartiteSystem:
     op_b = normalized_laplacian(g)
 
     block = -op_b.matrix[:half, half:]
-    phi, sigma, psi_t = np.linalg.svd(block)
+    try:
+        phi, sigma, psi_t = np.linalg.svd(block)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(str(exc)) from exc
     signs = _column_signs(phi)
     phi *= signs
     psi = psi_t.T

@@ -89,8 +89,8 @@ def _cmd_gen_graph(args) -> int:
 
 def _cmd_filters_dump(args) -> int:
     cfg = _config(ExperimentConfig, args)
-    basis = basis_for_config(cfg, build_experiment_graph(cfg))
     k = SamplingConfig(cfg.n, cfg.m).k
+    basis = basis_for_config(cfg, build_experiment_graph(cfg))
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:

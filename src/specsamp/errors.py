@@ -22,7 +22,7 @@ class ConnectivityFailure(SpecSampError):
 
 
 class EigensolveFailure(SpecSampError):
-    """The symmetric eigensolver did not converge."""
+    """The symmetric eigensolver or SVD did not converge."""
 
 
 class IntervalMismatch(SpecSampError):

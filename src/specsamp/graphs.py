@@ -2,9 +2,10 @@
 
 Graphs are undirected, weighted, without self-loops, and stored dense: the
 target sizes (a few thousand vertices at most) make the eigendecomposition
-the dominant cost, not storage. A bipartite graph is stored first part
-first, so its bipartition is one integer, the first part's size. The
-Chebyshev recurrence multiplies by a variation operator's
+the dominant cost, not storage. Weights and variation operators must be
+exactly symmetric, as every builder here makes them. A bipartite graph is
+stored first part first, so its bipartition is one integer, the first
+part's size. The Chebyshev recurrence multiplies by a variation operator's
 ``product_matrix``: a CSR copy of its matrix, built once on first use, when
 the matrix is sparse enough for that to pay, else the dense matrix itself.
 """
@@ -25,7 +26,6 @@ from .errors import (
     IsolatedVertex,
 )
 
-_SYMMETRY_RTOL = 1e-12
 # Share of nonzero entries at or below which an operator's products are taken
 # in CSR. On a 2-vCPU x86-64 VM with one BLAS thread, N = 2048 and 100
 # right-hand sides, a CSR product costs 0.38x the dense one at 4% nonzeros,
@@ -40,37 +40,28 @@ _MATCH_EXTRA = 2
 
 
 def _symmetric(a, name: str) -> np.ndarray:
-    """A read-only float copy of ``a``; InvalidParameter unless it is a finite
-    square matrix, symmetric to _SYMMETRY_RTOL of its largest entry (at
-    least 1). An inexactly symmetric one is replaced by its symmetric part."""
+    """A read-only float copy of ``a``; InvalidParameter unless it is a finite,
+    exactly symmetric square matrix."""
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameter(f"{name} must be a square matrix, got shape {m.shape}")
-    # Reductions and in-place steps: at most one N x N temporary.
     lo, hi = m.min(initial=0.0), m.max(initial=0.0)  # NaN propagates
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InvalidParameter(f"{name} must be finite")
     if not np.array_equal(m, m.T):
-        sym = np.add(m, m.T)
-        sym *= 0.5
-        m -= sym  # |m - sym| is half of |m - m^T|
-        if np.abs(m, out=m).max() > 0.5 * _SYMMETRY_RTOL * max(1.0, -lo, hi):
-            raise InvalidParameter(f"{name} must be symmetric")
-        m = sym
+        raise InvalidParameter(f"{name} must be symmetric")
     m.flags.writeable = False
     return m
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph.
+    """Undirected weighted graph on ``n = weights.shape[0]`` vertices.
 
     Parameters
     ----------
-    n : int
-        Number of vertices.
     weights : ndarray(n, n)
-        Symmetric nonnegative edge-weight matrix with zero diagonal.
+        Exactly symmetric nonnegative edge-weight matrix with zero diagonal.
     bipartition : optional int
         Size h of the first part of a bipartite graph, which is stored
         first part first: vertices 0..h-1 form the first part and h..n-1
@@ -78,14 +69,11 @@ class Graph:
         same part.
     """
 
-    n: int
     weights: np.ndarray
     bipartition: Optional[int] = None
 
     def __post_init__(self):
         w = _symmetric(self.weights, "weights")
-        if w.shape != (self.n, self.n):
-            raise InvalidParameter(f"weights must be {self.n}x{self.n}, got {w.shape}")
         if np.any(np.diag(w) != 0):
             raise InvalidParameter("self-loops are not allowed")
         if np.any(w < 0):
@@ -105,6 +93,10 @@ class Graph:
                 raise InvalidParameter("bipartition admits no intra-part edges")
 
     @property
+    def n(self) -> int:
+        return self.weights.shape[0]
+
+    @property
     def degrees(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
@@ -112,7 +104,8 @@ class Graph:
 @dataclass(frozen=True)
 class VariationOperator:
     """Real symmetric positive semidefinite matrix used to define a GFT,
-    checked and kept as Graph keeps its weights."""
+    checked and kept as Graph keeps its weights: finite and exactly
+    symmetric, else InvalidParameter."""
 
     matrix: np.ndarray
 
@@ -138,8 +131,7 @@ class VariationOperator:
 
 def combinatorial_laplacian(g: Graph) -> VariationOperator:
     """Return L = D - A with D the diagonal degree matrix."""
-    lap = np.diag(g.degrees) - g.weights
-    return VariationOperator(lap)
+    return VariationOperator(np.diag(g.degrees) - g.weights)
 
 
 def normalized_laplacian(g: Graph) -> VariationOperator:
@@ -154,9 +146,8 @@ def normalized_laplacian(g: Graph) -> VariationOperator:
     if np.any(deg <= 0):
         raise IsolatedVertex("normalized Laplacian requires all degrees > 0")
     dinv = 1.0 / np.sqrt(deg)
-    norm_adj = g.weights * dinv[:, None] * dinv[None, :]
-    lap = np.eye(g.n) - norm_adj
-    return VariationOperator(lap)
+    # One product per entry, so entries (i, j) and (j, i) are equal exactly.
+    return VariationOperator(np.eye(g.n) - g.weights * np.outer(dinv, dinv))
 
 
 def _is_connected(weights: np.ndarray) -> bool:
@@ -182,7 +173,7 @@ def gen_circular(n: int) -> Graph:
     idx = np.arange(n)
     w[idx, (idx + 1) % n] = 1.0
     w[(idx + 1) % n, idx] = 1.0
-    return Graph(n, w)
+    return Graph(w)
 
 
 def gen_random_sensor(n: int, seed: int) -> Graph:
@@ -212,7 +203,7 @@ def gen_random_sensor(n: int, seed: int) -> Graph:
         w[rows, cols] = vals
         w = np.maximum(w, w.T)
         if _is_connected(w):
-            return Graph(n, w)
+            return Graph(w)
     raise ConnectivityFailure(f"no connected sensor graph after {_MAX_RESAMPLE} attempts")
 
 
@@ -231,7 +222,7 @@ def gen_random_bipartite(n_half: int, seed: int, p: float = 0.5) -> Graph:
     for _ in range(_MAX_RESAMPLE):
         w = _bipartite((rng.random((n_half, n_half)) < p).astype(float))
         if _is_connected(w):
-            return Graph(2 * n_half, w, bipartition=n_half)
+            return Graph(w, bipartition=n_half)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
@@ -258,7 +249,7 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
             block[i, idx + (idx >= partner[i])] = 1.0
         w = _bipartite(block)
         if _is_connected(w):
-            return Graph(2 * n_half, w, bipartition=n_half)
+            return Graph(w, bipartition=n_half)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
@@ -266,7 +257,7 @@ def complete_bipartite(n_half: int) -> Graph:
     """K_{n_half,n_half} with unit weights, first part first."""
     if n_half < 1:
         raise InvalidParameter("need n_half >= 1")
-    return Graph(2 * n_half, _bipartite(np.ones((n_half, n_half))), bipartition=n_half)
+    return Graph(_bipartite(np.ones((n_half, n_half))), bipartition=n_half)
 
 
 def save_graph(g: Graph, path: str) -> None:

@@ -138,8 +138,7 @@ def _unconstrained_h(s: SpectralFilter, a: SpectralFilter, cfg: SamplingConfig,
 def _predefined_h(s: SpectralFilter, a: SpectralFilter, w: SpectralFilter,
                   cfg: SamplingConfig, strategy: Strategy, error) -> np.ndarray:
     """Correction of the predefined DS/MX designs: R_wa / (R_sa * R_ww).
-    DS guards each correlation on its own scale, MX the product on its
-    floored scale."""
+    DS guards each correlation on its own scale, MX the product on its own."""
     corr_sa = sampled_cross_correlation(s, a, cfg)
     corr_ww = sampled_cross_correlation(w, w, cfg)
     corr_wa = sampled_cross_correlation(w, a, cfg)
@@ -147,7 +146,7 @@ def _predefined_h(s: SpectralFilter, a: SpectralFilter, w: SpectralFilter,
     if strategy is Strategy.DS:
         small = _small(corr_sa) | _small(corr_ww)
     else:
-        small = np.abs(denom) <= 1e-10 * max(np.abs(denom).max(initial=0.0), 1e-300)
+        small = _small(denom)
     return _divide(corr_wa, denom, small, error)
 
 

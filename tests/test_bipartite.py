@@ -120,7 +120,7 @@ def test_build_system_requires_bipartition():
     w[2, 3] = w[3, 2] = 1.0
     w[1, 2] = w[2, 1] = 1.0
     with pytest.raises(NotBipartite):
-        build_system(Graph(4, w))
+        build_system(Graph(w))
 
 
 def test_build_system_validates_no_second_graph(monkeypatch):
@@ -141,7 +141,7 @@ def test_build_system_requires_equal_parts():
     w = np.zeros((3, 3))
     w[0, 2] = w[2, 0] = 1.0
     w[1, 2] = w[2, 1] = 1.0
-    g = Graph(3, w, bipartition=2)
+    g = Graph(w, bipartition=2)
     with pytest.raises(UnequalParts):
         build_system(g)
 

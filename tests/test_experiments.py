@@ -448,6 +448,17 @@ def test_cli_filters_dump_rejects_a_bad_eps_before_writing(tmp_path, capsys, eps
     assert list(out.iterdir()) == []
 
 
+def test_cli_filters_dump_checks_m_before_building_the_graph(tmp_path, capsys, monkeypatch):
+    def no_graph(cfg):
+        raise AssertionError("graph built before --m was checked")
+
+    monkeypatch.setattr(cli, "build_experiment_graph", no_graph)
+    out = tmp_path / "filters"
+    assert main(["filters", "dump", "--n", "1500", "--m", "7", "--out", str(out)]) == 2
+    assert "must divide" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exits_1_quietly_on_a_closed_stdout():
     # The console script's entry point, with the read end of its stdout
     # pipe closed before it writes.
@@ -542,6 +553,17 @@ def test_cli_verify_fails_on_a_filtered_residual_above_the_bound(capsys, monkeyp
     assert "Traceback" not in captured.err
 
 
+def test_cli_verify_exits_3_when_the_svd_does_not_converge(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["verify", "theorem1", "--count", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "SVD did not converge" in err
+    assert "Traceback" not in err
+
+
 def test_cli_verify_rejects_negative_count(capsys):
     assert main(["verify", "theorem1", "--count", "-1"]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -562,9 +584,9 @@ RECOVER = ["recover", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "
            "--rng-seed", "1", "--noise", "0.1"]
 GOLDEN_REPORTS = [
     (TABLE2, "40c0885e6436ffafa5738730ea11c4cbee64a871535602d0d8e294b961ae5d01"),
-    (BIPARTITE, "870e3f099d6f510239995769209dccfa84421605038099a783b49828bfc6e8c3"),
+    (BIPARTITE, "f00733d124803ca18ee2da21c418cfb91a748677c137debb0226c36b46f430e2"),
     (["exp", "bipartite", "--n", "128", "--orders", "2,4", "--trials", "3"],
-     "cfdca75cebafe73c55c3d311fb62e03b3ef420988b72c888d1bed3df7385774a"),
+     "d462e037cd21647063fca562f3187202ddc70e1e24db80e303c37357002f98c9"),
     ([*TABLE2, "--format", "json"],
      "36629dc42ab3282698d73b5b0c9bb26788383c8d6d3e93c0af0021b788d9724f"),
     (["exp", "table2", "--kind", "circular", "--n", "32", "--m", "4", "--trials", "3",
@@ -578,7 +600,7 @@ GOLDEN_REPORTS = [
 VERIFY = ["verify", "theorem1", "--count", "3", "--seed", "1"]
 GOLDEN_STDOUTS = [
     (TABLE2, "cff46019cd5ee1c4312272ffd8f5fb1a78a2c5fc448d6b6de4ad86f799d58a7a"),
-    (BIPARTITE, "f4eecb531a63cfd06f32e0f9a10b41731af3a20c97cd3eae98648d2dbbd5d462"),
+    (BIPARTITE, "945957426e3696cca9111e86590377ffa9390c8bfaf7ab1c3dcd6603cf573f63"),
     (RECOVER, "42336e62dcf8cfe8377d9f40ca62283a957f72085e257af9fc30a581e94d8daf"),
     (VERIFY, "87c35d60174bc5f966acaaac96b152e08618907fc51d5246a432b0202e6277d1"),
 ]

@@ -120,12 +120,13 @@ def test_chebyshev_constant_coefficients():
     assert cf.fit_error < 1e-14
 
 
-def test_variation_operator_symmetrizes_only_asymmetric_matrices():
+def test_variation_operator_rejects_rounding_asymmetry():
     sym = np.array([[2.0, 0.1], [0.1, 1.0]])
     assert np.array_equal(VariationOperator(sym).matrix, sym)
     asym = np.array([[2.0, 0.1 + 1e-15], [0.1, 1.0]])
     assert asym[0, 1] != asym[1, 0]
-    assert np.array_equal(VariationOperator(asym).matrix, 0.5 * (asym + asym.T))
+    with pytest.raises(InvalidParameter, match="symmetric"):
+        VariationOperator(asym)
 
 
 @settings(max_examples=100, deadline=None)
@@ -249,7 +250,7 @@ def test_apply_chebyshev_matches_dense_recurrence(n, chords, seed, order, normal
     rng = np.random.default_rng(seed)
     w = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < chords), 1)
     w[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 2.0, n - 1)  # a spanning path
-    g = Graph(n, w + w.T)
+    g = Graph(w + w.T)
     op = normalized_laplacian(g) if normalized else combinatorial_laplacian(g)
     # Gershgorin bounds the spectrum, so every T_k of the mapped operator has norm <= 1.
     b = 2.0 if normalized else 2.0 * g.degrees.max()

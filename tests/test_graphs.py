@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specsamp import (
@@ -21,7 +23,7 @@ from specsamp import (
 
 
 def two_vertex():
-    return Graph(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return Graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_combinatorial_single_edge():
@@ -30,7 +32,7 @@ def test_combinatorial_single_edge():
 
 
 def test_combinatorial_edgeless_is_zero():
-    op = combinatorial_laplacian(Graph(5, np.zeros((5, 5))))
+    op = combinatorial_laplacian(Graph(np.zeros((5, 5))))
     assert_allclose(op.matrix, np.zeros((5, 5)))
 
 
@@ -71,7 +73,7 @@ def test_normalized_rejects_isolated_vertex():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0
     with pytest.raises(IsolatedVertex):
-        normalized_laplacian(Graph(3, w))
+        normalized_laplacian(Graph(w))
 
 
 def test_normalized_eigenvalues_within_two():
@@ -126,7 +128,7 @@ def test_matched_bipartite_weights_pinned(n_half, seed, digest):
 ])
 def test_generated_graphs_satisfy_invariants(factory):
     g = factory()
-    assert_allclose(g.weights, g.weights.T)
+    assert np.array_equal(g.weights, g.weights.T)
     assert np.all(np.diag(g.weights) == 0)
     assert np.all(g.weights >= 0)
     if g.bipartition is not None:
@@ -143,39 +145,75 @@ def test_bipartite_generator_records_partition():
 
 def test_graph_rejects_bad_bipartition():
     k22 = complete_bipartite(2).weights
-    assert Graph(4, k22, bipartition=2).bipartition == 2
+    assert Graph(k22, bipartition=2).bipartition == 2
     for i, j in [(0, 1), (2, 3)]:   # an edge inside the first part, then the second
         w = k22.copy()
         w[i, j] = w[j, i] = 1.0
-        with pytest.raises(InvalidParameter):
-            Graph(4, w, bipartition=2)
-    assert Graph(4, k22, bipartition=np.int64(2)).bipartition == 2
+        with pytest.raises(InvalidParameter, match="intra-part"):
+            Graph(w, bipartition=2)
+    assert Graph(k22, bipartition=np.int64(2)).bipartition == 2
     for h in (-1, 5, 2.0, (np.arange(2), np.arange(2, 4))):
-        with pytest.raises(InvalidParameter):
-            Graph(4, k22, bipartition=h)
+        with pytest.raises(InvalidParameter, match="first part size"):
+            Graph(k22, bipartition=h)
 
 
 def test_graph_rejects_asymmetry_and_self_loops():
-    with pytest.raises(InvalidParameter):
-        Graph(2, np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(InvalidParameter):
-        Graph(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(InvalidParameter):
-        Graph(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    with pytest.raises(InvalidParameter, match="symmetric"):
+        Graph(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(InvalidParameter, match="self-loops"):
+        Graph(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(InvalidParameter, match="nonnegative"):
+        Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
-def test_graph_accepts_rounding_asymmetry_and_symmetrizes():
-    w = np.array([[0.0, 1.0 + 1e-15, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+def test_graph_rejects_rounding_asymmetry():
+    w = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    assert np.array_equal(Graph(w).weights, w)
+    w[0, 1] += 1e-15
     assert w[0, 1] != w[1, 0]
-    g = Graph(3, w)
-    assert np.array_equal(g.weights, g.weights.T)
-    assert g.weights[0, 1] == 0.5 * (w[0, 1] + w[1, 0])
+    with pytest.raises(InvalidParameter, match="symmetric"):
+        Graph(w)
+
+
+def _random_graph(n, density, seed):
+    """Symmetric nonnegative weights with zero diagonal; vertices may be isolated."""
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.0, 10.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    return Graph(w + w.T)
+
+
+_GRAPHS = st.one_of(
+    st.builds(gen_random_sensor, st.integers(2, 40), st.integers(0, 2**32 - 1)),
+    st.builds(gen_circular, st.integers(2, 40)),
+    st.builds(gen_random_bipartite, st.integers(1, 20), st.integers(0, 2**32 - 1),
+              st.floats(0.5, 1.0)),
+    st.builds(gen_matched_bipartite, st.integers(3, 20), st.integers(0, 2**32 - 1)),
+    st.builds(complete_bipartite, st.integers(1, 20)),
+    st.builds(_random_graph, st.integers(1, 40), st.floats(0.0, 1.0),
+              st.integers(0, 2**32 - 1)),
+)
+
+
+# The operators are built exactly symmetric, so they pass the exact check
+# without repair, and they are the textbook D - W and I - D^-1/2 W D^-1/2.
+@settings(max_examples=100, deadline=None)
+@given(g=_GRAPHS)
+def test_laplacians_are_exactly_symmetric_by_construction(g):
+    w, deg = g.weights, g.weights.sum(axis=1)
+    assert_allclose(combinatorial_laplacian(g).matrix, np.diag(deg) - w, rtol=0, atol=1e-15)
+    if np.any(deg == 0):
+        with pytest.raises(IsolatedVertex):
+            normalized_laplacian(g)
+        return
+    d = np.diag(1.0 / np.sqrt(deg))
+    assert_allclose(normalized_laplacian(g).matrix, np.eye(g.n) - d @ w @ d,
+                    rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
 def test_graph_rejects_nonfinite_weights(value):
     with pytest.raises(InvalidParameter, match="finite"):
-        Graph(2, np.array([[0.0, value], [value, 0.0]]))
+        Graph(np.array([[0.0, value], [value, 0.0]]))
 
 
 @pytest.mark.parametrize("m", [
@@ -206,7 +244,7 @@ def _read_edge_list(path):
     for line in edges:
         i, j, value = line.split()
         w[int(i), int(j)] = w[int(j), int(i)] = float(value)
-    return Graph(len(w), w, bipartition=int(fields[3]) if len(fields) == 4 else None)
+    return Graph(w, bipartition=int(fields[3]) if len(fields) == 4 else None)
 
 
 def test_edge_list_roundtrip(tmp_path):
