@@ -10,23 +10,33 @@ so each product costs O(nnz) rather than O(N^2), or the dense matrix of a
 dense one.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, IntervalMismatch, InvalidParameter
-from .graphs import VariationOperator
+from .graphs import VariationOperator, _frozen, _integer
 
 GRID_POINTS = 1000
+
+
+def _interval(interval) -> Tuple[float, float]:
+    """``interval`` as floats (a, b); InvalidParameter unless finite with a < b."""
+    a, b = (float(v) for v in interval)
+    if not -math.inf < a < b < math.inf:  # NaN fails every comparison
+        raise InvalidParameter(f"need a finite interval with a < b, got {interval}")
+    return a, b
 
 
 @dataclass(frozen=True)
 class ChebyshevFilter:
     """Chebyshev expansion of a spectral response on an interval.
 
-    coeffs has length order + 1; the represented response is
-    coeffs[0]/2 + sum_k coeffs[k] T_k on the mapped interval.
+    order is an integer >= 0 and coeffs, finite, has length order + 1; the
+    represented response is coeffs[0]/2 + sum_k coeffs[k] T_k on the
+    interval (a, b), finite with a < b, mapped to [-1, 1].
     fit_error is the max absolute error on a 1000-point grid.
     """
 
@@ -36,10 +46,11 @@ class ChebyshevFilter:
     fit_error: float = 0.0
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if len(c) != self.order + 1:
-            raise InvalidParameter("coeffs length must be order + 1")
-        c.flags.writeable = False
+        object.__setattr__(self, "interval", _interval(self.interval))
+        object.__setattr__(self, "order", _integer(self.order, "order"))
+        c = _frozen(self.coeffs, "coefficients")
+        if self.order < 0 or len(c) != self.order + 1:
+            raise InvalidParameter("need order >= 0 and order + 1 coefficients")
         object.__setattr__(self, "coeffs", c)
 
 
@@ -80,20 +91,18 @@ def chebyshev_fit(response: Callable[[float], float], interval: Tuple[float, flo
     """
     if order < 1:
         raise InvalidParameter("need order >= 1")
-    a, b = interval
-    if not b > a:
-        raise InvalidParameter("need interval with b > a")
+    a, b = _interval(interval)
     npts = 2 * order
     theta = np.pi * (np.arange(npts) + 0.5) / npts
     nodes = 0.5 * (b - a) * np.cos(theta) + 0.5 * (a + b)
     fvals = np.array([response(lam) for lam in nodes], dtype=float)
     ks = np.arange(order + 1)
     coeffs = (2.0 / npts) * (np.cos(np.outer(ks, theta)) @ fvals)
-    cf = ChebyshevFilter(coeffs, (float(a), float(b)), order)
+    cf = ChebyshevFilter(coeffs, (a, b), order)
     grid = np.linspace(a, b, GRID_POINTS)
     exact = np.array([response(lam) for lam in grid], dtype=float)
     err = float(np.max(np.abs(evaluate(cf, grid) - exact)))
-    return ChebyshevFilter(coeffs, (float(a), float(b)), order, fit_error=err)
+    return ChebyshevFilter(coeffs, (a, b), order, fit_error=err)
 
 
 def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,

@@ -31,7 +31,6 @@ from .experiments import (
     basis_for_config,
     build_experiment_graph,
     emit_report,
-    part_size,
     run_bipartite_experiment,
     run_recovery_experiment,
     run_recovery_table,
@@ -44,28 +43,24 @@ from .sampling import SamplingConfig
 _CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
 
 
-def _config(cls, args, **derived):
-    """``cls`` built from the flags whose dest is one of its fields, then
-    ``derived``, then the keys of the JSON object in the ``--config`` file
-    (if the command takes one and it is given), each overriding the one
-    before."""
+def _config(cls, args):
+    """``cls`` built from the command's flags whose dest is one of its fields,
+    each overridden by the key of that name in the JSON object of the
+    ``--config`` file, if given. Any other key is a configuration error."""
     types = {f.name: type(f.default) for f in fields(cls)}
     flags = {k: v for k, v in vars(args).items() if k in types}
     overrides = {}
-    path = getattr(args, "config", None)
-    if path is not None:
+    if getattr(args, "config", None) is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
         if not isinstance(overrides, dict):
             raise InvalidParameter("config file must hold a JSON object")
-    bad = set(overrides) - set(types)
-    if bad:
-        raise InvalidParameter(f"unknown config keys: {sorted(bad)}")
-    return cls(**{**flags, **derived,
-                  **{k: _typed(k, types[k], v) for k, v in overrides.items()}})
+    if bad := set(overrides) - set(flags):
+        raise InvalidParameter(f"unknown config keys {sorted(bad)}, not in {sorted(flags)}")
+    return cls(**{**flags, **{k: _typed(k, types[k], v) for k, v in overrides.items()}})
 
 
 def _typed(key, kind, value):
@@ -120,9 +115,7 @@ def _cmd_exp_table2(args) -> int:
 
 
 def _cmd_exp_bipartite(args) -> int:
-    cfg = _config(BipartiteExperimentConfig, args, n_half=part_size(args.n, "bipartite"),
-                  orders=tuple(int(p) for p in args.orders.split(",")))
-    groups = run_bipartite_experiment(cfg)
+    groups = run_bipartite_experiment(_config(BipartiteExperimentConfig, args))
     emit_report(groups, args.format, args.out)
     for mode, db in sorted({(g.labels[1], g.mean_db) for g in groups}):
         print(f"{mode}: {db:.2f} dB")
@@ -155,6 +148,30 @@ def _cmd_verify_theorem1(args) -> int:
     return 0
 
 
+def _command(subparsers, name: str, help: str, fn, groups, **defaults):
+    """The parser of command ``name``, which runs ``fn``: the named groups of
+    the flags several commands share, each flag defined here once, with
+    ``defaults`` set over theirs. The caller adds the command's own flags."""
+    p = subparsers.add_parser(name, help=help)
+    if "graph" in groups:
+        p.add_argument("--n", type=int, default=256)
+        p.add_argument("--seed", dest="graph_seed", type=int, default=0)
+        p.add_argument("--p", type=float, default=0.5)
+    if "kind" in groups:
+        p.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
+    if "sampling" in groups:
+        p.add_argument("--m", type=int, default=8)
+        p.add_argument("--eps", type=float, default=0.1)
+    if "run" in groups:  # --trials has no default here: each command sets its own
+        p.add_argument("--trials", type=int)
+        p.add_argument("--rng-seed", type=int, default=0)
+        p.add_argument("--coeff-mean", type=float, default=1.0)
+        p.add_argument("--config", default=None)
+        p.add_argument("--format", default="csv", choices=["csv", "json"])
+    p.set_defaults(fn=fn, **defaults)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specsamp",
@@ -163,79 +180,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"specsamp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-graph", help="generate a graph and write its edge list")
-    p.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--seed", dest="graph_seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.5)
+    p = _command(sub, "gen-graph", "generate a graph and write its edge list",
+                 _cmd_gen_graph, ("graph", "kind"))
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_gen_graph)
 
-    p = sub.add_parser("filters", help="filter table utilities")
-    fsub = p.add_subparsers(dest="subcommand", required=True)
-    fd = fsub.add_parser("dump", help="write two-column (lambda, value) filter tables")
-    fd.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
-    fd.add_argument("--n", type=int, default=64)
-    fd.add_argument("--seed", dest="graph_seed", type=int, default=0)
-    fd.add_argument("--m", type=int, default=8)
-    fd.add_argument("--eps", type=float, default=0.1)
-    fd.add_argument("--out", required=True)
-    fd.set_defaults(fn=_cmd_filters_dump)
+    fsub = sub.add_parser("filters", help="filter table utilities").add_subparsers(
+        dest="subcommand", required=True)
+    p = _command(fsub, "dump", "write two-column (lambda, value) filter tables",
+                 _cmd_filters_dump, ("graph", "kind", "sampling"), n=64)
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("recover", help="run a single recovery pipeline")
-    p.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--seed", dest="graph_seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=8)
+    p = _command(sub, "recover", "run a single recovery pipeline", _cmd_recover,
+                 ("graph", "kind", "sampling", "run"), trials=1)
     p.add_argument("--generator", default="gen1", choices=GENERATOR_IDS)
     p.add_argument("--sampling", dest="sampling_filter", default="bl", choices=SAMPLING_IDS)
     p.add_argument("--prior", default="subspace", choices=PRIOR_IDS)
     p.add_argument("--mode", default="unconstrained", choices=MODE_IDS)
     p.add_argument("--strategy", default="ds", choices=STRATEGY_IDS)
     p.add_argument("--noise", dest="noise_variance", type=float, default=0.0)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.set_defaults(fn=_cmd_recover)
 
-    p = sub.add_parser("exp", help="experiment harness")
-    esub = p.add_subparsers(dest="subcommand", required=True)
-    t2 = esub.add_parser("table2", help="full recovery method/filter/noise matrix")
-    t2.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
-    t2.add_argument("--n", type=int, default=256)
-    t2.add_argument("--seed", dest="graph_seed", type=int, default=0)
-    t2.add_argument("--m", type=int, default=8)
-    t2.add_argument("--trials", type=int, default=1000)
-    t2.add_argument("--noise", dest="noise_variance", type=float, default=0.1)
-    t2.add_argument("--rng-seed", type=int, default=0)
-    t2.add_argument("--config", default=None)
-    t2.add_argument("--out", required=True)
-    t2.add_argument("--format", default="csv", choices=["csv", "json"])
-    t2.set_defaults(fn=_cmd_exp_table2)
+    esub = sub.add_parser("exp", help="experiment harness").add_subparsers(
+        dest="subcommand", required=True)
+    p = _command(esub, "table2", "full recovery method/filter/noise matrix", _cmd_exp_table2,
+                 ("graph", "kind", "sampling", "run"), trials=1000)
+    p.add_argument("--noise", dest="noise_variance", type=float, default=0.1)
+    p.add_argument("--out", required=True)
 
-    bp = esub.add_parser("bipartite", help="one-branch Chebyshev-order sweep")
-    bp.add_argument("--n", type=int, default=256)
-    bp.add_argument("--seed", dest="graph_seed", type=int, default=0)
-    bp.add_argument("--graph", dest="graph_kind", default="matched", choices=BIPARTITE_KINDS)
-    bp.add_argument("--p", type=float, default=0.5)
-    bp.add_argument("--orders", default="2,4,8,16,24,32")
-    bp.add_argument("--trials", type=int, default=100)
-    bp.add_argument("--rng-seed", type=int, default=0)
-    bp.add_argument("--coeff-mean", type=float, default=1.0)
-    bp.add_argument("--config", default=None)
-    bp.add_argument("--out", required=True)
-    bp.add_argument("--format", default="csv", choices=["csv", "json"])
-    bp.set_defaults(fn=_cmd_exp_bipartite)
+    p = _command(esub, "bipartite", "one-branch Chebyshev-order sweep", _cmd_exp_bipartite,
+                 ("graph", "run"), trials=100)
+    p.add_argument("--graph", dest="graph_kind", default="matched", choices=BIPARTITE_KINDS)
+    p.add_argument("--orders", type=lambda text: tuple(int(v) for v in text.split(",")),
+                   default=(2, 4, 8, 16, 24, 32))
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("verify", help="numerical identity checks")
-    vsub = p.add_subparsers(dest="subcommand", required=True)
-    th = vsub.add_parser("theorem1",
-                         help="bipartite vertex/frequency sampling identity residuals")
-    th.add_argument("--seed", type=int, default=0)
-    th.add_argument("--count", type=int, default=20)
-    th.set_defaults(fn=_cmd_verify_theorem1)
+    vsub = sub.add_parser("verify", help="numerical identity checks").add_subparsers(
+        dest="subcommand", required=True)
+    p = vsub.add_parser("theorem1",
+                        help="bipartite vertex/frequency sampling identity residuals")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=20)
+    p.set_defaults(fn=_cmd_verify_theorem1)
 
     return parser
 

@@ -301,14 +301,17 @@ BIPARTITE_KINDS = ("matched", "random")
 class BipartiteExperimentConfig:
     """Chebyshev-order sweep for one-branch vertex-domain recovery.
 
-    ``graph_kind`` selects the bipartite family: "matched" (the default)
-    keeps the normalized spectrum away from the filters' discontinuity at
-    1, which the polynomial approximations need; "random" is the plain
-    Bernoulli(p) family, whose spectrum clusters at 1 and caps how much
-    the approximated pipeline can gain over the bandlimited baseline.
+    ``n`` is the vertex count, even, as in :class:`ExperimentConfig`: each
+    part holds n/2 vertices. ``graph_kind`` selects the bipartite family:
+    "matched" (the default) keeps the normalized spectrum away from the
+    filters' discontinuity at 1, which the polynomial approximations need;
+    "random" is the plain Bernoulli(p) family, whose spectrum clusters at
+    1 and caps how much the approximated pipeline can gain over the
+    bandlimited baseline. ``orders`` holds at least one Chebyshev order,
+    each at least 1 and each once.
     """
 
-    n_half: int = 128
+    n: int = 256
     graph_seed: int = 0
     graph_kind: str = "matched"
     p: float = 0.5
@@ -320,6 +323,8 @@ class BipartiteExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameter("need trials >= 1")
+        if not self.orders or len(set(self.orders)) != len(self.orders):
+            raise InvalidParameter(f"need at least one order, each once, got {self.orders}")
         if any(p < 1 for p in self.orders):
             raise InvalidParameter("orders must be >= 1")
         if not math.isfinite(self.coeff_mean):
@@ -337,10 +342,11 @@ def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[ReportGroup
     approximated-bandlimited reconstruction is reported alongside as the
     baseline, after an exact-filter run (lossless up to conditioning).
     """
+    half = part_size(cfg.n, "bipartite")
     if cfg.graph_kind == "matched":
-        sys_ = build_system(gen_matched_bipartite(cfg.n_half, cfg.graph_seed))
+        sys_ = build_system(gen_matched_bipartite(half, cfg.graph_seed))
     else:
-        sys_ = build_system(gen_random_bipartite(cfg.n_half, cfg.graph_seed, cfg.p))
+        sys_ = build_system(gen_random_bipartite(half, cfg.graph_seed, cfg.p))
     a = inverted_ramp(sys_.basis_b)
     s, wprime = one_branch_design(sys_, a.response)
 

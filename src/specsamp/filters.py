@@ -11,6 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParameter, IoFailure
+from .graphs import _frozen
 
 Response = Callable[[float], float]
 
@@ -33,11 +34,7 @@ class SpectralFilter:
     response: Optional[Response] = None
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise InvalidParameter("filter values must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(self.values, "filter values"))
 
     @property
     def n(self) -> int:

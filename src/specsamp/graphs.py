@@ -39,18 +39,37 @@ _MATCH_WEIGHT = 6.0
 _MATCH_EXTRA = 2
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; InvalidParameter unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(
+            f"{name} must be an integer, got {type(value).__name__}") from None
+
+
+def _frozen(a, name: str, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a`` as a ``dtype`` array (None keeps the input's
+    type); InvalidParameter unless every entry is finite."""
+    m = np.array(a, dtype=dtype)
+    # min and max propagate NaN and inf and allocate nothing. A complex
+    # array's are checked part by part: the lexicographic complex min and
+    # max can pass over an infinite imaginary part.
+    for part in (m.real, m.imag) if np.iscomplexobj(m) else (m,):
+        if not (np.isfinite(part.min(initial=0.0)) and np.isfinite(part.max(initial=0.0))):
+            raise InvalidParameter(f"{name} must be finite")
+    m.flags.writeable = False
+    return m
+
+
 def _symmetric(a, name: str) -> np.ndarray:
     """A read-only float copy of ``a``; InvalidParameter unless it is a finite,
     exactly symmetric square matrix."""
-    m = np.array(a, dtype=float)
+    m = _frozen(a, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameter(f"{name} must be a square matrix, got shape {m.shape}")
-    lo, hi = m.min(initial=0.0), m.max(initial=0.0)  # NaN propagates
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise InvalidParameter(f"{name} must be finite")
     if not np.array_equal(m, m.T):
         raise InvalidParameter(f"{name} must be symmetric")
-    m.flags.writeable = False
     return m
 
 
@@ -81,11 +100,7 @@ class Graph:
         object.__setattr__(self, "weights", w)
         h = self.bipartition
         if h is not None:
-            try:
-                h = operator.index(h)
-            except TypeError:
-                raise InvalidParameter(
-                    f"first part size must be an integer, got {type(h).__name__}") from None
+            h = _integer(h, "first part size")
             object.__setattr__(self, "bipartition", h)
             if not 0 <= h <= self.n:
                 raise InvalidParameter(f"first part size {h} outside [0, {self.n}]")

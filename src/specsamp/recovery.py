@@ -24,6 +24,7 @@ from .errors import (
     ZeroReference,
 )
 from .filters import SpectralFilter
+from .graphs import _frozen
 from .sampling import (
     SampledSpectrum,
     SamplingConfig,
@@ -76,11 +77,7 @@ class RecoveryDesign:
     w: SpectralFilter
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=float)
-        if not np.all(np.isfinite(h)):
-            raise InvalidParameter("correction values must be finite")
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _frozen(self.h, "correction values"))
 
 
 @dataclass(frozen=True)

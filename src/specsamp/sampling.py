@@ -16,17 +16,20 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
 from .filters import SpectralFilter
+from .graphs import _frozen, _integer
 from .spectral import SpectralBasis, _scale_rows, gft
 
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Signal length n and sampling ratio m; m must divide n exactly."""
+    """Signal length n and sampling ratio m, integers; m must divide n exactly."""
 
     n: int
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.n < 1 or self.m < 1 or self.n % self.m != 0:
             raise InvalidParameter(f"sampling ratio {self.m} must divide n={self.n}")
 
@@ -44,11 +47,9 @@ class SampledSpectrum:
     config: SamplingConfig
 
     def __post_init__(self):
-        v = np.asarray(self.values)
+        v = _frozen(self.values, "sampled values", dtype=None)
         if v.ndim == 0 or v.shape[0] != self.config.k:
             raise DimensionMismatch(f"expected length {self.config.k}, got {v.shape}")
-        v = v.copy()
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EigensolveFailure
 from .filters import SpectralFilter
-from .graphs import VariationOperator
+from .graphs import VariationOperator, _frozen
 
 _SIGN_TOL = 1e-8
 
@@ -29,14 +29,10 @@ class SpectralBasis:
     lambdas: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.vectors)
-        lam = np.asarray(self.lambdas, dtype=float)
+        u = _frozen(self.vectors, "basis vectors", dtype=None)
+        lam = _frozen(self.lambdas, "frequencies")
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != len(lam):
             raise DimensionMismatch("basis must be square with one frequency per column")
-        u = u.copy()
-        lam = lam.copy()
-        u.flags.writeable = False
-        lam.flags.writeable = False
         object.__setattr__(self, "vectors", u)
         object.__setattr__(self, "lambdas", lam)
 

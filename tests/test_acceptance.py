@@ -199,7 +199,7 @@ def test_07_pipeline_equivalence_random_filters():
 
 
 def test_08_chebyshev_order_sweep():
-    cfg = BipartiteExperimentConfig(n_half=128, graph_seed=2, trials=100,
+    cfg = BipartiteExperimentConfig(n=256, graph_seed=2, trials=100,
                                     rng_seed=9, orders=(2, 4, 8, 16, 24, 32))
     means = {g.labels[1]: g.mean_db for g in run_bipartite_experiment(cfg)}
     sweep = [means[f"chebyshev_p{p}"] for p in cfg.orders]

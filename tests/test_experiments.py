@@ -261,7 +261,7 @@ def test_emit_report_deterministic_bytes(tmp_path):
 
 
 def test_bipartite_experiment_modes_and_exact_floor():
-    cfg = BipartiteExperimentConfig(n_half=16, graph_seed=2, orders=(2, 8),
+    cfg = BipartiteExperimentConfig(n=32, graph_seed=2, orders=(2, 8),
                                     trials=4, rng_seed=7)
     means = {g.labels[1]: g.mean_db for g in run_bipartite_experiment(cfg)}
     assert set(means) == {"exact", "chebyshev_p2", "chebyshev_p8",
@@ -271,7 +271,7 @@ def test_bipartite_experiment_modes_and_exact_floor():
 
 
 def test_bipartite_experiment_deterministic():
-    cfg = BipartiteExperimentConfig(n_half=8, graph_seed=3, orders=(4,), trials=2,
+    cfg = BipartiteExperimentConfig(n=16, graph_seed=3, orders=(4,), trials=2,
                                     rng_seed=9)
     assert report_rows(run_bipartite_experiment(cfg)) == \
         report_rows(run_bipartite_experiment(cfg))
@@ -366,25 +366,28 @@ def _capture(cfg, *rest):
 FLAG_FIELDS = [
     (["gen-graph", "--kind", "circular", "--n", "12", "--seed", "3", "--p", "0.25"],
      "build_experiment_graph", dict(graph_kind="circular", n=12, graph_seed=3, p=0.25)),
-    (["filters", "dump", "--kind", "bipartite", "--n", "12", "--seed", "3", "--m", "3",
-      "--eps", "0.25"],
-     "build_experiment_graph", dict(graph_kind="bipartite", n=12, graph_seed=3, m=3, eps=0.25)),
-    (["recover", "--kind", "circular", "--n", "12", "--seed", "3", "--m", "3",
-      "--generator", "gen2", "--sampling", "ir", "--prior", "smoothness", "--mode",
-      "predefined", "--strategy", "mx", "--noise", "0.5", "--trials", "7", "--rng-seed", "9"],
+    (["filters", "dump", "--kind", "bipartite", "--n", "12", "--seed", "3", "--p", "0.25",
+      "--m", "3", "--eps", "0.25"],
+     "build_experiment_graph",
+     dict(graph_kind="bipartite", n=12, graph_seed=3, p=0.25, m=3, eps=0.25)),
+    (["recover", "--kind", "circular", "--n", "12", "--seed", "3", "--p", "0.25", "--m", "3",
+      "--eps", "0.25", "--generator", "gen2", "--sampling", "ir", "--prior", "smoothness",
+      "--mode", "predefined", "--strategy", "mx", "--noise", "0.5", "--trials", "7",
+      "--rng-seed", "9", "--coeff-mean", "2.5"],
      "run_recovery_experiment",
-     dict(graph_kind="circular", n=12, graph_seed=3, m=3, generator="gen2",
+     dict(graph_kind="circular", n=12, graph_seed=3, p=0.25, m=3, eps=0.25, generator="gen2",
           sampling_filter="ir", prior="smoothness", mode="predefined", strategy="mx",
-          noise_variance=0.5, trials=7, rng_seed=9)),
-    (["exp", "table2", "--kind", "bipartite", "--n", "12", "--seed", "3", "--m", "3",
-      "--trials", "7", "--noise", "0.5", "--rng-seed", "9"],
+          noise_variance=0.5, trials=7, rng_seed=9, coeff_mean=2.5)),
+    (["exp", "table2", "--kind", "bipartite", "--n", "12", "--seed", "3", "--p", "0.25",
+      "--m", "3", "--eps", "0.25", "--trials", "7", "--noise", "0.5", "--rng-seed", "9",
+      "--coeff-mean", "2.5"],
      "run_recovery_table",
-     dict(graph_kind="bipartite", n=12, graph_seed=3, m=3, trials=7, noise_variance=0.5,
-          rng_seed=9)),
+     dict(graph_kind="bipartite", n=12, graph_seed=3, p=0.25, m=3, eps=0.25, trials=7,
+          noise_variance=0.5, rng_seed=9, coeff_mean=2.5)),
     (["exp", "bipartite", "--n", "12", "--seed", "3", "--graph", "random", "--p", "0.25",
       "--orders", "3,5", "--trials", "7", "--rng-seed", "9", "--coeff-mean", "2.5"],
      "run_bipartite_experiment",
-     dict(n_half=6, graph_seed=3, graph_kind="random", p=0.25, orders=(3, 5), trials=7,
+     dict(n=12, graph_seed=3, graph_kind="random", p=0.25, orders=(3, 5), trials=7,
           rng_seed=9, coeff_mean=2.5)),
 ]
 
@@ -399,6 +402,16 @@ def test_cli_flags_land_in_their_config_fields(monkeypatch, tmp_path, argv, targ
     default = type(cfg)()
     assert {name: getattr(cfg, name) for name in expected} == expected
     assert all(getattr(default, name) != value for name, value in expected.items())
+
+
+@pytest.mark.parametrize("command,n,trials", [
+    (["gen-graph"], 256, None), (["filters", "dump"], 64, None), (["recover"], 256, 1),
+    (["exp", "table2"], 256, 1000), (["exp", "bipartite"], 256, 100),
+])
+def test_cli_commands_keep_their_own_defaults(command, n, trials):
+    # One command's default for a shared flag leaves the other commands' alone.
+    args = cli.build_parser().parse_args([*command, "--out", "x"])
+    assert (args.n, getattr(args, "trials", None)) == (n, trials)
 
 
 def test_trial_rows_read_the_floor_on_exact_recovery():
@@ -490,6 +503,41 @@ def test_cli_exp_bipartite_config_keys(tmp_path, capsys):
     rows = _read_report(out)
     assert len([r for r in rows if r["mode"] == "exact"]) == 2
     assert {r["strategy"] for r in rows} == {"exact", "4"}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("generator", "gen2"), ("sampling_filter", "ir"), ("prior", "smoothness"),
+    ("mode", "predefined"), ("strategy", "mx"),
+])
+def test_cli_exp_table2_rejects_the_method_config_keys(tmp_path, capsys, monkeypatch,
+                                                       key, value):
+    # exp table2 runs every method: a key that would pick one is an error,
+    # raised before any graph is built.
+    def no_graph(cfg):
+        raise AssertionError("graph built before the config keys were checked")
+
+    monkeypatch.setattr(cli, "build_experiment_graph", no_graph)
+    out = tmp_path / "t2.csv"
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    assert main(["exp", "table2", "--n", "32", "--m", "4", "--trials", "2",
+                 "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("orders", [[], [2, 2]], ids=["empty", "repeated"])
+def test_exp_bipartite_rejects_no_orders_and_repeated_orders(tmp_path, capsys, orders):
+    with pytest.raises(InvalidParameter, match="order"):
+        BipartiteExperimentConfig(n=32, orders=tuple(orders))
+    out = tmp_path / "bp.csv"
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"orders": orders}))
+    assert main(["exp", "bipartite", "--n", "32", "--trials", "2",
+                 "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exp_table2_config_sets_noise(tmp_path):

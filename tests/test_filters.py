@@ -11,6 +11,9 @@ from specsamp import (
     IntervalMismatch,
     InvalidParameter,
     RecoveryDesign,
+    SampledSpectrum,
+    SamplingConfig,
+    SpectralBasis,
     SpectralFilter,
     VariationOperator,
     apply_chebyshev,
@@ -101,11 +104,38 @@ def test_filter_table_roundtrip(tmp_path, sensor_basis):
     (lambda a: RecoveryDesign(a, identity_filter(8)),
      np.arange(4.0)),
     (lambda a: VariationOperator(a), np.eye(3)),
-], ids=["spectral-filter", "chebyshev-coeffs", "design-h", "variation-operator"])
+    (lambda a: SpectralBasis(a, np.arange(3.0)), np.eye(3)),
+    (lambda a: SampledSpectrum(a, SamplingConfig(8, 2)), np.arange(4.0)),
+], ids=["spectral-filter", "chebyshev-coeffs", "design-h", "variation-operator",
+        "spectral-basis", "sampled-spectrum"])
 def test_constructors_leave_caller_array_writeable(build, a):
-    build(a)
+    stored = [v for v in vars(build(a)).values() if isinstance(v, np.ndarray)]
     a.flat[0] = 3
     assert a.flat[0] == 3
+    assert stored and not any(v.flags.writeable for v in stored)
+
+
+@pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, 0.0), (0.0, float("nan")),
+                                      (0.0, float("inf")), (float("-inf"), 2.0)],
+                         ids=["empty", "reversed", "nan", "inf", "minus-inf"])
+def test_chebyshev_filter_rejects_an_empty_or_nonfinite_interval(interval):
+    with pytest.raises(InvalidParameter, match="interval"):
+        ChebyshevFilter([1.0, 0.5], interval, 1)
+    with pytest.raises(InvalidParameter, match="interval"):
+        chebyshev_fit(lambda lam: 1.0, interval, 3)
+
+
+@pytest.mark.parametrize("coeffs,order", [([], -1), ([1.0, 0.5, 0.25], 2.0), ([1.0], 1)],
+                         ids=["negative", "float", "too-few-coeffs"])
+def test_chebyshev_filter_rejects_a_bad_order(coeffs, order):
+    with pytest.raises(InvalidParameter, match="order"):
+        ChebyshevFilter(coeffs, (0.0, 2.0), order)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_chebyshev_filter_rejects_nonfinite_coefficients(value):
+    with pytest.raises(InvalidParameter, match="finite"):
+        ChebyshevFilter([1.0, value], (0.0, 2.0), 1)
 
 
 def test_nonfinite_values_rejected():

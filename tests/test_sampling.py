@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from specsamp import (
     DimensionMismatch,
     InvalidParameter,
+    SampledSpectrum,
     SamplingConfig,
     SpectralFilter,
     bandlimit,
@@ -31,6 +32,34 @@ def test_config_requires_divisor():
     with pytest.raises(InvalidParameter):
         SamplingConfig(10, 3)
     assert SamplingConfig(12, 3).k == 4
+
+
+@pytest.mark.parametrize("n,m", [(8.0, 2), (8, 2.0), ("8", 2), (None, 2)])
+def test_config_requires_integer_sizes(n, m):
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        SamplingConfig(n, m)
+
+
+def test_config_keeps_numpy_integer_sizes_as_ints():
+    cfg = SamplingConfig(np.int64(8), np.int32(2))
+    assert (type(cfg.n), type(cfg.m), cfg.k) == (int, int, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf), complex(0, -np.inf)],
+                         ids=["nan", "inf", "inf-imag", "minus-inf-imag"])
+def test_sampled_spectrum_rejects_nonfinite_values(bad):
+    values = np.arange(4.0) + 0j
+    values[1] = bad
+    with pytest.raises(InvalidParameter, match="finite"):
+        SampledSpectrum(values, SamplingConfig(8, 2))
+
+
+def test_frequency_sample_rejects_a_nan_signal():
+    basis = dft_basis(8)
+    x = np.ones(8)
+    x[3] = np.nan
+    with pytest.raises(InvalidParameter, match="finite"):
+        frequency_sample(basis, inverted_ramp(basis), x, SamplingConfig(8, 2))
 
 
 def test_fold_identity_when_m_is_one():

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from specsamp import (
     DimensionMismatch,
+    InvalidParameter,
+    SpectralBasis,
     SpectralFilter,
     VariationOperator,
     apply_filter,
@@ -150,3 +152,17 @@ def test_filters_compose_diagonally():
     fg = SpectralFilter(f.values * g.values)
     out = apply_filter(basis, f, apply_filter(basis, g, x))
     assert_allclose(out, apply_filter(basis, fg, x), atol=1e-10)
+
+
+@pytest.mark.parametrize("field,index,bad", [
+    ("vectors", (0, 0), np.nan),
+    ("vectors", (1, 2), np.inf),
+    ("vectors", (1, 2), complex(0, np.inf)),  # between the complex min and max
+    ("lambdas", 1, np.inf),
+    ("lambdas", 2, np.nan),
+], ids=["nan-vector", "inf-vector", "inf-imag-vector", "inf-frequency", "nan-frequency"])
+def test_basis_rejects_nonfinite_entries(field, index, bad):
+    parts = {"vectors": dft_basis(4).vectors.copy(), "lambdas": np.arange(4.0)}
+    parts[field][index] = bad
+    with pytest.raises(InvalidParameter, match="finite"):
+        SpectralBasis(**parts)
