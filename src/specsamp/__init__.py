@@ -31,7 +31,6 @@ from .errors import (
     ZeroReference,
 )
 from .experiments import (
-    BipartiteExperimentConfig,
     ExperimentConfig,
     ReportGroup,
     emit_report,

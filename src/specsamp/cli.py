@@ -26,7 +26,6 @@ from .experiments import (
     PRIOR_IDS,
     SAMPLING_IDS,
     STRATEGY_IDS,
-    BipartiteExperimentConfig,
     ExperimentConfig,
     basis_for_config,
     build_experiment_graph,
@@ -115,7 +114,7 @@ def _cmd_exp_table2(args) -> int:
 
 
 def _cmd_exp_bipartite(args) -> int:
-    groups = run_bipartite_experiment(_config(BipartiteExperimentConfig, args))
+    groups = run_bipartite_experiment(_config(ExperimentConfig, args))
     emit_report(groups, args.format, args.out)
     for mode, db in sorted({(g.labels[1], g.mean_db) for g in groups}):
         print(f"{mode}: {db:.2f} dB")

@@ -99,8 +99,12 @@ FILTERS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One recovery experiment: graph, sampling setup, filters, prior,
-    strategy, trial count, and RNG seed."""
+    """One experiment: graph, sampling setup, filters, prior, strategy,
+    noise, Chebyshev orders, trial count and RNG seed, each checked here.
+    The recovery runners read every field but ``orders``; the bipartite
+    sweep reads ``graph_kind``, ``n``, ``graph_seed``, ``p``, ``orders``,
+    ``trials``, ``rng_seed`` and ``coeff_mean``. ``orders`` holds at least
+    one Chebyshev order, each at least 1 and each once."""
 
     graph_kind: str = "sensor"
     n: int = 256
@@ -117,10 +121,15 @@ class ExperimentConfig:
     rng_seed: int = 0
     eps: float = 0.1
     coeff_mean: float = 1.0
+    orders: tuple = (2, 4, 8, 16, 24, 32)
 
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameter("need trials >= 1")
+        if not self.orders or len(set(self.orders)) != len(self.orders):
+            raise InvalidParameter(f"need at least one order, each once, got {self.orders}")
+        if any(p < 1 for p in self.orders):
+            raise InvalidParameter("orders must be >= 1")
         if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise InvalidParameter("need a finite noise variance >= 0")
         if not math.isfinite(self.coeff_mean):
@@ -294,54 +303,27 @@ def run_recovery_table(base: ExperimentConfig) -> List[ReportGroup]:
     return _recovery_groups(base, GENERATOR_IDS, noises, [*methods, BASELINE])
 
 
+# The bipartite sweep's graph families: "matched" keeps the normalized spectrum
+# away from the filters' discontinuity at 1, which the polynomial
+# approximations need; "random", the plain Bernoulli(p) family, has a spectrum
+# clustered at 1, which caps the approximated pipeline's gain over the baseline.
 BIPARTITE_KINDS = ("matched", "random")
 
 
-@dataclass(frozen=True)
-class BipartiteExperimentConfig:
-    """Chebyshev-order sweep for one-branch vertex-domain recovery.
-
-    ``n`` is the vertex count, even, as in :class:`ExperimentConfig`: each
-    part holds n/2 vertices. ``graph_kind`` selects the bipartite family:
-    "matched" (the default) keeps the normalized spectrum away from the
-    filters' discontinuity at 1, which the polynomial approximations need;
-    "random" is the plain Bernoulli(p) family, whose spectrum clusters at
-    1 and caps how much the approximated pipeline can gain over the
-    bandlimited baseline. ``orders`` holds at least one Chebyshev order,
-    each at least 1 and each once.
-    """
-
-    n: int = 256
-    graph_seed: int = 0
-    graph_kind: str = "matched"
-    p: float = 0.5
-    orders: tuple = (2, 4, 8, 16, 24, 32)
-    trials: int = 100
-    rng_seed: int = 0
-    coeff_mean: float = 1.0
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidParameter("need trials >= 1")
-        if not self.orders or len(set(self.orders)) != len(self.orders):
-            raise InvalidParameter(f"need at least one order, each once, got {self.orders}")
-        if any(p < 1 for p in self.orders):
-            raise InvalidParameter("orders must be >= 1")
-        if not math.isfinite(self.coeff_mean):
-            raise InvalidParameter("need a finite coefficient mean")
-        if self.graph_kind not in BIPARTITE_KINDS:
-            raise InvalidParameter(f"unknown bipartite graph kind {self.graph_kind!r}")
-
-
-def run_bipartite_experiment(cfg: BipartiteExperimentConfig) -> List[ReportGroup]:
+def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     """One-branch recovery on a bipartite graph across Chebyshev orders.
 
-    Signals are synthesized with the exact combined reconstruction
-    response; sampling and decoding use order-P approximations of the
-    bandlimiting sampling filter and the combined response. The
+    ``cfg.graph_kind`` must be one of BIPARTITE_KINDS, checked before any
+    graph is built, and ``cfg.n`` even: each part holds n/2 vertices.
+    Signals are synthesized with the exact combined reconstruction response;
+    sampling and decoding use order-P approximations, P in ``cfg.orders``, of
+    the bandlimiting sampling filter and the combined response. The
     approximated-bandlimited reconstruction is reported alongside as the
     baseline, after an exact-filter run (lossless up to conditioning).
     """
+    if cfg.graph_kind not in BIPARTITE_KINDS:
+        raise InvalidParameter(f"bipartite graph kind must be one of {BIPARTITE_KINDS}, "
+                               f"got {cfg.graph_kind!r}")
     half = part_size(cfg.n, "bipartite")
     if cfg.graph_kind == "matched":
         sys_ = build_system(gen_matched_bipartite(half, cfg.graph_seed))

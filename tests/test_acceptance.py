@@ -31,7 +31,6 @@ from specsamp import (
     sample_first_part,
 )
 from specsamp.experiments import (
-    BipartiteExperimentConfig,
     ExperimentConfig,
     run_bipartite_experiment,
     run_recovery_experiment,
@@ -199,8 +198,8 @@ def test_07_pipeline_equivalence_random_filters():
 
 
 def test_08_chebyshev_order_sweep():
-    cfg = BipartiteExperimentConfig(n=256, graph_seed=2, trials=100,
-                                    rng_seed=9, orders=(2, 4, 8, 16, 24, 32))
+    cfg = ExperimentConfig(graph_kind="matched", n=256, graph_seed=2, trials=100,
+                           rng_seed=9, orders=(2, 4, 8, 16, 24, 32))
     means = {g.labels[1]: g.mean_db for g in run_bipartite_experiment(cfg)}
     sweep = [means[f"chebyshev_p{p}"] for p in cfg.orders]
     monotone = all(sweep[i + 1] <= sweep[i] + 0.5 for i in range(len(sweep) - 1))

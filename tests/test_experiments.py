@@ -24,7 +24,6 @@ from specsamp.experiments import (
     REPORT_COLUMNS,
     SAMPLING_IDS,
     STRATEGY_IDS,
-    BipartiteExperimentConfig,
     ExperimentConfig,
     ReportGroup,
     _trial_group,
@@ -104,7 +103,7 @@ def test_config_validation():
         with pytest.raises(InvalidParameter):
             ExperimentConfig(coeff_mean=value)
         with pytest.raises(InvalidParameter):
-            BipartiteExperimentConfig(coeff_mean=value)
+            ExperimentConfig(graph_kind="matched", coeff_mean=value)
 
 
 SMALL_RUNS = {
@@ -261,8 +260,8 @@ def test_emit_report_deterministic_bytes(tmp_path):
 
 
 def test_bipartite_experiment_modes_and_exact_floor():
-    cfg = BipartiteExperimentConfig(n=32, graph_seed=2, orders=(2, 8),
-                                    trials=4, rng_seed=7)
+    cfg = ExperimentConfig(graph_kind="matched", n=32, graph_seed=2, orders=(2, 8),
+                           trials=4, rng_seed=7)
     means = {g.labels[1]: g.mean_db for g in run_bipartite_experiment(cfg)}
     assert set(means) == {"exact", "chebyshev_p2", "chebyshev_p8",
                           "chebyshev_baseline_p2", "chebyshev_baseline_p8"}
@@ -271,8 +270,8 @@ def test_bipartite_experiment_modes_and_exact_floor():
 
 
 def test_bipartite_experiment_deterministic():
-    cfg = BipartiteExperimentConfig(n=16, graph_seed=3, orders=(4,), trials=2,
-                                    rng_seed=9)
+    cfg = ExperimentConfig(graph_kind="matched", n=16, graph_seed=3, orders=(4,), trials=2,
+                           rng_seed=9)
     assert report_rows(run_bipartite_experiment(cfg)) == \
         report_rows(run_bipartite_experiment(cfg))
 
@@ -530,7 +529,7 @@ def test_cli_exp_table2_rejects_the_method_config_keys(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("orders", [[], [2, 2]], ids=["empty", "repeated"])
 def test_exp_bipartite_rejects_no_orders_and_repeated_orders(tmp_path, capsys, orders):
     with pytest.raises(InvalidParameter, match="order"):
-        BipartiteExperimentConfig(n=32, orders=tuple(orders))
+        ExperimentConfig(graph_kind="matched", n=32, orders=tuple(orders))
     out = tmp_path / "bp.csv"
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"orders": orders}))
