@@ -21,7 +21,13 @@ Under the pairing lambda_max = 2, the one-branch bandlimit cuts at
 lambda = 1 and its DS correction is h = 1/a on the lower half, so the
 sampling filter is the step at 1 and the decoding response of generator a
 is a(lambda) / a(min(lambda, 2 - lambda)). The exact reconstruction filter
-is that response sampled at the paired frequencies; its fit needs no basis.
+is that response sampled at the paired frequencies, but the exact sampling
+filter is the bandlimit to the first N/2 indices, not the step sampled
+there. They differ where B has a zero singular value: both vectors of that
+pair sit at lambda = 1, the bandlimit keeps the lower one and the step
+drops it. On K_{4,4} (lambda = 0, 1, 1, 1 | 2, 1, 1, 1) exact recovery errs
+by about 1e-15, and by order 1 with the step. The Chebyshev fits need no
+basis; a polynomial in L cannot tell tied lambda = 1 vectors apart.
 
 The spectral decimation pair used for the bridge is energy-preserving
 (scaled by 1/sqrt(M)); its inverse direction surfaces as a gain of M in
@@ -206,7 +212,11 @@ def fit_one_branch(a_resp: Callable[[float], float],
 
 def one_branch_design(sys: BipartiteSystem, a_resp: Callable[[float], float]
                       ) -> Tuple[SpectralFilter, SpectralFilter]:
-    """Exact one-branch design: the closed forms of :func:`fit_one_branch`
-    sampled at the paired frequencies; DsConditionViolated where a(folded) is 0."""
+    """Exact one-branch design: the bandlimit to the first N/2 indices and
+    the decoding response of :func:`fit_one_branch` sampled at the paired
+    frequencies; DsConditionViolated where a(folded) is 0. The bandlimit is
+    not the step at 1 sampled there: it keeps the lower vector of each pair
+    that a zero singular value of B puts at lambda = 1, which the step drops
+    and exact recovery needs."""
     return (bandlimit(sys.basis_b, sys.half),
             from_response(sys.basis_b, _decoding_response(a_resp)))

@@ -1,5 +1,10 @@
 """Monte Carlo recovery experiments and report emission.
 
+One :class:`ExperimentConfig` configures the three experiments (``recover``,
+``exp table2`` and the bipartite Chebyshev-order sweep) and checks every
+setting once, when it is built. All three score their trials in one place,
+which raises InvalidParameter rather than report a non-finite energy.
+
 Every run is fully deterministic given its configuration and RNG seed:
 trial t draws from the t-th child of a single seed sequence, so a T-trial
 run's per-trial columns are the first T of any longer run. Expansion
@@ -49,6 +54,7 @@ from .filters import (
     smoothness_ramp,
 )
 from .graphs import (
+    _integer,
     combinatorial_laplacian,
     complete_bipartite,
     gen_circular,
@@ -103,8 +109,9 @@ class ExperimentConfig:
     noise, Chebyshev orders, trial count and RNG seed, each checked here.
     The recovery runners read every field but ``orders``; the bipartite
     sweep reads ``graph_kind``, ``n``, ``graph_seed``, ``p``, ``orders``,
-    ``trials``, ``rng_seed`` and ``coeff_mean``. ``orders`` holds at least
-    one Chebyshev order, each at least 1 and each once."""
+    ``trials``, ``rng_seed`` and ``coeff_mean``. The sizes, counts, seeds
+    and orders are integers, the seeds at least 0, and ``orders`` holds at
+    least one Chebyshev order, each at least 1 and each once."""
 
     graph_kind: str = "sensor"
     n: int = 256
@@ -124,16 +131,25 @@ class ExperimentConfig:
     orders: tuple = (2, 4, 8, 16, 24, 32)
 
     def __post_init__(self):
+        for name in ("n", "graph_seed", "m", "trials", "rng_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        try:
+            object.__setattr__(self, "orders", tuple(_integer(p, "orders") for p in self.orders))
+        except TypeError:
+            raise InvalidParameter(f"orders must be a sequence, got {self.orders!r}") from None
         if self.trials < 1:
             raise InvalidParameter("need trials >= 1")
+        for name in ("graph_seed", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise InvalidParameter(f"need {name} >= 0, got {getattr(self, name)}")
         if not self.orders or len(set(self.orders)) != len(self.orders):
             raise InvalidParameter(f"need at least one order, each once, got {self.orders}")
         if any(p < 1 for p in self.orders):
             raise InvalidParameter("orders must be >= 1")
         if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
-            raise InvalidParameter("need a finite noise variance >= 0")
+            raise InvalidParameter("need a finite noise_variance >= 0")
         if not math.isfinite(self.coeff_mean):
-            raise InvalidParameter("need a finite coefficient mean")
+            raise InvalidParameter("need a finite coeff_mean")
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise InvalidParameter("need a finite eps >= 0")
         if self.generator not in GENERATOR_IDS:
@@ -232,8 +248,15 @@ class ReportGroup(NamedTuple):
 
 def _trial_group(labels: tuple, err: np.ndarray, energy: np.ndarray) -> ReportGroup:
     """The group of one configuration's trials (columns): the energy of
-    each trial's error ``err`` relative to its signal energy ``energy``."""
-    ratios = _energy(err) / energy
+    each trial's error ``err`` relative to its signal energy ``energy``.
+    InvalidParameter if an energy is not finite, which no score can
+    survive: the draw overflowed, so coeff_mean or noise_variance is too
+    large."""
+    err_energy = _energy(err)
+    if not (np.all(np.isfinite(energy)) and np.all(np.isfinite(err_energy))):
+        raise InvalidParameter("a signal or error energy is not finite: "
+                               "coeff_mean or noise_variance is too large")
+    ratios = err_energy / energy
     mse = _floored_db(ratios)
     mse.flags.writeable = False
     return ReportGroup(labels, mse, float(_floored_db(np.mean(ratios))))

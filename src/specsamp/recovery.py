@@ -38,8 +38,9 @@ MSE_FLOOR_DB = -320.0
 
 def _energy(x: np.ndarray) -> np.ndarray:
     """Per-trial energy: the squared norm of each column (of the whole
-    signal when it is 1-D)."""
-    return np.sum(np.abs(x) ** 2, axis=0)
+    signal when it is 1-D), inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.sum(np.abs(x) ** 2, axis=0)
 
 
 def _floored_db(ratio):

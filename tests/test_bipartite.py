@@ -258,6 +258,22 @@ def test_one_branch_exact_roundtrip_larger_graph():
     assert _exact_roundtrip_error(sys_, inverted_ramp(sys_.basis_b).response, d) < 1e-9
 
 
+def test_one_branch_exact_roundtrip_with_tied_unit_frequencies():
+    # K_{4,4}: B has three zero singular values, so each half holds three
+    # lambda = 1 vectors. The exact design's index bandlimit keeps the lower
+    # three and recovery is exact; the step at 1 (lambda < 1) sampled at the
+    # paired frequencies drops them, and recovery fails.
+    sys_ = build_system(complete_bipartite(4))
+    assert np.count_nonzero(sys_.basis_b.lambdas == 1.0) == 6
+    a = inverted_ramp(sys_.basis_b)
+    d = np.random.default_rng(12).normal(1, 1, (sys_.half, 3))
+    assert _exact_roundtrip_error(sys_, a.response, d) < 1e-9
+    wprime = one_branch_design(sys_, a.response)[1]
+    x = generate_one_branch(sys_, wprime, d)
+    step = from_response(sys_.basis_b, _step_response)
+    assert np.linalg.norm(_vertex_pipeline(sys_, step, wprime, x) - x) > 0.1 * np.linalg.norm(x)
+
+
 def test_one_branch_chebyshev_error_shrinks_with_order():
     sys_ = build_system(gen_matched_bipartite(32, seed=48))
     d = np.random.default_rng(11).normal(1, 1, 32)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -6,7 +7,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,106 @@ SMALL_RUNS = {
     "table2": ["exp", "table2", "--n", "32", "--m", "4", "--trials", "2"],
     "bipartite": ["exp", "bipartite", "--n", "32", "--orders", "2", "--trials", "2"],
 }
+
+
+@pytest.fixture
+def no_graphs(monkeypatch):
+    """Make building any experiment graph fail the test."""
+    def no_graph(*args):
+        raise AssertionError("graph built before the settings were checked")
+
+    for name in ("build_experiment_graph", "gen_matched_bipartite", "gen_random_bipartite"):
+        monkeypatch.setattr(experiments, name, no_graph)
+
+
+RUNNERS = {"recover": run_recovery_experiment, "table2": run_recovery_table,
+           "bipartite": run_bipartite_experiment}
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("field,value", [
+    ("n", 32.0), ("graph_seed", 1.5), ("m", 4.0), ("trials", 2.5), ("rng_seed", 0.5),
+    ("orders", (2, 4.5)), ("orders", 4), ("graph_seed", -1), ("rng_seed", -1),
+])
+def test_bad_settings_fail_before_any_graph(no_graphs, runner, field, value):
+    kind = {"graph_kind": "matched"} if runner == "bipartite" else {}
+    with pytest.raises(InvalidParameter, match=field):
+        RUNNERS[runner](ExperimentConfig(**{**SMALL, **kind, field: value}))
+
+
+def test_config_stores_integer_settings_as_ints():
+    cfg = ExperimentConfig(n=np.int64(32), m=np.int32(4), trials=np.uint8(2),
+                           orders=np.array([2, 4]))
+    assert (type(cfg.n), type(cfg.m), type(cfg.trials)) == (int, int, int)
+    assert cfg.orders == (2, 4) and all(type(p) is int for p in cfg.orders)
+
+
+@pytest.mark.parametrize("kind", ["sensor", "bipartite", "nope"])
+def test_bipartite_experiment_rejects_other_graph_kinds(no_graphs, kind):
+    with pytest.raises(InvalidParameter, match="matched.*random"):
+        run_bipartite_experiment(ExperimentConfig(graph_kind=kind, n=32, trials=2))
+
+
+@pytest.mark.parametrize("flag,field", [("--seed", "graph_seed"), ("--rng-seed", "rng_seed")])
+def test_cli_rejects_negative_seeds_before_any_graph(no_graphs, tmp_path, capsys, flag, field):
+    out = tmp_path / "r.csv"
+    for argv in SMALL_RUNS.values():
+        assert main([*argv, flag, "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_cli_exp_bipartite_config_rejects_a_recovery_graph_kind(no_graphs, tmp_path, capsys):
+    out = tmp_path / "bp.csv"
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"graph_kind": "sensor"}))
+    assert main([*SMALL_RUNS["bipartite"], "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "matched" in err and "random" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("recover", "--coeff-mean", "1e200"), ("table2", "--coeff-mean", "1e200"),
+    ("bipartite", "--coeff-mean", "1e200"), ("recover", "--noise", "1e308"),
+    ("table2", "--noise", "1e308"),
+])
+def test_cli_rejects_an_overflowing_draw_without_a_report(tmp_path, capsys, command, flag,
+                                                          value):
+    # tier-1 turns warnings into errors, so this also pins that none escapes.
+    out = tmp_path / "r.csv"
+    assert main([*SMALL_RUNS[command], flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "coeff_mean" in err and "noise_variance" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_trial_group_rejects_non_finite_energies():
+    x = np.ones((2, 3))
+    for err, energy in [(x, np.array([1.0, np.inf, 1.0])), (x * np.inf, np.ones(3)),
+                        (x * np.nan, np.ones(3))]:
+        with pytest.raises(InvalidParameter, match="not finite"):
+            _trial_group(("subspace", "unconstrained", "ds", "bl", "gen1", 0.0), err, energy)
+
+
+def _flag_dests(parser):
+    """The dest of every flag of ``parser`` and of its subcommands."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= _flag_dests(sub)
+        elif action.option_strings:
+            dests.add(action.dest)
+    return dests
+
+
+def test_every_config_field_is_set_by_some_flag():
+    # The one config holds no field that no command sets.
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert names - _flag_dests(cli.build_parser()) == set()
+    assert len(names) == 16
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
