@@ -248,10 +248,8 @@ class ReportGroup(NamedTuple):
 
 def _trial_group(labels: tuple, err: np.ndarray, energy: np.ndarray) -> ReportGroup:
     """The group of one configuration's trials (columns): the energy of
-    each trial's error ``err`` relative to its signal energy ``energy``.
-    InvalidParameter if an energy is not finite, which no score can
-    survive: the draw overflowed, so coeff_mean or noise_variance is too
-    large."""
+    each trial's error ``err`` relative to its signal energy ``energy``;
+    InvalidParameter if an energy is not finite (the draw overflowed)."""
     err_energy = _energy(err)
     if not (np.all(np.isfinite(energy)) and np.all(np.isfinite(err_energy))):
         raise InvalidParameter("a signal or error energy is not finite: "
