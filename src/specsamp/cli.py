@@ -7,7 +7,6 @@ command has written it, 2 on configuration errors, 3 on numerical failures.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -38,39 +37,17 @@ from .filters import inverted_ramp, save_filter
 from .graphs import complete_bipartite, gen_random_bipartite, save_graph
 from .sampling import SamplingConfig
 
-# json.JSONDecodeError is a ValueError; every other SpecSampError is numerical.
+# KeyError and ValueError are configuration errors too; every other
+# SpecSampError is numerical.
 _CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
 
 
 def _config(cls, args):
-    """``cls`` built from the command's flags whose dest is one of its fields,
-    each overridden by the key of that name in the JSON object of the
-    ``--config`` file, if given. Any other key is a configuration error."""
-    types = {f.name: type(f.default) for f in fields(cls)}
-    flags = {k: v for k, v in vars(args).items() if k in types}
-    overrides = {}
-    if getattr(args, "config", None) is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-        if not isinstance(overrides, dict):
-            raise InvalidParameter("config file must hold a JSON object")
-    if bad := set(overrides) - set(flags):
-        raise InvalidParameter(f"unknown config keys {sorted(bad)}, not in {sorted(flags)}")
-    return cls(**{**flags, **{k: _typed(k, types[k], v) for k, v in overrides.items()}})
-
-
-def _typed(key, kind, value):
-    """``value`` of config ``key`` checked against its field's type ``kind``."""
-    if kind is tuple and isinstance(value, list) and all(type(v) is int for v in value):
-        return tuple(value)
-    if kind is float and type(value) in (int, float):
-        return float(value)
-    if kind in (int, str) and type(value) is kind:
-        return value
-    raise InvalidParameter(f"wrong type for config key {key!r}: {value!r}")
+    """``cls`` built from the command's flags whose dest is one of its fields.
+    argparse has already read any ``@FILE`` settings file through the same
+    flags, so a file can set only the command's own flags."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _cmd_gen_graph(args) -> int:
@@ -165,7 +142,6 @@ def _command(subparsers, name: str, help: str, fn, groups, **defaults):
         p.add_argument("--trials", type=int)
         p.add_argument("--rng-seed", type=int, default=0)
         p.add_argument("--coeff-mean", type=float, default=1.0)
-        p.add_argument("--config", default=None)
         p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(fn=fn, **defaults)
     return p
@@ -173,7 +149,7 @@ def _command(subparsers, name: str, help: str, fn, groups, **defaults):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="specsamp",
+        prog="specsamp", fromfile_prefix_chars="@",
         description="Generalized sampling and recovery of graph signals in the "
                     "graph frequency domain.")
     parser.add_argument("--version", action="version", version=f"specsamp {__version__}")

@@ -114,6 +114,21 @@ SMALL_RUNS = {
 }
 
 
+def _exit_code(argv):
+    """The exit code of ``main(argv)``, also when argparse exits on a usage
+    error: it raises SystemExit rather than return."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _args_file(path, *lines):
+    """``path`` holding one argument per line, passed as ``@path``."""
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
+
+
 @pytest.fixture
 def no_graphs(monkeypatch):
     """Make building any experiment graph fail the test."""
@@ -164,9 +179,8 @@ def test_cli_rejects_negative_seeds_before_any_graph(no_graphs, tmp_path, capsys
 
 def test_cli_exp_bipartite_config_rejects_a_recovery_graph_kind(no_graphs, tmp_path, capsys):
     out = tmp_path / "bp.csv"
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"graph_kind": "sensor"}))
-    assert main([*SMALL_RUNS["bipartite"], "--config", str(cfgfile), "--out", str(out)]) == 2
+    argfile = _args_file(tmp_path / "run.args", "--graph=sensor")
+    assert _exit_code([*SMALL_RUNS["bipartite"], argfile, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "matched" in err and "random" in err and "Traceback" not in err
     assert not out.exists()
@@ -214,6 +228,7 @@ def test_every_config_field_is_set_by_some_flag():
     assert len(names) == 16
 
 
+# ``flag`` None: the flag named after the field ``key``.
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command,flag,key", [
     ("recover", "--noise", "noise_variance"),
@@ -226,11 +241,8 @@ def test_every_config_field_is_set_by_some_flag():
 ])
 def test_cli_rejects_non_finite_settings(tmp_path, capsys, command, flag, key, value):
     out = tmp_path / "r.csv"
-    forms = [["--config", str(tmp_path / "c.json")]]
-    (tmp_path / "c.json").write_text(json.dumps({key: float(value)}))
-    if flag is not None:
-        forms.append([flag, value])
-    for form in forms:
+    flag = flag or "--" + key.replace("_", "-")
+    for form in [[flag, value], [_args_file(tmp_path / "run.args", f"{flag}={value}")]]:
         assert main([*SMALL_RUNS[command], *form, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
@@ -420,12 +432,10 @@ def test_cli_recover_writes_report(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_cli_recover_rejects_unknown_config_key(tmp_path):
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"not_a_field": 1}))
-    code = main(["recover", "--kind", "sensor", "--n", "32", "--m", "4",
-                 "--config", str(cfgfile)])
-    assert code == 2
+def test_cli_recover_rejects_unknown_config_key(tmp_path, capsys):
+    argfile = _args_file(tmp_path / "run.args", "--not-a-flag=1")
+    assert _exit_code(["recover", "--kind", "sensor", "--n", "32", "--m", "4", argfile]) == 2
+    assert "unrecognized arguments: --not-a-flag=1" in capsys.readouterr().err
 
 
 def test_cli_exp_table2_small(tmp_path):
@@ -504,6 +514,25 @@ def test_cli_flags_land_in_their_config_fields(monkeypatch, tmp_path, argv, targ
     assert all(getattr(default, name) != value for name, value in expected.items())
 
 
+@pytest.mark.parametrize("argv,target,expected", FLAG_FIELDS,
+                         ids=["gen-graph", "filters-dump", "recover", "table2", "bipartite"])
+def test_cli_settings_file_lands_like_the_flags(monkeypatch, tmp_path, argv, target, expected):
+    # The same flags read from an @FILE, one --flag=value a line; arguments
+    # apply in order, so a file overrides the flags before it and a flag
+    # after the file overrides the file.
+    monkeypatch.setattr(cli, target, _capture)
+    start = next(i for i, arg in enumerate(argv) if arg.startswith("--"))
+    command, flags = argv[:start], argv[start:]
+    argfile = _args_file(tmp_path / "run.args",
+                         *(f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])))
+    out = ["--out", str(tmp_path / "out")]
+    for rest, n in [([argfile], 12), (["--n", "24", argfile], 12), ([argfile, "--n", "24"], 24)]:
+        with pytest.raises(_Captured) as caught:
+            main([*command, *rest, *out])
+        cfg = caught.value.args[0]
+        assert {name: getattr(cfg, name) for name in expected} == {**expected, "n": n}
+
+
 @pytest.mark.parametrize("command,n,trials", [
     (["gen-graph"], 256, None), (["filters", "dump"], 64, None), (["recover"], 256, 1),
     (["exp", "table2"], 256, 1000), (["exp", "bipartite"], 256, 100),
@@ -537,10 +566,11 @@ def test_cli_exp_bipartite_small(tmp_path):
     ["exp", "bipartite", "--n", "32", "--orders", "2", "--trials", "2"],
 ], ids=["recover", "table2", "bipartite"])
 def test_cli_missing_config_file_exits_2(tmp_path, capsys, argv):
-    code = main([*argv, "--config", str(tmp_path / "missing.json"),
-                 "--out", str(tmp_path / "out.csv")])
+    code = _exit_code([*argv, f"@{tmp_path / 'missing.args'}",
+                       "--out", str(tmp_path / "out.csv")])
     assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "missing.args" in err and "Traceback" not in err
 
 
 def test_cli_filters_dump_into_an_existing_file_exits_2(tmp_path, capsys):
@@ -594,36 +624,33 @@ def test_cli_exp_bipartite_config_keys(tmp_path, capsys):
     out = tmp_path / "bp.csv"
     argv = ["exp", "bipartite", "--n", "32", "--orders", "2", "--trials", "5",
             "--out", str(out)]
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"not_a_field": 1}))
-    assert main([*argv, "--config", str(cfgfile)]) == 2
-    cfgfile.write_text(json.dumps({"trials": 2, "orders": [4]}))
-    assert main([*argv, "--config", str(cfgfile)]) == 0
+    assert _exit_code([*argv, _args_file(tmp_path / "bad.args", "--not-a-flag=1")]) == 2
+    assert main([*argv, _args_file(tmp_path / "run.args", "--trials=2", "--orders=4")]) == 0
     assert "Traceback" not in capsys.readouterr().err
     rows = _read_report(out)
     assert len([r for r in rows if r["mode"] == "exact"]) == 2
     assert {r["strategy"] for r in rows} == {"exact", "4"}
 
 
-@pytest.mark.parametrize("key,value", [
-    ("generator", "gen2"), ("sampling_filter", "ir"), ("prior", "smoothness"),
-    ("mode", "predefined"), ("strategy", "mx"),
-])
+@pytest.mark.parametrize("flag,value", [
+    ("--generator", "gen2"), ("--sampling", "ir"), ("--prior", "smoothness"),
+    ("--mode", "predefined"), ("--strategy", "mx"),
+], ids=["generator-gen2", "sampling_filter-ir", "prior-smoothness", "mode-predefined",
+        "strategy-mx"])
 def test_cli_exp_table2_rejects_the_method_config_keys(tmp_path, capsys, monkeypatch,
-                                                       key, value):
-    # exp table2 runs every method: a key that would pick one is an error,
-    # raised before any graph is built.
+                                                       flag, value):
+    # exp table2 runs every method: a settings-file flag that would pick one
+    # is an error, raised before any graph is built.
     def no_graph(cfg):
-        raise AssertionError("graph built before the config keys were checked")
+        raise AssertionError("graph built before the settings file was read")
 
     monkeypatch.setattr(cli, "build_experiment_graph", no_graph)
     out = tmp_path / "t2.csv"
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({key: value}))
-    assert main(["exp", "table2", "--n", "32", "--m", "4", "--trials", "2",
-                 "--config", str(cfgfile), "--out", str(out)]) == 2
+    argfile = _args_file(tmp_path / "run.args", f"{flag}={value}")
+    assert _exit_code(["exp", "table2", "--n", "32", "--m", "4", "--trials", "2",
+                       argfile, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert repr(key) in err and "Traceback" not in err
+    assert f"unrecognized arguments: {flag}={value}" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -632,45 +659,27 @@ def test_exp_bipartite_rejects_no_orders_and_repeated_orders(tmp_path, capsys, o
     with pytest.raises(InvalidParameter, match="order"):
         ExperimentConfig(graph_kind="matched", n=32, orders=tuple(orders))
     out = tmp_path / "bp.csv"
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"orders": orders}))
-    assert main(["exp", "bipartite", "--n", "32", "--trials", "2",
-                 "--config", str(cfgfile), "--out", str(out)]) == 2
+    argfile = _args_file(tmp_path / "run.args", "--orders=" + ",".join(map(str, orders)))
+    assert _exit_code(["exp", "bipartite", "--n", "32", "--trials", "2",
+                       argfile, "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_cli_exp_table2_config_sets_noise(tmp_path):
     out = tmp_path / "t2.csv"
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"noise_variance": 0.3}))
     assert main(["exp", "table2", "--n", "32", "--m", "4", "--trials", "2",
-                 "--config", str(cfgfile), "--out", str(out)]) == 0
+                 _args_file(tmp_path / "run.args", "--noise=0.3"), "--out", str(out)]) == 0
     assert {r["noise"] for r in _read_report(out)} == {"0.0", "0.3"}
-
-
-@pytest.mark.parametrize("argv,override", [
-    (["recover", "--n", "64", "--m", "4"], {"trials": "5"}),
-    (["exp", "table2", "--n", "64", "--m", "4", "--trials", "2"], {"n": 64.5}),
-    (["exp", "bipartite", "--n", "32", "--trials", "2"], {"orders": "2,4"}),
-    (["recover", "--n", "64", "--m", "4"], {"graph_seed": True}),
-], ids=["str-for-int", "float-for-int", "str-for-orders", "bool-for-int"])
-def test_cli_config_rejects_wrong_json_type(tmp_path, capsys, argv, override):
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps(override))
-    code = main([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "out.csv")])
-    assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
 
 
 CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
 
 
-@pytest.mark.parametrize("error", [*SpecSampError.__subclasses__(), KeyError, ValueError,
-                                   json.JSONDecodeError],
+@pytest.mark.parametrize("error", [*SpecSampError.__subclasses__(), KeyError, ValueError],
                          ids=lambda e: e.__name__)
 def test_cli_exit_code_by_error_class(monkeypatch, capsys, tmp_path, error):
-    exc = error("bad", "{", 0) if error is json.JSONDecodeError else error("bad")
+    exc = error("bad")
 
     def fail(args):
         raise exc
