@@ -732,8 +732,9 @@ def test_cli_verify_rejects_negative_count(capsys):
 # the products, and with them these digests.  The 32-vertex bipartite
 # operator is 12.5% nonzero, so its Chebyshev products are dense; the
 # 128-vertex one is 3.1% nonzero, so they are scipy.sparse CSR products and
-# that digest also depends on their summation order.  The circular table
-# runs on the complex DFT basis.
+# that digest also depends on their summation order.  The 32-vertex random
+# bipartite operator (p = 0.5) is 25.8% nonzero, so its products are dense
+# too.  The circular table runs on the complex DFT basis.
 TABLE2 = ["exp", "table2", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "3",
           "--rng-seed", "1"]
 BIPARTITE = ["exp", "bipartite", "--n", "32", "--orders", "2,4", "--trials", "3"]
@@ -750,6 +751,8 @@ GOLDEN_REPORTS = [
       "--rng-seed", "1"],
      "5f6959d82e0728ddc919257750e60ccc6c209212f121d79448b503355b8509f1"),
     (RECOVER, "e0940bbfd97a82947e6189481309cbf9fdcd625079478b0678be22f195b52720"),
+    (["exp", "bipartite", "--graph", "random", "--n", "32", "--orders", "2,4", "--trials", "3"],
+     "d22b76e004c0ff16fd21bf089a6550e5961e0558b2cf1874e854a1614603e665"),
 ]
 
 # sha256 of each command's standard output, the report path written as OUT;
@@ -765,7 +768,7 @@ GOLDEN_STDOUTS = [
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_REPORTS,
                          ids=["table2", "bipartite", "bipartite-csr", "table2-json",
-                              "table2-circular", "recover"])
+                              "table2-circular", "recover", "bipartite-random"])
 def test_cli_report_golden_digest(tmp_path, argv, digest):
     out = tmp_path / "report.csv"
     assert main([*argv, "--out", str(out)]) == 0
