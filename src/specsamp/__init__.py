@@ -7,7 +7,6 @@ from .bipartite import (
     BipartiteSystem,
     build_system,
     fit_one_branch,
-    generate_one_branch,
     one_branch_design,
     reconstruct_from_part,
     sample_first_part,

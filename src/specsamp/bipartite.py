@@ -168,15 +168,6 @@ def reconstruct_from_part(sys: BipartiteSystem, w: Union[SpectralFilter, Chebysh
     return sys.cfg.m * _apply(sys, w, _zero_pad(kept))
 
 
-def generate_one_branch(sys: BipartiteSystem,
-                        wprime: Union[SpectralFilter, ChebyshevFilter],
-                        d: np.ndarray) -> np.ndarray:
-    """Synthesize a one-branch signal from length-N/2 coefficients:
-    zero-pad onto the first part and filter by wprime (as in
-    :func:`sample_first_part`)."""
-    return _apply(sys, wprime, _zero_pad(d))
-
-
 def _step_response(lam: float) -> float:
     """The one-branch sampling filter as a function of frequency: the
     bandlimit to the lower half, whose cut under the pairing is lambda = 1."""

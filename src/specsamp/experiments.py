@@ -37,7 +37,6 @@ import numpy as np
 from .bipartite import (
     build_system,
     fit_one_branch,
-    generate_one_branch,
     one_branch_design,
     reconstruct_from_part,
     sample_first_part,
@@ -336,7 +335,8 @@ def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
 
     ``cfg.graph_kind`` must be one of BIPARTITE_KINDS, checked before any
     graph is built, and ``cfg.n`` even: each part holds n/2 vertices.
-    Signals are synthesized with the exact combined reconstruction response;
+    Signals are synthesized by :func:`reconstruct_from_part` with the exact
+    combined response;
     sampling and decoding use order-P approximations, P in ``cfg.orders``, of
     the bandlimiting sampling filter and the combined response. The
     approximated-bandlimited reconstruction is reported alongside as the
@@ -354,7 +354,7 @@ def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     s, wprime = one_branch_design(sys_, a.response)
 
     d, _ = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, sys_.half)
-    x = generate_one_branch(sys_, wprime, d)
+    x = reconstruct_from_part(sys_, wprime, d)
     energy = _energy(x)
 
     def group(mode: str, order_label: str, w, kept) -> ReportGroup:

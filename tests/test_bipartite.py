@@ -23,7 +23,6 @@ from specsamp import (
     from_response,
     gen_matched_bipartite,
     gen_random_bipartite,
-    generate_one_branch,
     identity_filter,
     inverted_ramp,
     mse_db,
@@ -212,7 +211,7 @@ def test_vertex_pipeline_perfect_recovery_ramp_generation(sys16):
     a = inverted_ramp(sys16.basis_b)
     s, wprime = one_branch_design(sys16, a.response)
     assert np.array_equal(wprime.values, a.values)
-    x = generate_one_branch(sys16, wprime, np.random.default_rng(5).normal(1, 1, sys16.half))
+    x = reconstruct_from_part(sys16, wprime, np.random.default_rng(5).normal(1, 1, sys16.half))
     decoded = _vertex_pipeline(sys16, s, wprime, x)
     rel = np.linalg.norm(decoded - x) / np.linalg.norm(x)
     assert rel < 1e-9
@@ -243,7 +242,7 @@ def test_chebyshev_pipeline_converges_for_smooth_responses():
 
 def _exact_roundtrip_error(sys_, a_resp, d):
     s, wprime = one_branch_design(sys_, a_resp)
-    x = generate_one_branch(sys_, wprime, d)
+    x = reconstruct_from_part(sys_, wprime, d)
     return np.linalg.norm(_vertex_pipeline(sys_, s, wprime, x) - x) / np.linalg.norm(x)
 
 
@@ -269,7 +268,7 @@ def test_one_branch_exact_roundtrip_with_tied_unit_frequencies():
     d = np.random.default_rng(12).normal(1, 1, (sys_.half, 3))
     assert _exact_roundtrip_error(sys_, a.response, d) < 1e-9
     wprime = one_branch_design(sys_, a.response)[1]
-    x = generate_one_branch(sys_, wprime, d)
+    x = reconstruct_from_part(sys_, wprime, d)
     step = from_response(sys_.basis_b, _step_response)
     assert np.linalg.norm(_vertex_pipeline(sys_, step, wprime, x) - x) > 0.1 * np.linalg.norm(x)
 
@@ -278,7 +277,7 @@ def test_one_branch_chebyshev_error_shrinks_with_order():
     sys_ = build_system(gen_matched_bipartite(32, seed=48))
     d = np.random.default_rng(11).normal(1, 1, 32)
     a = inverted_ramp(sys_.basis_b)
-    x = generate_one_branch(sys_, one_branch_design(sys_, a.response)[1], d)
+    x = reconstruct_from_part(sys_, one_branch_design(sys_, a.response)[1], d)
     errs = []
     for order in (4, 16, 32):
         g, w = fit_one_branch(a.response, order)
@@ -355,5 +354,3 @@ def test_vertex_steps_reject_wrong_length_signals(sys16, kind):
         reconstruct_from_part(sys16, f, np.ones(7))
     with pytest.raises(DimensionMismatch):
         sample_first_part(sys16, f, np.ones(17))
-    with pytest.raises(DimensionMismatch):
-        generate_one_branch(sys16, f, np.ones(7))
