@@ -102,6 +102,8 @@ def _cmd_exp_bipartite(args) -> int:
 def _cmd_verify_theorem1(args) -> int:
     if args.count < 0:
         raise InvalidParameter(f"need --count >= 0, got {args.count}")
+    if args.seed < 0:
+        raise InvalidParameter(f"need --seed >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     cases = [("K_{2,2}", complete_bipartite(2)), ("K_{4,4}", complete_bipartite(4))]
     for i in range(args.count):

@@ -2,8 +2,9 @@
 
 One :class:`ExperimentConfig` configures the three experiments (``recover``,
 ``exp table2`` and the bipartite Chebyshev-order sweep) and checks every
-setting once, when it is built. All three score their trials in one place,
-which raises InvalidParameter rather than report a non-finite energy.
+setting once, when it is built. All three check each signal energy right
+after synthesis and score their trials in one place, and both raise
+InvalidParameter rather than report a non-finite energy.
 
 Every run is fully deterministic given its configuration and RNG seed:
 trial t draws from the t-th child of a single seed sequence, so a T-trial
@@ -245,15 +246,20 @@ class ReportGroup(NamedTuple):
     mean_db: float
 
 
+def _finite(energy: np.ndarray) -> np.ndarray:
+    """``energy``, or InvalidParameter if an entry is not finite (the draw
+    overflowed)."""
+    if not np.all(np.isfinite(energy)):
+        raise InvalidParameter("a signal or error energy is not finite: "
+                               "coeff_mean or noise_variance is too large")
+    return energy
+
+
 def _trial_group(labels: tuple, err: np.ndarray, energy: np.ndarray) -> ReportGroup:
     """The group of one configuration's trials (columns): the energy of
     each trial's error ``err`` relative to its signal energy ``energy``;
-    InvalidParameter if an energy is not finite (the draw overflowed)."""
-    err_energy = _energy(err)
-    if not (np.all(np.isfinite(energy)) and np.all(np.isfinite(err_energy))):
-        raise InvalidParameter("a signal or error energy is not finite: "
-                               "coeff_mean or noise_variance is too large")
-    ratios = err_energy / energy
+    InvalidParameter if an energy is not finite."""
+    ratios = _finite(_energy(err)) / _finite(energy)
     mse = _floored_db(ratios)
     mse.flags.writeable = False
     return ReportGroup(labels, mse, float(_floored_db(np.mean(ratios))))
@@ -283,7 +289,7 @@ def _recovery_groups(base: ExperimentConfig, generators, noises,
     for generator in generators:
         a = build(generator)
         xhat = pgs_spectrum(PgsModel(a, scfg, basis), coeffs)
-        energy = _energy(xhat)
+        energy = _finite(_energy(xhat))  # before any fold can overflow
         designs = [design_for_config(method, build, scfg, a) for method in methods]
         for noise_variance in noises:
             yhat = xhat + noise if noise_variance > 0 else xhat
@@ -354,8 +360,9 @@ def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     s, wprime = one_branch_design(sys_, a.response)
 
     d, _ = _draw_trials(cfg.rng_seed, cfg.trials, cfg.coeff_mean, sys_.half)
-    x = reconstruct_from_part(sys_, wprime, d)
-    energy = _energy(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite energy
+        x = reconstruct_from_part(sys_, wprime, d)
+    energy = _finite(_energy(x))
 
     def group(mode: str, order_label: str, w, kept) -> ReportGroup:
         err = reconstruct_from_part(sys_, w, kept)

@@ -189,13 +189,15 @@ def test_cli_exp_bipartite_config_rejects_a_recovery_graph_kind(no_graphs, tmp_p
 @pytest.mark.parametrize("command,flag,value", [
     ("recover", "--coeff-mean", "1e200"), ("table2", "--coeff-mean", "1e200"),
     ("bipartite", "--coeff-mean", "1e200"), ("recover", "--noise", "1e308"),
-    ("table2", "--noise", "1e308"),
+    ("table2", "--noise", "1e308"), ("table2", "--coeff-mean", "1.7e308"),
+    ("table2-circular", "--coeff-mean", "1.7e308"), ("bipartite", "--coeff-mean", "1.7e308"),
 ])
 def test_cli_rejects_an_overflowing_draw_without_a_report(tmp_path, capsys, command, flag,
                                                           value):
     # tier-1 turns warnings into errors, so this also pins that none escapes.
+    runs = {**SMALL_RUNS, "table2-circular": [*SMALL_RUNS["table2"], "--kind", "circular"]}
     out = tmp_path / "r.csv"
-    assert main([*SMALL_RUNS[command], flag, value, "--out", str(out)]) == 2
+    assert main([*runs[command], flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "coeff_mean" in err and "noise_variance" in err and "Traceback" not in err
     assert not out.exists()
@@ -722,8 +724,10 @@ def test_cli_verify_exits_3_when_the_svd_does_not_converge(capsys, monkeypatch):
 
 
 def test_cli_verify_rejects_negative_count(capsys):
-    assert main(["verify", "theorem1", "--count", "-1"]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    for flag in ("--count", "--seed"):
+        assert main(["verify", "theorem1", flag, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert f"need {flag} >= 0, got -1" in err and "Traceback" not in err
 
 
 # sha256 of small reports, pinned so that a refactor that moves any digit of
