@@ -342,11 +342,11 @@ def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     ``cfg.graph_kind`` must be one of BIPARTITE_KINDS, checked before any
     graph is built, and ``cfg.n`` even: each part holds n/2 vertices.
     Signals are synthesized by :func:`reconstruct_from_part` with the exact
-    combined response;
-    sampling and decoding use order-P approximations, P in ``cfg.orders``, of
-    the bandlimiting sampling filter and the combined response. The
-    approximated-bandlimited reconstruction is reported alongside as the
-    baseline, after an exact-filter run (lossless up to conditioning).
+    combined response; sampling and decoding use order-P approximations, P in
+    ``cfg.orders``, of the bandlimiting sampling filter and the combined
+    response. The approximated-bandlimited reconstruction is reported
+    alongside as the baseline, after an exact-filter run (lossless up to
+    conditioning).
     """
     if cfg.graph_kind not in BIPARTITE_KINDS:
         raise InvalidParameter(f"bipartite graph kind must be one of {BIPARTITE_KINDS}, "
