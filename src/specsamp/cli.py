@@ -37,8 +37,7 @@ from .filters import inverted_ramp, save_filter
 from .graphs import complete_bipartite, gen_random_bipartite, save_graph
 from .sampling import SamplingConfig
 
-# KeyError and ValueError are configuration errors too; every other
-# SpecSampError is numerical.
+# KeyError and ValueError are configuration errors; any other SpecSampError is numerical.
 _CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
 
 
