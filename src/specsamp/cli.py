@@ -66,7 +66,7 @@ def _cmd_filters_dump(args) -> int:
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     for name, build in FILTERS.items():
-        save_filter(build(basis, cfg.eps, k), basis, os.path.join(args.out, f"{name}.txt"))
+        save_filter(build(basis, k), basis, os.path.join(args.out, f"{name}.txt"))
     print(f"wrote {len(FILTERS)} filter tables to {args.out}")
     return 0
 
@@ -125,6 +125,15 @@ def _cmd_verify_theorem1(args) -> int:
     return 0
 
 
+def _orders(text: str) -> tuple:
+    """The ``--orders`` value: comma-separated integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers such as 2,4,8, got {text!r}") from None
+
+
 def _command(subparsers, name: str, help: str, fn, groups, **defaults):
     """The parser of command ``name``, which runs ``fn``: the named groups of
     the flags several commands share, each flag defined here once, with
@@ -138,11 +147,9 @@ def _command(subparsers, name: str, help: str, fn, groups, **defaults):
         p.add_argument("--kind", dest="graph_kind", default="sensor", choices=GRAPH_KINDS)
     if "sampling" in groups:
         p.add_argument("--m", type=int, default=8)
-        p.add_argument("--eps", type=float, default=0.1)
     if "run" in groups:  # --trials has no default here: each command sets its own
         p.add_argument("--trials", type=int)
         p.add_argument("--rng-seed", type=int, default=0)
-        p.add_argument("--coeff-mean", type=float, default=1.0)
         p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(fn=fn, **defaults)
     return p
@@ -186,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(esub, "bipartite", "one-branch Chebyshev-order sweep", _cmd_exp_bipartite,
                  ("graph", "run"), trials=100)
     p.add_argument("--graph", dest="graph_kind", default="matched", choices=BIPARTITE_KINDS)
-    p.add_argument("--orders", type=lambda text: tuple(int(v) for v in text.split(",")),
-                   default=(2, 4, 8, 16, 24, 32))
+    p.add_argument("--orders", type=_orders, default=(2, 4, 8, 16, 24, 32))
     p.add_argument("--out", required=True)
 
     vsub = sub.add_parser("verify", help="numerical identity checks").add_subparsers(

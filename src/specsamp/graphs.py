@@ -230,7 +230,7 @@ def gen_random_bipartite(n_half: int, seed: int, p: float = 0.5) -> Graph:
     connected (at most 100 attempts).
     """
     if n_half < 1:
-        raise InvalidParameter("need n_half >= 1")
+        raise InvalidParameter(f"need at least 1 vertex per part, got {n_half}")
     if not 0.0 < p <= 1.0:
         raise InvalidParameter("need 0 < p <= 1")
     rng = np.random.default_rng(seed)
@@ -251,7 +251,7 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
     filters jump exactly there.
     """
     if n_half <= _MATCH_EXTRA:
-        raise InvalidParameter(f"need n_half > {_MATCH_EXTRA}")
+        raise InvalidParameter(f"need more than {_MATCH_EXTRA} vertices per part, got {n_half}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
         block = np.zeros((n_half, n_half))
@@ -271,7 +271,7 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
 def complete_bipartite(n_half: int) -> Graph:
     """K_{n_half,n_half} with unit weights, first part first."""
     if n_half < 1:
-        raise InvalidParameter("need n_half >= 1")
+        raise InvalidParameter(f"need at least 1 vertex per part, got {n_half}")
     return Graph(_bipartite(np.ones((n_half, n_half))), bipartition=n_half)
 
 

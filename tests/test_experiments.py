@@ -101,10 +101,6 @@ def test_config_validation():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameter):
             ExperimentConfig(noise_variance=value)
-        with pytest.raises(InvalidParameter):
-            ExperimentConfig(coeff_mean=value)
-        with pytest.raises(InvalidParameter):
-            ExperimentConfig(graph_kind="matched", coeff_mean=value)
 
 
 SMALL_RUNS = {
@@ -187,10 +183,8 @@ def test_cli_exp_bipartite_config_rejects_a_recovery_graph_kind(no_graphs, tmp_p
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    ("recover", "--coeff-mean", "1e200"), ("table2", "--coeff-mean", "1e200"),
-    ("bipartite", "--coeff-mean", "1e200"), ("recover", "--noise", "1e308"),
-    ("table2", "--noise", "1e308"), ("table2", "--coeff-mean", "1.7e308"),
-    ("table2-circular", "--coeff-mean", "1.7e308"), ("bipartite", "--coeff-mean", "1.7e308"),
+    ("recover", "--noise", "1e308"), ("table2", "--noise", "1e308"),
+    ("table2", "--noise", "1.7e308"), ("table2-circular", "--noise", "1.7e308"),
 ])
 def test_cli_rejects_an_overflowing_draw_without_a_report(tmp_path, capsys, command, flag,
                                                           value):
@@ -199,7 +193,34 @@ def test_cli_rejects_an_overflowing_draw_without_a_report(tmp_path, capsys, comm
     out = tmp_path / "r.csv"
     assert main([*runs[command], flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "coeff_mean" in err and "noise_variance" in err and "Traceback" not in err
+    assert "noise_variance" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["filters", "dump"], "--eps"), (["recover"], "--eps"), (["exp", "table2"], "--eps"),
+    (["recover"], "--coeff-mean"), (["exp", "table2"], "--coeff-mean"),
+    (["exp", "bipartite"], "--coeff-mean"),
+], ids=["filters-dump-eps", "recover-eps", "table2-eps", "recover-coeff-mean",
+        "table2-coeff-mean", "bipartite-coeff-mean"])
+def test_cli_has_no_eps_or_coeff_mean_flag(tmp_path, capsys, command, flag):
+    # The paper's eps = 0.1 and coefficient mean 1 are constants.
+    value = "0.2" if flag == "--eps" else "2"
+    out = tmp_path / "out"
+    for form in [[flag, value], [_args_file(tmp_path / "run.args", f"{flag}={value}")]]:
+        with pytest.raises(SystemExit) as caught:
+            main([*command, *form, "--out", str(out)])
+        assert caught.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("orders", ["2,x", "2,,4", ""])
+def test_cli_orders_error_names_the_expected_form(tmp_path, capsys, orders):
+    out = tmp_path / "bp.csv"
+    assert _exit_code([*SMALL_RUNS["bipartite"], f"--orders={orders}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "comma-separated" in err and "<lambda>" not in err
     assert not out.exists()
 
 
@@ -227,27 +248,20 @@ def test_every_config_field_is_set_by_some_flag():
     # The one config holds no field that no command sets.
     names = {f.name for f in fields(ExperimentConfig)}
     assert names - _flag_dests(cli.build_parser()) == set()
-    assert len(names) == 16
+    assert len(names) == 14
 
 
-# ``flag`` None: the flag named after the field ``key``.
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command,flag,key", [
     ("recover", "--noise", "noise_variance"),
     ("table2", "--noise", "noise_variance"),
-    ("recover", None, "coeff_mean"),
-    ("table2", None, "coeff_mean"),
-    ("bipartite", "--coeff-mean", "coeff_mean"),
-    ("recover", None, "eps"),
-    ("table2", None, "eps"),
 ])
 def test_cli_rejects_non_finite_settings(tmp_path, capsys, command, flag, key, value):
     out = tmp_path / "r.csv"
-    flag = flag or "--" + key.replace("_", "-")
     for form in [[flag, value], [_args_file(tmp_path / "run.args", f"{flag}={value}")]]:
         assert main([*SMALL_RUNS[command], *form, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "finite" in err and "Traceback" not in err
+        assert key in err and "finite" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -398,11 +412,17 @@ def test_cli_gen_graph(tmp_path):
     assert out.read_text().startswith("N 8")
 
 
-def test_cli_gen_graph_rejects_empty_complete_bipartite(tmp_path, capsys):
-    out = tmp_path / "g.txt"
-    assert main(["gen-graph", "--kind", "complete-bipartite", "--n", "0",
-                 "--out", str(out)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["gen-graph", "--kind", "bipartite", "--n", "0"],
+    ["gen-graph", "--kind", "complete-bipartite", "--n", "0"],
+    ["exp", "bipartite", "--n", "4"],
+], ids=["bipartite", "complete-bipartite", "exp-bipartite"])
+def test_cli_part_size_errors_name_vertices_per_part(tmp_path, capsys, argv):
+    # The user sets --n, the vertex count, so the message does not name n_half.
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "per part" in err and "n_half" not in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -479,28 +499,27 @@ FLAG_FIELDS = [
     (["gen-graph", "--kind", "circular", "--n", "12", "--seed", "3", "--p", "0.25"],
      "build_experiment_graph", dict(graph_kind="circular", n=12, graph_seed=3, p=0.25)),
     (["filters", "dump", "--kind", "bipartite", "--n", "12", "--seed", "3", "--p", "0.25",
-      "--m", "3", "--eps", "0.25"],
+      "--m", "3"],
      "build_experiment_graph",
-     dict(graph_kind="bipartite", n=12, graph_seed=3, p=0.25, m=3, eps=0.25)),
+     dict(graph_kind="bipartite", n=12, graph_seed=3, p=0.25, m=3)),
     (["recover", "--kind", "circular", "--n", "12", "--seed", "3", "--p", "0.25", "--m", "3",
-      "--eps", "0.25", "--generator", "gen2", "--sampling", "ir", "--prior", "smoothness",
+      "--generator", "gen2", "--sampling", "ir", "--prior", "smoothness",
       "--mode", "predefined", "--strategy", "mx", "--noise", "0.5", "--trials", "7",
-      "--rng-seed", "9", "--coeff-mean", "2.5"],
+      "--rng-seed", "9"],
      "run_recovery_experiment",
-     dict(graph_kind="circular", n=12, graph_seed=3, p=0.25, m=3, eps=0.25, generator="gen2",
+     dict(graph_kind="circular", n=12, graph_seed=3, p=0.25, m=3, generator="gen2",
           sampling_filter="ir", prior="smoothness", mode="predefined", strategy="mx",
-          noise_variance=0.5, trials=7, rng_seed=9, coeff_mean=2.5)),
+          noise_variance=0.5, trials=7, rng_seed=9)),
     (["exp", "table2", "--kind", "bipartite", "--n", "12", "--seed", "3", "--p", "0.25",
-      "--m", "3", "--eps", "0.25", "--trials", "7", "--noise", "0.5", "--rng-seed", "9",
-      "--coeff-mean", "2.5"],
+      "--m", "3", "--trials", "7", "--noise", "0.5", "--rng-seed", "9"],
      "run_recovery_table",
-     dict(graph_kind="bipartite", n=12, graph_seed=3, p=0.25, m=3, eps=0.25, trials=7,
-          noise_variance=0.5, rng_seed=9, coeff_mean=2.5)),
+     dict(graph_kind="bipartite", n=12, graph_seed=3, p=0.25, m=3, trials=7,
+          noise_variance=0.5, rng_seed=9)),
     (["exp", "bipartite", "--n", "12", "--seed", "3", "--graph", "random", "--p", "0.25",
-      "--orders", "3,5", "--trials", "7", "--rng-seed", "9", "--coeff-mean", "2.5"],
+      "--orders", "3,5", "--trials", "7", "--rng-seed", "9"],
      "run_bipartite_experiment",
      dict(n=12, graph_seed=3, graph_kind="random", p=0.25, orders=(3, 5), trials=7,
-          rng_seed=9, coeff_mean=2.5)),
+          rng_seed=9)),
 ]
 
 
@@ -581,16 +600,6 @@ def test_cli_filters_dump_into_an_existing_file_exits_2(tmp_path, capsys):
     assert main(["filters", "dump", "--n", "16", "--m", "4", "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert out.read_text() == "kept\n"
-
-
-@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
-def test_cli_filters_dump_rejects_a_bad_eps_before_writing(tmp_path, capsys, eps):
-    out = tmp_path / "filters"
-    out.mkdir()
-    assert main(["filters", "dump", "--n", "16", "--m", "4", "--eps", eps,
-                 "--out", str(out)]) == 2
-    assert "eps" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
 
 
 def test_cli_filters_dump_checks_m_before_building_the_graph(tmp_path, capsys, monkeypatch):

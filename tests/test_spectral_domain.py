@@ -147,13 +147,13 @@ def _vertex_domain_rows(base):
     vertex-domain functions, the noise added to the signal."""
     scfg = SamplingConfig(base.n, base.m)
     basis = basis_for_config(base, build_experiment_graph(base))
-    coeffs, noise = _draw_trials(base.rng_seed, base.trials, base.coeff_mean, scfg.k,
-                                 scfg.n, float(np.sqrt(base.noise_variance)))
+    coeffs, noise = _draw_trials(base.rng_seed, base.trials, scfg.k, scfg.n,
+                                 float(np.sqrt(base.noise_variance)))
     methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
     methods.append(("baseline", "predefined", "ds", "bl"))
 
     def build(fid):
-        return FILTERS[fid](basis, base.eps, scfg.k)
+        return FILTERS[fid](basis, scfg.k)
 
     groups = []
     for generator in GENERATOR_IDS:
