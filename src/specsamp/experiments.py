@@ -1,9 +1,10 @@
 """Monte Carlo recovery experiments and report emission.
 
 One :class:`ExperimentConfig` configures the three experiments (``recover``,
-``exp table2`` and the bipartite Chebyshev-order sweep) and checks every
-setting once, when it is built. All three score their trials in one place,
-which raises InvalidParameter rather than report a non-finite energy.
+``exp table2`` and the bipartite Chebyshev-order sweep); each setting is
+checked once, before any graph is built. All three score their trials in
+one place, which raises InvalidParameter rather than report a non-finite
+energy.
 
 Every run is fully deterministic given its configuration and RNG seed:
 trial t draws from the t-th child of a single seed sequence, so a T-trial
@@ -106,14 +107,13 @@ FILTERS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: graph, sampling setup, filters, prior, strategy,
-    noise, Chebyshev orders, trial count and RNG seed. Each is checked here
-    but ``graph_kind`` and ``p``, which the graph builders check before
-    they build a graph. The recovery runners read every field but
-    ``orders``; the bipartite sweep reads ``graph_kind``, ``n``,
-    ``graph_seed``, ``p``, ``orders``, ``trials`` and ``rng_seed``. The
-    sizes, counts, seeds and orders are integers, the seeds at least 0, and
-    ``orders`` holds at least one Chebyshev order, each at least 1 and each
-    once."""
+    noise, Chebyshev orders, trial count and RNG seed, each checked here but
+    ``graph_kind`` and ``p``, which the graph builders check before building.
+    The recovery runners read every field but ``orders``; the bipartite
+    sweep reads ``graph_kind``, ``n``, ``graph_seed``, ``p``, ``orders``,
+    ``trials`` and ``rng_seed``. The sizes, counts, seeds and orders are
+    integers, the seeds at least 0, and ``orders`` holds at least one
+    Chebyshev order, each at least 1 and each once."""
 
     graph_kind: str = "sensor"
     n: int = 256
