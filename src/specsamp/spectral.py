@@ -2,10 +2,13 @@
 transforms, and spectral filtering.
 
 Signals and spectra are ``(N,)`` or ``(N, T)``: a trailing axis holds T
-trials, and every transform and filter acts along axis 0.
+trials, and every transform and filter acts along axis 0. Eigenbases
+transform by dense products with their vectors, O(N^2) per signal. The DFT
+basis of the cycle transforms by FFT, O(N log N) per signal, and forms its
+N x N matrix only when ``vectors`` is read.
 """
 
-from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -16,29 +19,44 @@ from .graphs import VariationOperator, _frozen
 _SIGN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class SpectralBasis:
     """Orthonormal GFT basis: eigenvector columns and graph frequencies.
 
     For Laplacian eigenbases the frequencies are ascending. Constructed
     bases (the DFT basis, paired bipartite bases) keep their own
     documented index order instead.
+
+    ``vectors`` and ``lambdas`` are read-only. A basis built by
+    :meth:`_on_demand` forms ``vectors`` when it is first read and keeps it.
     """
 
-    vectors: np.ndarray
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        u = _frozen(self.vectors, "basis vectors", dtype=None)
-        lam = _frozen(self.lambdas, "frequencies")
+    def __init__(self, vectors, lambdas):
+        u = _frozen(vectors, "basis vectors", dtype=None)
+        lam = _frozen(lambdas, "frequencies")
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != len(lam):
             raise DimensionMismatch("basis must be square with one frequency per column")
-        object.__setattr__(self, "vectors", u)
-        object.__setattr__(self, "lambdas", lam)
+        vars(self).update(vectors=u, lambdas=lam, _fourier=False)
+
+    @classmethod
+    def _on_demand(cls, lambdas, form_vectors, fourier: bool) -> "SpectralBasis":
+        """A basis whose ``vectors`` are ``form_vectors()``, called on first
+        read. ``fourier`` marks the unitary DFT basis, which ``gft`` and
+        ``igft`` apply by FFT."""
+        b = cls.__new__(cls)
+        vars(b).update(lambdas=_frozen(lambdas, "frequencies"),
+                       _form_vectors=form_vectors, _fourier=fourier)
+        return b
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _frozen(self._form_vectors(), "basis vectors", dtype=None)
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return len(self.lambdas)
 
 
 def _column_signs(u: np.ndarray) -> np.ndarray:
@@ -69,37 +87,47 @@ def eigendecompose(op: VariationOperator) -> SpectralBasis:
     return SpectralBasis(u, lam)
 
 
+def _dft_matrix(n: int) -> np.ndarray:
+    m = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
+
+
 def dft_basis(n: int) -> SpectralBasis:
     """Unitary DFT basis in frequency-index order.
 
     Column i is exp(+2j*pi*i*m/n)/sqrt(n), so the forward transform
     equals the unitary DFT. The attached frequencies are the circulant
     Laplacian eigenvalues 2 - 2cos(2*pi*i/n), kept in index order (they
-    are not monotone).
+    are not monotone). ``gft`` and ``igft`` apply this basis by FFT in
+    O(n log n); the n x n matrix is formed only when ``vectors`` is read.
     """
     if n < 2:
         raise DimensionMismatch("need n >= 2")
-    m = np.arange(n)
-    u = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
-    lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * m / n)
-    return SpectralBasis(u, lam)
+    lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    return SpectralBasis._on_demand(lam, partial(_dft_matrix, n), fourier=True)
 
 
 def gft(b: SpectralBasis, x: np.ndarray) -> np.ndarray:
-    """Forward transform: xhat[i] = <u_i, x>."""
+    """Forward transform: xhat[i] = <u_i, x>; the unitary DFT, by FFT, on
+    the DFT basis."""
     x = np.asarray(x)
     if x.shape[0] != b.n:
         raise DimensionMismatch(f"signal length {x.shape[0]} != {b.n}")
+    if b._fourier:
+        return np.fft.fft(x, axis=0, norm="ortho")
     # U* x without forming the conjugated N x N basis; conj() is free on
     # real arrays.
     return (b.vectors.T @ x.conj()).conj()
 
 
 def igft(b: SpectralBasis, xhat: np.ndarray) -> np.ndarray:
-    """Inverse transform: x = U xhat."""
+    """Inverse transform: x = U xhat; the unitary inverse DFT, by FFT, on
+    the DFT basis."""
     xhat = np.asarray(xhat)
     if xhat.shape[0] != b.n:
         raise DimensionMismatch(f"spectrum length {xhat.shape[0]} != {b.n}")
+    if b._fourier:
+        return np.fft.ifft(xhat, axis=0, norm="ortho")
     return b.vectors @ xhat
 
 

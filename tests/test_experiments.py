@@ -762,7 +762,7 @@ GOLDEN_REPORTS = [
      "36629dc42ab3282698d73b5b0c9bb26788383c8d6d3e93c0af0021b788d9724f"),
     (["exp", "table2", "--kind", "circular", "--n", "32", "--m", "4", "--trials", "3",
       "--rng-seed", "1"],
-     "5f6959d82e0728ddc919257750e60ccc6c209212f121d79448b503355b8509f1"),
+     "4eb2121689994c09480bb2eee5b154acf1afb34714c54816e0224c854e8f5c88"),
     (RECOVER, "e0940bbfd97a82947e6189481309cbf9fdcd625079478b0678be22f195b52720"),
     (["exp", "bipartite", "--graph", "random", "--n", "32", "--orders", "2,4", "--trials", "3"],
      "d22b76e004c0ff16fd21bf089a6550e5961e0558b2cf1874e854a1614603e665"),
