@@ -35,6 +35,8 @@ class SpectralBasis:
         lam = _frozen(lambdas, "frequencies")
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != len(lam):
             raise DimensionMismatch("basis must be square with one frequency per column")
+        # Fields go straight into the instance dict, since __setattr__
+        # refuses; a stored ``vectors`` shadows the on-demand property.
         vars(self).update(vectors=u, lambdas=lam, _fourier=False)
 
     @classmethod

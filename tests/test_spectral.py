@@ -1,24 +1,37 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specsamp import (
     DimensionMismatch,
     InvalidParameter,
+    PgsModel,
+    SamplingConfig,
     SpectralBasis,
     SpectralFilter,
     VariationOperator,
     apply_filter,
     combinatorial_laplacian,
     complete_bipartite,
+    design_subspace_unconstrained,
     dft_basis,
     eigendecompose,
+    frequency_sample,
     gen_circular,
     gen_random_sensor,
+    generate_pgs,
     gft,
     identity_filter,
     igft,
+    inverted_ramp,
+    linear_decay,
+    mse_db,
     normalized_laplacian,
+    reconstruct,
 )
 
 
@@ -117,6 +130,65 @@ def test_gft_dimension_mismatch():
         gft(basis, np.zeros(5))
     with pytest.raises(DimensionMismatch):
         igft(basis, np.zeros(3))
+
+
+def _assert_close_relative(got, want):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 257), trials=st.sampled_from([None, 1, 3]),
+       complex_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=257, trials=None, complex_input=False, seed=0)  # prime
+@example(n=30, trials=3, complex_input=True, seed=1)       # mixed radix 2*3*5
+def test_dft_basis_transforms_match_the_closed_form_dft(n, trials, complex_input, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if trials is None else (n, trials)
+    x = rng.normal(size=shape)
+    if complex_input:
+        x = x + 1j * rng.normal(size=shape)
+    # Column i is exp(2j*pi*i*m/n)/sqrt(n), built here with the exponent
+    # reduced mod n; the basis's own vectors are not the oracle.
+    m = np.arange(n)
+    u = np.exp(2j * np.pi * (np.outer(m, m) % n) / n) / np.sqrt(n)
+    basis = dft_basis(n)
+    xhat = gft(basis, x)
+    _assert_close_relative(xhat, u.conj().T @ x)
+    _assert_close_relative(igft(basis, x), u @ x)
+    _assert_close_relative(igft(basis, xhat), x)
+
+
+@pytest.mark.parametrize("n", [2, 7, 30, 256])
+def test_dft_basis_vectors_are_the_closed_form_matrix(n):
+    basis = dft_basis(n)
+    m = np.arange(n)
+    u = basis.vectors
+    assert u.tobytes() == (np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)).tobytes()
+    assert basis.vectors is u
+    assert not u.flags.writeable
+    with pytest.raises(AttributeError):
+        basis.vectors = np.eye(n)
+
+
+def test_dft_basis_request_does_not_form_the_matrix():
+    # One synthesize -> sample -> reconstruct request on the 2048-cycle,
+    # basis included, peaks below a sixteenth of the n x n complex matrix.
+    n, m = 2048, 8
+    tracemalloc.start()
+    try:
+        basis = dft_basis(n)
+        cfg = SamplingConfig(n, m)
+        s = inverted_ramp(basis)
+        model = PgsModel(linear_decay(basis), cfg, basis)
+        design = design_subspace_unconstrained(s, model.generator, cfg)
+        x = generate_pgs(model, np.random.default_rng(0).normal(1.0, 1.0, cfg.k))
+        xt = reconstruct(basis, design, frequency_sample(basis, s, x, cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mse_db(x, xt) < -200.0
+    assert peak < n * n * 16 // 16
 
 
 def test_apply_identity_filter():
