@@ -72,6 +72,7 @@ from .recovery import (
     design_smoothness_unconstrained,
     design_subspace_predefined,
     design_subspace_unconstrained,
+    error_gains,
     generate_pgs,
     mse_db,
     pgs_spectrum,

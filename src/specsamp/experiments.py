@@ -12,25 +12,29 @@ run's per-trial columns are the first T of any longer run. Expansion
 coefficients are drawn from Normal(1, 1), and noise, when enabled, is added
 to the signal before sampling.
 
-The recovery experiments (``recover``, ``exp table2``) sample, correct and
-reconstruct in the graph frequency domain and score each trial between
-the clean and the reconstructed spectrum. Every basis here is orthonormal
-or unitary, so by Parseval that is the vertex-domain error; a run makes
-one GFT, of the noise block, and none when it is noise-free.
+The recovery experiments (``recover``, ``exp table2``) score each trial
+in closed form on the folded, length-K spectrum. A trial with coefficients
+d and folded noise nu = fold(s * nhat) has the error energy
+G . d^2 + 2 C . (d Re nu) + H . |nu|^2, with the gains of
+:func:`~specsamp.recovery.error_gains`, and the signal energy R_aa . d^2.
+Every basis here is orthonormal or unitary, so by Parseval that is the
+vertex-domain error. A run makes one GFT, of the noise block, and none
+when it is noise-free; no N x T block is formed after it.
 
-A Table 2 run shares one graph, basis, trial draw and noise GFT, builds
-each filter once and each design once per generator, and folds once per
-(generator, noise, sampling filter).
+A Table 2 run shares one graph, basis, trial draw and noise GFT, folds
+the noise once per sampling filter, builds each filter once and each
+design and its gains once per generator, and scores each configuration
+with three length-K by K x T products.
 Results stay per-configuration columns (:class:`ReportGroup`) until
 :func:`emit_report` writes them; :func:`report_rows` flattens them.
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
 from typing import Callable, List, NamedTuple
 
 import numpy as np
@@ -63,7 +67,6 @@ from .graphs import (
     gen_random_sensor,
 )
 from .recovery import (
-    PgsModel,
     RecoveryDesign,
     Strategy,
     _energy,
@@ -72,10 +75,9 @@ from .recovery import (
     design_smoothness_unconstrained,
     design_subspace_predefined,
     design_subspace_unconstrained,
-    pgs_spectrum,
-    reconstruct_spectrum,
+    error_gains,
 )
-from .sampling import SamplingConfig, sample_spectrum
+from .sampling import SamplingConfig, sample_spectrum, sampled_cross_correlation
 from .spectral import SpectralBasis, dft_basis, eigendecompose, gft
 
 REPORT_COLUMNS = ("prior", "mode", "strategy", "sampling_filter", "generator",
@@ -251,10 +253,10 @@ def _finite(energy: np.ndarray) -> np.ndarray:
 
 
 def _trial_group(labels: tuple, err: np.ndarray, energy: np.ndarray) -> ReportGroup:
-    """The group of one configuration's trials (columns): the energy of
-    each trial's error ``err`` relative to its signal energy ``energy``;
-    InvalidParameter if an energy is not finite."""
-    ratios = _finite(_energy(err)) / _finite(energy)
+    """The group of one configuration's trials: each trial's error energy
+    ``err`` relative to its signal energy ``energy``; InvalidParameter if
+    an energy is not finite."""
+    ratios = _finite(err) / _finite(energy)
     mse = _floored_db(ratios)
     mse.flags.writeable = False
     return ReportGroup(labels, mse, float(_floored_db(np.mean(ratios))))
@@ -270,29 +272,40 @@ def _recovery_groups(base: ExperimentConfig, generators, noises,
     noise-free groups get the coefficients of a noise-free draw; every
     nonzero variance in ``noises`` must equal that maximum.
 
-    Every group runs on spectra, scored between the clean and the
-    reconstructed spectrum; only the noise block is transformed.
+    Every group is scored on the folded spectrum: its error energy is
+    G . d^2 + 2 C . (d Re nu_s) + H . |nu_s|^2, with the gains (G, C, H) of
+    :func:`error_gains` and nu_s = fold(s * nhat), and its signal energy
+    R_aa . d^2. The noise block makes the one GFT and is folded once per
+    sampling filter; d^2, d Re nu_s and |nu_s|^2 are formed once, and each
+    group costs three length-K by K x T products.
     """
     scfg = SamplingConfig(base.n, base.m)
     basis = basis_for_config(base, build_experiment_graph(base))
     coeffs, noise = _draw_trials(base.rng_seed, base.trials, scfg.k, scfg.n,
                                  float(np.sqrt(max(noises))))
+    build = cache(lambda fid: FILTERS[fid](basis, scfg.k))
+    d2 = coeffs**2
+    noisy = {}  # sampling filter id -> (d Re nu, |nu|^2)
     if noise is not None:
         noise = gft(basis, noise)  # rebound, so that the vertex block is freed
-    build = cache(lambda fid: FILTERS[fid](basis, scfg.k))
+        for sid in dict.fromkeys(method[3] for method in methods):
+            nu = sample_spectrum(build(sid), noise, scfg).values
+            with np.errstate(over="ignore"):
+                noisy[sid] = (coeffs * nu.real, np.abs(nu) ** 2)
+        del noise
     groups: List[ReportGroup] = []
     for generator in generators:
         a = build(generator)
-        xhat = pgs_spectrum(PgsModel(a, scfg, basis), coeffs)
-        energy = _energy(xhat)
-        designs = [design_for_config(method, build, scfg, a) for method in methods]
+        energy = sampled_cross_correlation(a, a, scfg) @ d2
+        gains = [error_gains(design_for_config(method, build, scfg, a), build(method[3]),
+                             a, scfg) for method in methods]
         for noise_variance in noises:
-            yhat = xhat + noise if noise_variance > 0 else xhat
-            folded = {sid: sample_spectrum(build(sid), yhat, scfg)
-                      for sid in dict.fromkeys(method[3] for method in methods)}
-            for method, design in zip(methods, designs):
-                err = reconstruct_spectrum(design, folded[method[3]])
-                err -= xhat
+            for method, (g, c, h) in zip(methods, gains):
+                with np.errstate(over="ignore"):
+                    err = g @ d2
+                    if noise_variance > 0:
+                        cross, power = noisy[method[3]]
+                        err += 2.0 * c @ cross + h @ power
                 groups.append(_trial_group((*method, generator, noise_variance), err, energy))
     return groups
 
@@ -361,7 +374,8 @@ def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     def group(mode: str, order_label: str, w, kept) -> ReportGroup:
         err = reconstruct_from_part(sys_, w, kept)
         err -= x
-        return _trial_group(("subspace", mode, order_label, "bl", "ir", 0.0), err, energy)
+        return _trial_group(("subspace", mode, order_label, "bl", "ir", 0.0), _energy(err),
+                            energy)
 
     groups = [group("exact", "exact", wprime, sample_first_part(sys_, s, x))]
     for order in cfg.orders:
@@ -387,12 +401,16 @@ def emit_report(groups: List[ReportGroup], fmt: str, path: str) -> None:
     try:
         if fmt == "csv":
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(REPORT_COLUMNS)
+                csv.writer(fh, lineterminator="\n").writerow(REPORT_COLUMNS)
                 for g in groups:
-                    labels = [repr(v) if isinstance(v, float) else v for v in g.labels]
-                    writer.writerows(zip(*map(repeat, labels), range(len(g.mse_db)),
-                                         map(repr, g.mse_db.tolist()), repeat(repr(g.mean_db))))
+                    # The labels go through csv once, for its quoting; the
+                    # trial, dB and mean columns never need quoting.
+                    prefix = io.StringIO()
+                    csv.writer(prefix, lineterminator="\n").writerow(
+                        [repr(v) if isinstance(v, float) else v for v in g.labels])
+                    head, mean = prefix.getvalue()[:-1], repr(g.mean_db)
+                    fh.write("".join(f"{head},{t},{db!r},{mean}\n"
+                                     for t, db in enumerate(g.mse_db.tolist())))
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(report_rows(groups), fh, indent=1)

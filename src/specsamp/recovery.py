@@ -5,7 +5,8 @@ a K-periodic coefficient spectrum shaped by a known generator response --
 or by a smoothness bound on a quadratic form. Every design below comes out
 as a length-K diagonal correction filter paired with a length-N diagonal
 reconstruction filter; the denominators are folded cross-correlations of
-the filters involved.
+the filters involved. The error energy of a design is a closed form on
+the folded spectrum as well (:func:`error_gains`).
 
 Coefficients, signals and sampled spectra may carry a trailing trial
 axis; synthesis and reconstruction act along axis 0.
@@ -30,6 +31,7 @@ from .sampling import (
     SamplingConfig,
     _scaled_upsample,
     sampled_cross_correlation,
+    spectral_fold,
 )
 from .spectral import SpectralBasis, _scale_rows, igft
 
@@ -215,6 +217,32 @@ def design_smoothness_predefined(s: SpectralFilter, v: SpectralFilter,
     wt = _smoothness_generator(s, v)
     h = _predefined_h(s, wt, w, cfg, Strategy.MX, SingularCorrelation)
     return RecoveryDesign(h, w)
+
+
+def error_gains(design: RecoveryDesign, s: SpectralFilter, a: SpectralFilter,
+                cfg: SamplingConfig):
+    """The three length-K gains (G, C, H) of the reconstruction error.
+
+    A PGS signal with coefficients d (generator ``a``), sampled by ``s``
+    with noise spectrum nhat and reconstructed by ``design``, has the error
+    spectrum P up(d) + Q up(nu), nu = fold(s * nhat), with
+    P = w up(h R_sa) - a and Q = w up(h). Its energy is
+
+        ||e||^2 = G . d^2 + 2 C . (d Re nu) + H . |nu|^2,
+
+    G = fold(P^2), C = fold(P Q) and H = fold(Q^2), for d real.
+
+    P is formed entry by entry and then squared. For an exact DS design it
+    is ``a`` times a rounding error, so G keeps its true size, of order
+    eps^2. The expanded form R_ww h^2 R_sa^2 - 2 h R_sa R_wa + R_aa
+    subtracts terms of order 1 and leaves an error of order eps instead.
+    """
+    if design.w.n != cfg.n or design.h.shape[0] != cfg.k:
+        raise DimensionMismatch("design and config sizes must agree")
+    w = design.w.values
+    p = _scaled_upsample(w, design.h * sampled_cross_correlation(s, a, cfg), cfg) - a.values
+    q = _scaled_upsample(w, design.h, cfg)
+    return tuple(spectral_fold(f, cfg).values for f in (p * p, p * q, q * q))
 
 
 def reconstruct_spectrum(design: RecoveryDesign, chat: SampledSpectrum) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The recovery pipeline in the graph frequency domain.
 
 The public vertex-domain functions are transforms of their spectral halves,
-bit for bit; the recovery experiments score each trial between spectra, and
-by Parseval that error equals the vertex-domain one on every basis here
-(Laplacian eigenbases and the unitary DFT basis). A run transforms only its
-noise block.
+bit for bit. The recovery experiments score each trial in closed form on
+the folded spectrum; that score equals the error between the clean and the
+reconstructed spectrum, and by Parseval the vertex-domain one, on every
+basis here (Laplacian eigenbases and the unitary DFT basis). A run
+transforms only its noise block and forms no N x T block after it.
 """
 
 import sys
@@ -35,7 +36,9 @@ from specsamp import (
     pgs_spectrum,
     reconstruct,
     reconstruct_spectrum,
+    recovery,
     sample_spectrum,
+    sampling,
     spectral,
     spectral_fold,
 )
@@ -51,8 +54,10 @@ from specsamp.experiments import (
     build_experiment_graph,
     design_for_config,
     report_rows,
+    run_recovery_experiment,
     run_recovery_table,
 )
+from specsamp.recovery import _energy, _floored_db
 
 # (N, M) with M dividing N, M = 1 and M = N included.
 RATIOS = [(n, m) for n in (8, 12, 16, 24) for m in range(1, n + 1) if n % m == 0]
@@ -165,7 +170,8 @@ def _vertex_domain_rows(base):
                 design = design_for_config((prior, mode, strategy, sampling), build, scfg, a)
                 xt = reconstruct(basis, design, frequency_sample(basis, build(sampling), y, scfg))
                 groups.append(_trial_group((prior, mode, strategy, sampling, generator,
-                                            noise_variance), xt - x,
+                                            noise_variance),
+                                           np.sum(np.abs(xt - x) ** 2, axis=0),
                                            np.sum(np.abs(x) ** 2, axis=0)))
     return report_rows(groups)
 
@@ -191,6 +197,90 @@ def test_spectral_scoring_equals_vertex_scoring(kind, ratio, graph_seed, rng_see
         for column in ("mse_db", "mean_mse_db"):
             if ref[column] > -200.0:
                 assert abs(row[column] - ref[column]) <= 1e-9, (row, ref)
+
+
+def _n_space_groups(base):
+    """(labels, per-trial dB, mean dB) of every ``run_recovery_table(base)``
+    group, scored on length-N spectra: each trial synthesized, sampled,
+    reconstructed and subtracted as a spectrum, the noise spectrum added to
+    the signal's."""
+    scfg = SamplingConfig(base.n, base.m)
+    basis = basis_for_config(base, build_experiment_graph(base))
+    coeffs, noise = _draw_trials(base.rng_seed, base.trials, scfg.k, scfg.n,
+                                 float(np.sqrt(base.noise_variance)))
+    noises = (0.0, base.noise_variance) if base.noise_variance > 0 else (0.0,)
+    methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
+    methods.append(("baseline", "predefined", "ds", "bl"))
+
+    def build(fid):
+        return FILTERS[fid](basis, scfg.k)
+
+    groups = []
+    for generator in GENERATOR_IDS:
+        a = build(generator)
+        xhat = pgs_spectrum(PgsModel(a, scfg, basis), coeffs)
+        energy = _energy(xhat)
+        for noise_variance in noises:
+            yhat = xhat + gft(basis, noise) if noise_variance > 0 else xhat
+            for method in methods:
+                design = design_for_config(method, build, scfg, a)
+                err = reconstruct_spectrum(design, sample_spectrum(build(method[3]), yhat, scfg))
+                ratios = _energy(err - xhat) / energy
+                groups.append(((*method, generator, noise_variance),
+                               _floored_db(ratios).tolist(), float(_floored_db(np.mean(ratios)))))
+    return groups
+
+
+def _agree_above_round_off(got, want, label):
+    # Below -200 dB both sides read round-off, which the K-space gains and
+    # the N-space spectra accumulate differently.
+    if max(got, want) > -200.0:
+        assert abs(got - want) <= 1e-9, (label, got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["sensor", "bipartite", "complete-bipartite", "circular"]),
+       ratio=st.sampled_from(RATIOS), graph_seed=st.integers(0, 2**32 - 1),
+       rng_seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4),
+       noise_variance=st.sampled_from([0.0, 0.1]))
+def test_kspace_scores_equal_the_n_space_spectra(kind, ratio, graph_seed, rng_seed, trials,
+                                                 noise_variance):
+    n, m = ratio
+    base = ExperimentConfig(graph_kind=kind, n=n, m=m, graph_seed=graph_seed,
+                            rng_seed=rng_seed, trials=trials, noise_variance=noise_variance)
+    groups = run_recovery_table(base)
+    expected = _n_space_groups(base)
+    assert len(groups) == len(expected) == (44 if noise_variance > 0 else 22)
+    for group, (labels, trial_db, mean_db) in zip(groups, expected):
+        assert group.labels == labels
+        assert len(group.mse_db) == trials
+        for got, want in zip(group.mse_db.tolist(), trial_db):
+            _agree_above_round_off(got, want, labels)
+        _agree_above_round_off(group.mean_db, mean_db, labels)
+
+
+def test_recovery_runs_form_no_trial_block_after_the_noise_gft(monkeypatch):
+    # Upsampling is the one step that makes a length-N spectrum from a
+    # length-K one; the runners upsample only the K gains, never K x T.
+    upsampled = []
+    original = sampling._scaled_upsample
+
+    def spied(f, dhat, cfg):
+        upsampled.append(np.ndim(dhat))
+        return original(f, dhat, cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a recovery run formed an N x T spectrum")
+
+    monkeypatch.setattr(sampling, "_scaled_upsample", spied)
+    monkeypatch.setattr(recovery, "_scaled_upsample", spied)
+    monkeypatch.setattr(recovery, "reconstruct_spectrum", forbidden)
+    monkeypatch.setattr(recovery, "pgs_spectrum", forbidden)
+    for kind in ("sensor", "circular"):
+        base = ExperimentConfig(graph_kind=kind, n=32, m=4, trials=5, noise_variance=0.1)
+        assert len(run_recovery_table(base)) == 44
+        assert len(run_recovery_experiment(base)) == 1
+    assert upsampled and set(upsampled) == {1}
 
 
 def _count_transforms(monkeypatch):
