@@ -26,6 +26,7 @@ from specsamp import (
     design_subspace_unconstrained,
     dft_basis,
     eigendecompose,
+    error_gains,
     frequency_sample,
     gen_random_sensor,
     generate_pgs,
@@ -144,6 +145,8 @@ def test_spectral_halves_reject_mismatched_sizes():
         reconstruct(dft_basis(4), design, chat)
     with pytest.raises(DimensionMismatch):
         sample_spectrum(inverted_ramp(basis), np.ones(12), SamplingConfig(12, 3))
+    with pytest.raises(DimensionMismatch):
+        error_gains(design, inverted_ramp(basis), a, SamplingConfig(8, 4))
 
 
 def _vertex_domain_rows(base):
