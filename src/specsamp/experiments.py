@@ -19,7 +19,8 @@ G . d^2 + 2 C . (d Re nu) + H . |nu|^2, with the gains of
 :func:`~specsamp.recovery.error_gains`, and the signal energy R_aa . d^2.
 Every basis here is orthonormal or unitary, so by Parseval that is the
 vertex-domain error. A run makes one GFT, of the noise block, and none
-when it is noise-free; no N x T block is formed after it.
+when it is noise-free; after it, only the fold of the noise spectrum,
+once per sampling filter, reads an N x T block.
 
 A Table 2 run shares one graph, basis, trial draw and noise GFT, folds
 the noise once per sampling filter, builds each filter once and each

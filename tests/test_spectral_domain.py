@@ -5,7 +5,7 @@ bit for bit. The recovery experiments score each trial in closed form on
 the folded spectrum; that score equals the error between the clean and the
 reconstructed spectrum, and by Parseval the vertex-domain one, on every
 basis here (Laplacian eigenbases and the unitary DFT basis). A run
-transforms only its noise block and forms no N x T block after it.
+transforms only its noise block, folds it, and upsamples no trial block.
 """
 
 import sys
