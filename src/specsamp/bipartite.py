@@ -65,17 +65,22 @@ class BipartiteSystem:
     part's size, N/2), so vertices 0..N/2-1 are the first part and every
     signal here is in the graph's own vertex order. ``residual`` is the
     max-norm residual of the SVD ``basis_b`` comes from; sqrt(2) times its
-    top-left ``half`` x ``half`` block is the reduced-graph basis.
+    top-left ``half`` x ``half`` block is the reduced-graph basis. The
+    one-branch sampling setup follows from the operator's size N: ``cfg``
+    samples at M = 2, keeping ``half`` = K = N/2 samples.
     """
 
     op_b: VariationOperator
     basis_b: SpectralBasis
-    cfg: SamplingConfig
     residual: float
 
     @property
     def half(self) -> int:
-        return self.cfg.k
+        return self.op_b.n // 2
+
+    @property
+    def cfg(self) -> SamplingConfig:
+        return SamplingConfig(self.op_b.n, 2)
 
 
 def build_system(g: Graph) -> BipartiteSystem:
@@ -124,7 +129,7 @@ def build_system(g: Graph) -> BipartiteSystem:
                          np.max(np.abs(block @ psi - phi * sigma))))
     if residual > _RESIDUAL_TOL:
         raise PairingFailure(f"SVD residual {residual!r} exceeds its bound")
-    return BipartiteSystem(op_b, basis_b, SamplingConfig(n, 2), residual)
+    return BipartiteSystem(op_b, basis_b, residual)
 
 
 def verify_corollary1(sys: BipartiteSystem, s: SpectralFilter, x: np.ndarray) -> float:
@@ -140,7 +145,7 @@ def verify_corollary1(sys: BipartiteSystem, s: SpectralFilter, x: np.ndarray) ->
 def _apply(sys: BipartiteSystem, f: Union[SpectralFilter, ChebyshevFilter],
            x: np.ndarray) -> np.ndarray:
     if isinstance(f, ChebyshevFilter):
-        return apply_chebyshev(sys.op_b, f, x, lambda_max=2.0)
+        return apply_chebyshev(sys.op_b, f, x, lambda_max=NORMALIZED_INTERVAL[1])
     return apply_filter(sys.basis_b, f, x)
 
 

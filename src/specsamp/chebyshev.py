@@ -11,7 +11,7 @@ dense one.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
@@ -34,24 +34,27 @@ def _interval(interval) -> Tuple[float, float]:
 class ChebyshevFilter:
     """Chebyshev expansion of a spectral response on an interval.
 
-    order is an integer >= 0 and coeffs, finite, has length order + 1; the
-    represented response is coeffs[0]/2 + sum_k coeffs[k] T_k on the
-    interval (a, b), finite with a < b, mapped to [-1, 1].
-    fit_error is the max absolute error on a 1000-point grid.
+    coeffs is a nonempty finite vector; the represented response is
+    coeffs[0]/2 + sum_k coeffs[k] T_k, k = 1..order, on the interval (a, b),
+    finite with a < b, mapped to [-1, 1]. fit_error, keyword-only, is the
+    max absolute error on a 1000-point grid.
     """
 
     coeffs: np.ndarray
     interval: Tuple[float, float]
-    order: int
-    fit_error: float = 0.0
+    fit_error: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "interval", _interval(self.interval))
-        object.__setattr__(self, "order", _integer(self.order, "order"))
         c = _frozen(self.coeffs, "coefficients")
-        if self.order < 0 or len(c) != self.order + 1:
-            raise InvalidParameter("need order >= 0 and order + 1 coefficients")
+        if c.ndim != 1 or not c.size:
+            raise InvalidParameter(f"coefficients must be a nonempty vector, got shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
+
+    @property
+    def order(self) -> int:
+        """The degree P of the expansion: one less than its coefficients."""
+        return len(self.coeffs) - 1
 
 
 def _recurrence(cf: ChebyshevFilter, x: np.ndarray, mapped: Callable) -> np.ndarray:
@@ -89,6 +92,7 @@ def chebyshev_fit(response: Callable[[float], float], interval: Tuple[float, flo
     order : int
         Polynomial degree P >= 1.
     """
+    order = _integer(order, "order")
     if order < 1:
         raise InvalidParameter("need order >= 1")
     a, b = _interval(interval)
@@ -98,11 +102,11 @@ def chebyshev_fit(response: Callable[[float], float], interval: Tuple[float, flo
     fvals = np.array([response(lam) for lam in nodes], dtype=float)
     ks = np.arange(order + 1)
     coeffs = (2.0 / npts) * (np.cos(np.outer(ks, theta)) @ fvals)
-    cf = ChebyshevFilter(coeffs, (a, b), order)
+    cf = ChebyshevFilter(coeffs, (a, b))
     grid = np.linspace(a, b, GRID_POINTS)
     exact = np.array([response(lam) for lam in grid], dtype=float)
     err = float(np.max(np.abs(evaluate(cf, grid) - exact)))
-    return ChebyshevFilter(coeffs, (a, b), order, fit_error=err)
+    return ChebyshevFilter(coeffs, (a, b), fit_error=err)
 
 
 def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,

@@ -41,16 +41,16 @@ from .sampling import SamplingConfig
 _CONFIG_ERRORS = (InvalidParameter, IoFailure, KeyError, ValueError)
 
 
-def _config(cls, args):
-    """``cls`` built from the command's flags whose dest is one of its fields.
-    argparse has already read any ``@FILE`` settings file through the same
-    flags, so a file can set only the command's own flags."""
-    names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in vars(args).items() if k in names})
+def _config(args) -> ExperimentConfig:
+    """The ExperimentConfig of the command's flags whose dest is one of its
+    fields. argparse has already read any ``@FILE`` settings file through the
+    same flags, so a file can set only the command's own flags."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _cmd_gen_graph(args) -> int:
-    cfg = _config(ExperimentConfig, args)
+    cfg = _config(args)
     g = build_experiment_graph(cfg)
     save_graph(g, args.out)
     print(f"wrote {cfg.graph_kind} graph with n={g.n} to {args.out}")
@@ -58,7 +58,7 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_filters_dump(args) -> int:
-    cfg = _config(ExperimentConfig, args)
+    cfg = _config(args)
     k = SamplingConfig(cfg.n, cfg.m).k
     basis = basis_for_config(cfg, build_experiment_graph(cfg))
     try:
@@ -72,7 +72,7 @@ def _cmd_filters_dump(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    cfg = _config(ExperimentConfig, args)
+    cfg = _config(args)
     groups = run_recovery_experiment(cfg)
     if args.out:
         emit_report(groups, args.format, args.out)
@@ -81,7 +81,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_exp_table2(args) -> int:
-    groups = run_recovery_table(_config(ExperimentConfig, args))
+    groups = run_recovery_table(_config(args))
     emit_report(groups, args.format, args.out)
     for rec in sorted({(*g.labels, g.mean_db) for g in groups}):
         print(" ".join(str(v) for v in rec))
@@ -90,7 +90,7 @@ def _cmd_exp_table2(args) -> int:
 
 
 def _cmd_exp_bipartite(args) -> int:
-    groups = run_bipartite_experiment(_config(ExperimentConfig, args))
+    groups = run_bipartite_experiment(_config(args))
     emit_report(groups, args.format, args.out)
     for mode, db in sorted({(g.labels[1], g.mean_db) for g in groups}):
         print(f"{mode}: {db:.2f} dB")

@@ -60,6 +60,7 @@ from .filters import (
 )
 from .graphs import (
     _integer,
+    _real,
     combinatorial_laplacian,
     complete_bipartite,
     gen_circular,
@@ -111,12 +112,13 @@ FILTERS = {
 class ExperimentConfig:
     """One experiment: graph, sampling setup, filters, prior, strategy,
     noise, Chebyshev orders, trial count and RNG seed, each checked here but
-    ``graph_kind`` and ``p``, which the graph builders check before building.
-    The recovery runners read every field but ``orders``; the bipartite
-    sweep reads ``graph_kind``, ``n``, ``graph_seed``, ``p``, ``orders``,
-    ``trials`` and ``rng_seed``. The sizes, counts, seeds and orders are
-    integers, the seeds at least 0, and ``orders`` holds at least one
-    Chebyshev order, each at least 1 and each once."""
+    ``graph_kind`` and the range of ``p``, which the graph builders check
+    before building. The recovery runners read every field but ``orders``;
+    the bipartite sweep reads ``graph_kind``, ``n``, ``graph_seed``, ``p``,
+    ``orders``, ``trials`` and ``rng_seed``. The sizes, counts, seeds and
+    orders are integers, the seeds at least 0, and ``orders`` holds at least
+    one Chebyshev order, each at least 1 and each once; ``p`` and
+    ``noise_variance`` are real numbers, stored as floats."""
 
     graph_kind: str = "sensor"
     n: int = 256
@@ -136,6 +138,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n", "graph_seed", "m", "trials", "rng_seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("p", "noise_variance"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         try:
             object.__setattr__(self, "orders", tuple(_integer(p, "orders") for p in self.orders))
         except TypeError:
@@ -263,15 +267,14 @@ def _trial_group(labels: tuple, err: np.ndarray, energy: np.ndarray) -> ReportGr
     return ReportGroup(labels, mse, float(_floored_db(np.mean(ratios))))
 
 
-def _recovery_groups(base: ExperimentConfig, generators, noises,
-                     methods) -> List[ReportGroup]:
+def _recovery_groups(base: ExperimentConfig, generators, methods) -> List[ReportGroup]:
     """Report groups of ``base`` for every generator, noise variance and
-    (prior, mode, strategy, sampling filter) method, in that loop order.
+    (prior, mode, strategy, sampling filter) method, in that loop order. The
+    noise variances are 0 and, when it is above 0, ``base.noise_variance``.
 
     One graph, basis and trial draw serve every group. Each trial draws its
-    coefficients before its noise, once, at ``max(noises)``, so the
-    noise-free groups get the coefficients of a noise-free draw; every
-    nonzero variance in ``noises`` must equal that maximum.
+    coefficients before its noise, which it draws at ``base.noise_variance``,
+    so the noise-free groups get the coefficients of a noise-free draw.
 
     Every group is scored on the folded spectrum: its error energy is
     G . d^2 + 2 C . (d Re nu_s) + H . |nu_s|^2, with the gains (G, C, H) of
@@ -280,10 +283,11 @@ def _recovery_groups(base: ExperimentConfig, generators, noises,
     sampling filter; d^2, d Re nu_s and |nu_s|^2 are formed once, and each
     group costs three length-K by K x T products.
     """
+    noises = (0.0, base.noise_variance) if base.noise_variance > 0 else (0.0,)
     scfg = SamplingConfig(base.n, base.m)
     basis = basis_for_config(base, build_experiment_graph(base))
     coeffs, noise = _draw_trials(base.rng_seed, base.trials, scfg.k, scfg.n,
-                                 float(np.sqrt(max(noises))))
+                                 float(np.sqrt(base.noise_variance)))
     build = cache(lambda fid: FILTERS[fid](basis, scfg.k))
     d2 = coeffs**2
     noisy = {}  # sampling filter id -> (d Re nu, |nu|^2)
@@ -312,11 +316,11 @@ def _recovery_groups(base: ExperimentConfig, generators, noises,
 
 
 def run_recovery_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
-    """Run one experiment configuration and return its one report group;
-    a baseline configuration runs, and is labelled, as BASELINE."""
+    """Run one experiment configuration and return its one report group, at
+    ``cfg.noise_variance``; a baseline runs, and is labelled, as BASELINE."""
     method = (BASELINE if cfg.prior == "baseline"
               else (cfg.prior, cfg.mode, cfg.strategy, cfg.sampling_filter))
-    return _recovery_groups(cfg, (cfg.generator,), (cfg.noise_variance,), [method])
+    return _recovery_groups(cfg, (cfg.generator,), [method])[-1:]
 
 
 TABLE_METHODS = (
@@ -333,9 +337,8 @@ def run_recovery_table(base: ExperimentConfig) -> List[ReportGroup]:
     """Full method/filter/noise matrix: every method with both sampling
     filters and both generators, plus the bandlimited baseline, noise-free
     and, when ``base.noise_variance`` > 0, at that noise variance."""
-    noises = (0.0, base.noise_variance) if base.noise_variance > 0 else (0.0,)
     methods = [(*method, sampling) for method in TABLE_METHODS for sampling in SAMPLING_IDS]
-    return _recovery_groups(base, GENERATOR_IDS, noises, [*methods, BASELINE])
+    return _recovery_groups(base, GENERATOR_IDS, [*methods, BASELINE])
 
 
 # The bipartite sweep's graph families: "matched" keeps the normalized spectrum

@@ -10,6 +10,7 @@ part's size. The Chebyshev recurrence multiplies by a variation operator's
 the matrix is sparse enough for that to pay, else the dense matrix itself.
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,13 @@ def _integer(value, name: str) -> int:
     except TypeError:
         raise InvalidParameter(
             f"{name} must be an integer, got {type(value).__name__}") from None
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; InvalidParameter unless it is a real number."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidParameter(f"{name} must be a real number, got {type(value).__name__}")
+    return float(value)
 
 
 def _frozen(a, name: str, dtype=float) -> np.ndarray:
@@ -205,17 +213,12 @@ def gen_random_sensor(n: int, seed: int) -> Graph:
     kk = min(_SENSOR_NEIGHBORS, n - 1)
     for _ in range(_MAX_RESAMPLE):
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
         nbr = np.argsort(dist, axis=1)[:, :kk]
         knn_d = np.take_along_axis(dist, nbr, axis=1)
-        theta = knn_d.mean()
         w = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), kk)
-        cols = nbr.ravel()
-        vals = np.exp(-(dist[rows, cols] ** 2) / (2.0 * theta**2))
-        w[rows, cols] = vals
+        np.put_along_axis(w, nbr, np.exp(-knn_d**2 / (2.0 * knn_d.mean() ** 2)), axis=1)
         w = np.maximum(w, w.T)
         if _is_connected(w):
             return Graph(w)
@@ -231,6 +234,7 @@ def gen_random_bipartite(n_half: int, seed: int, p: float = 0.5) -> Graph:
     """
     if n_half < 1:
         raise InvalidParameter(f"need at least 1 vertex per part, got {n_half}")
+    p = _real(p, "p")
     if not 0.0 < p <= 1.0:
         raise InvalidParameter("need 0 < p <= 1")
     rng = np.random.default_rng(seed)

@@ -12,6 +12,7 @@ Coefficients, signals and sampled spectra may carry a trailing trial
 axis; synthesis and reconstruction act along axis 0.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -262,12 +263,20 @@ def reconstruct(b: SpectralBasis, design: RecoveryDesign,
 
 def mse_db(x: np.ndarray, xtilde: np.ndarray) -> float:
     """Energy-normalized reconstruction error in decibels:
-    10 log10(||x - xt||^2 / ||x||^2), floored at -320 dB."""
+    10 log10(||x - xt||^2 / ||x||^2), floored at -320 dB; InvalidParameter
+    unless both energies are finite, so unless both signals are."""
     x = np.asarray(x)
     xtilde = np.asarray(xtilde)
     if x.shape != xtilde.shape:
         raise DimensionMismatch("signals must have equal length")
+    # Two scalar tests, not two scans of a per-signal caller's signals; x
+    # comes first, since inf - inf in the difference would warn.
     ref = _energy(x.ravel())
+    if not math.isfinite(ref):
+        raise InvalidParameter("signal energies must be finite")
     if ref == 0.0:
         raise ZeroReference("reference signal has zero energy")
-    return float(_floored_db(_energy((x - xtilde).ravel()) / ref))
+    err = _energy((x - xtilde).ravel())
+    if not math.isfinite(err):
+        raise InvalidParameter("signal energies must be finite")
+    return float(_floored_db(err / ref))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specsamp import (
+    BipartiteSystem,
     ConnectivityFailure,
     DimensionMismatch,
     DsConditionViolated,
@@ -143,6 +146,13 @@ def test_build_system_requires_equal_parts():
     g = Graph(w, bipartition=2)
     with pytest.raises(UnequalParts):
         build_system(g)
+
+
+def test_system_derives_its_sampling_setup(sys16):
+    assert [f.name for f in fields(BipartiteSystem)] == ["op_b", "basis_b", "residual"]
+    for sys_, n in ((sys16, 16), (build_system(complete_bipartite(2)), 4)):
+        assert sys_.op_b.n == n
+        assert (sys_.half, sys_.cfg.n, sys_.cfg.m, sys_.cfg.k) == (n // 2, n, 2, n // 2)
 
 
 def test_corollary_identity_filter_reduces_to_plain_sampling(sys16):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -143,6 +144,7 @@ RUNNERS = {"recover": run_recovery_experiment, "table2": run_recovery_table,
 @pytest.mark.parametrize("field,value", [
     ("n", 32.0), ("graph_seed", 1.5), ("m", 4.0), ("trials", 2.5), ("rng_seed", 0.5),
     ("orders", (2, 4.5)), ("orders", 4), ("graph_seed", -1), ("rng_seed", -1),
+    ("noise_variance", "0.1"), ("noise_variance", None), ("p", "x"), ("p", None),
 ])
 def test_bad_settings_fail_before_any_graph(no_graphs, runner, field, value):
     kind = {"graph_kind": "matched"} if runner == "bipartite" else {}
@@ -155,6 +157,9 @@ def test_config_stores_integer_settings_as_ints():
                            orders=np.array([2, 4]))
     assert (type(cfg.n), type(cfg.m), type(cfg.trials)) == (int, int, int)
     assert cfg.orders == (2, 4) and all(type(p) is int for p in cfg.orders)
+    cfg = ExperimentConfig(noise_variance=0, p=1)
+    assert (cfg.noise_variance, cfg.p) == (0.0, 1.0)
+    assert (type(cfg.noise_variance), type(cfg.p)) == (float, float)
 
 
 @pytest.mark.parametrize("kind", ["sensor", "bipartite", "nope"])
@@ -324,6 +329,29 @@ def test_table_builds_each_design_once_per_generator(monkeypatch):
     groups = run_recovery_table(ExperimentConfig(noise_variance=0.1, **SMALL))
     assert len(groups) == 44
     assert len(calls) == 22 and len(set(calls)) == 11
+
+
+def test_runners_take_no_input_the_config_determines():
+    assert list(inspect.signature(experiments._recovery_groups).parameters) \
+        == ["base", "generators", "methods"]
+    assert list(inspect.signature(cli._config).parameters) == ["args"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+def test_table_does_not_depend_on_the_eigensolver_driver(monkeypatch):
+    """The evd driver behind np.linalg.eigh and the evr driver pick different
+    bases of the degenerate eigenspaces of K_{8,8}; the means must agree."""
+    import scipy.linalg
+
+    cfg = ExperimentConfig(graph_kind="complete-bipartite", n=16, m=4, trials=50,
+                           noise_variance=0.1)
+    evd = run_recovery_table(cfg)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: scipy.linalg.eigh(a, driver="evr"))
+    evr = run_recovery_table(cfg)
+    assert [g.labels for g in evd] == [g.labels for g in evr]
+    for a, b in zip(evd, evr):
+        if max(a.mean_db, b.mean_db) > -200.0:
+            assert abs(a.mean_db - b.mean_db) <= 1e-9, a.labels
 
 
 def test_trial_columns_are_a_prefix_of_longer_runs():

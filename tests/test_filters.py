@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -100,7 +102,7 @@ def test_filter_table_roundtrip(tmp_path, sensor_basis):
 
 @pytest.mark.parametrize("build,a", [
     (lambda a: SpectralFilter(a), np.arange(4.0)),
-    (lambda a: ChebyshevFilter(a, (0.0, 2.0), 3), np.arange(4.0)),
+    (lambda a: ChebyshevFilter(a, (0.0, 2.0)), np.arange(4.0)),
     (lambda a: RecoveryDesign(a, identity_filter(8)),
      np.arange(4.0)),
     (lambda a: VariationOperator(a), np.eye(3)),
@@ -120,22 +122,30 @@ def test_constructors_leave_caller_array_writeable(build, a):
                          ids=["empty", "reversed", "nan", "inf", "minus-inf"])
 def test_chebyshev_filter_rejects_an_empty_or_nonfinite_interval(interval):
     with pytest.raises(InvalidParameter, match="interval"):
-        ChebyshevFilter([1.0, 0.5], interval, 1)
+        ChebyshevFilter([1.0, 0.5], interval)
     with pytest.raises(InvalidParameter, match="interval"):
         chebyshev_fit(lambda lam: 1.0, interval, 3)
 
 
-@pytest.mark.parametrize("coeffs,order", [([], -1), ([1.0, 0.5, 0.25], 2.0), ([1.0], 1)],
-                         ids=["negative", "float", "too-few-coeffs"])
-def test_chebyshev_filter_rejects_a_bad_order(coeffs, order):
-    with pytest.raises(InvalidParameter, match="order"):
-        ChebyshevFilter(coeffs, (0.0, 2.0), order)
+@pytest.mark.parametrize("coeffs", [[], [[1.0, 0.5]], 1.0], ids=["negative", "matrix", "scalar"])
+def test_chebyshev_filter_rejects_a_bad_order(coeffs):
+    with pytest.raises(InvalidParameter, match="nonempty vector"):
+        ChebyshevFilter(coeffs, (0.0, 2.0))
+
+
+def test_chebyshev_filter_derives_its_order():
+    assert [f.name for f in fields(ChebyshevFilter)] == ["coeffs", "interval", "fit_error"]
+    assert [f.name for f in fields(ChebyshevFilter) if f.kw_only] == ["fit_error"]
+    assert ChebyshevFilter([1.0, 0.5, 0.25], (0.0, 2.0)).order == 2
+    assert ChebyshevFilter([1.0], (0.0, 2.0)).order == 0
+    with pytest.raises(TypeError):
+        ChebyshevFilter([1.0, 0.5, 0.25], (0.0, 2.0), 2)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_chebyshev_filter_rejects_nonfinite_coefficients(value):
     with pytest.raises(InvalidParameter, match="finite"):
-        ChebyshevFilter([1.0, value], (0.0, 2.0), 1)
+        ChebyshevFilter([1.0, value], (0.0, 2.0))
 
 
 def test_nonfinite_values_rejected():
@@ -216,8 +226,9 @@ def test_chebyshev_affine_response_exact(sensor_basis):
 
 
 def test_chebyshev_rejects_bad_order():
-    with pytest.raises(InvalidParameter):
-        chebyshev_fit(lambda lam: 1.0, (0.0, 2.0), 0)
+    for order in (0, 2.5, "3"):
+        with pytest.raises(InvalidParameter, match="order"):
+            chebyshev_fit(lambda lam: 1.0, (0.0, 2.0), order)
 
 
 def test_apply_chebyshev_constant_is_identity():
@@ -300,7 +311,7 @@ def test_apply_chebyshev_matches_dense_recurrence(n, chords, seed, order, normal
     op = normalized_laplacian(g) if normalized else combinatorial_laplacian(g)
     # Gershgorin bounds the spectrum, so every T_k of the mapped operator has norm <= 1.
     b = 2.0 if normalized else 2.0 * g.degrees.max()
-    cf = ChebyshevFilter(rng.normal(size=order + 1), (0.0, b), order)
+    cf = ChebyshevFilter(rng.normal(size=order + 1), (0.0, b))
     shape = (n,) if t is None else (n, t)
     x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0)
 

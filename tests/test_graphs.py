@@ -102,6 +102,12 @@ def test_bipartite_generators_deterministic(gen):
     assert np.array_equal(gen(12, seed=13).weights, gen(12, seed=13).weights)
 
 
+@pytest.mark.parametrize("p", ["x", None, 0.0, 1.5, float("nan")])
+def test_random_bipartite_rejects_a_bad_p(p):
+    with pytest.raises(InvalidParameter, match=r"\bp\b"):
+        gen_random_bipartite(4, 0, p)
+
+
 def test_matched_bipartite_needs_three_vertices_per_part():
     with pytest.raises(InvalidParameter):
         gen_matched_bipartite(2, seed=0)

@@ -420,6 +420,15 @@ def test_mse_db_values():
         mse_db(x, np.zeros(4))
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("side", [0, 1], ids=["x", "xtilde"])
+def test_mse_db_rejects_non_finite_signals(side, value):
+    signals = [np.array([1.0, 1.0]), np.array([1.0, 1.0])]
+    signals[side][0] = value
+    with pytest.raises(InvalidParameter, match="finite"):
+        mse_db(*signals)
+
+
 def test_smoothness_designs_reject_zero_weight():
     cfg = SamplingConfig(3, 1)
     s = SpectralFilter(np.ones(3))
