@@ -8,11 +8,17 @@ eigendecomposition. The products are taken with the operator's
 ``product_matrix``, chosen once per operator: a CSR copy of a sparse operator,
 so each product costs O(nnz) rather than O(N^2), or the dense matrix of a
 dense one.
+
+A filter may hold a stack of expansions on one interval, one per row of its
+coefficient matrix (see :func:`stack`). One recurrence then serves every row:
+the terms T_k(A)x depend on x and k only, so a stack of F fits costs the
+products of its top order, not of F recurrences. Outputs carry the stack
+axis last.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -32,12 +38,17 @@ def _interval(interval) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class ChebyshevFilter:
-    """Chebyshev expansion of a spectral response on an interval.
+    """Chebyshev expansion of a spectral response on an interval, or a stack
+    of them.
 
     coeffs is a nonempty finite vector; the represented response is
     coeffs[0]/2 + sum_k coeffs[k] T_k, k = 1..order, on the interval (a, b),
-    finite with a < b, mapped to [-1, 1]. fit_error, keyword-only, is the
-    max absolute error on a 1000-point grid.
+    finite with a < b, mapped to [-1, 1]. A stack's coeffs is an (F, P+1)
+    matrix, one expansion per row on the shared interval, lower orders
+    zero-padded; its order is the top order P, and a row's trailing zeros
+    are skipped when it is applied. fit_error, keyword-only, is the max
+    absolute error on a 1000-point grid: for a stack, the largest of its
+    rows'.
     """
 
     coeffs: np.ndarray
@@ -47,33 +58,68 @@ class ChebyshevFilter:
     def __post_init__(self):
         object.__setattr__(self, "interval", _interval(self.interval))
         c = _frozen(self.coeffs, "coefficients")
-        if c.ndim != 1 or not c.size:
-            raise InvalidParameter(f"coefficients must be a nonempty vector, got shape {c.shape}")
+        if c.ndim not in (1, 2) or not c.size:
+            raise InvalidParameter("coefficients must be a nonempty vector or a stack of "
+                                   f"them, got shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
     @property
     def order(self) -> int:
-        """The degree P of the expansion: one less than its coefficients."""
-        return len(self.coeffs) - 1
+        """The degree P of the expansion, the top one of a stack: one less
+        than its coefficients per row."""
+        return self.coeffs.shape[-1] - 1
+
+
+def stack(filters: Sequence[ChebyshevFilter]) -> ChebyshevFilter:
+    """The filters' expansions as one stack, in order, each row zero-padded
+    to the top order; its fit_error is the largest of theirs.
+
+    Raises
+    ------
+    InvalidParameter
+        If no filter is given.
+    IntervalMismatch
+        If the filters do not share one interval.
+    """
+    if not filters:
+        raise InvalidParameter("need at least one filter to stack")
+    interval = filters[0].interval
+    if any(f.interval != interval for f in filters):
+        raise IntervalMismatch(f"stacked filters need one interval, got "
+                               f"{sorted({f.interval for f in filters})}")
+    rows = [np.atleast_2d(f.coeffs) for f in filters]
+    top = max(r.shape[1] for r in rows)
+    coeffs = np.concatenate([np.pad(r, ((0, 0), (0, top - r.shape[1]))) for r in rows])
+    return ChebyshevFilter(coeffs, interval, fit_error=max(f.fit_error for f in filters))
 
 
 def _recurrence(cf: ChebyshevFilter, x: np.ndarray, mapped: Callable) -> np.ndarray:
     """coeffs[0]/2 x + sum_k coeffs[k] T_k(A) x by the three-term
-    recurrence, where ``mapped(v)`` applies the interval-mapped argument A."""
-    t_prev = x
-    t_cur = mapped(t_prev)
-    out = 0.5 * cf.coeffs[0] * t_prev
-    if cf.order >= 1:
-        out = out + cf.coeffs[1] * t_cur
-    for k in range(2, cf.order + 1):
-        t_next = 2.0 * mapped(t_cur) - t_prev
-        out = out + cf.coeffs[k] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return out
+    recurrence, where ``mapped(v)`` applies the interval-mapped argument A.
+
+    Each term is formed once, with cf.order products, and every row of a
+    stack adds it in the same order as a filter of that row alone, so each
+    output is bit-identical to the single-filter one. A row stops at its
+    last nonzero coefficient. A stack's outputs are returned along a
+    trailing axis, each a contiguous block.
+    """
+    rows = np.atleast_2d(cf.coeffs)
+    stops = [np.flatnonzero(c)[-1] if c.any() else 0 for c in rows]
+    out = np.empty((len(rows),) + x.shape, dtype=np.result_type(rows, x))
+    for f, c in enumerate(rows):
+        out[f] = 0.5 * c[0] * x
+    t_prev, t_cur = None, x
+    for k in range(1, cf.order + 1):
+        t_prev, t_cur = t_cur, (mapped(t_cur) if k == 1 else 2.0 * mapped(t_cur) - t_prev)
+        for f, stop in enumerate(stops):
+            if k <= stop:
+                out[f] += rows[f, k] * t_cur
+    return out[0] if cf.coeffs.ndim == 1 else np.moveaxis(out, 0, -1)
 
 
 def evaluate(cf: ChebyshevFilter, lam) -> np.ndarray:
-    """Evaluate the expansion at scalar or array frequencies."""
+    """Evaluate the expansion at scalar or array frequencies; a stack's
+    values run along a trailing axis."""
     a, b = cf.interval
     t = (2.0 * np.asarray(lam, dtype=float) - (a + b)) / (b - a)
     return _recurrence(cf, np.ones_like(t), lambda v: t * v)
@@ -111,7 +157,9 @@ def chebyshev_fit(response: Callable[[float], float], interval: Tuple[float, flo
 
 def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
                     lambda_max: float = None) -> np.ndarray:
-    """Apply a fitted filter through the Chebyshev recurrence.
+    """Apply a fitted filter, or a stack of them, through the Chebyshev
+    recurrence: ``cf.order`` products per column of ``x``, and for a stack
+    an (N, F) or (N, T, F) output, one filtered copy of ``x`` per row.
 
     Only matrix-vector products with ``op.product_matrix`` are used.
     When the caller knows the operator's largest frequency it can pass it

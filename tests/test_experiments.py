@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsamp import InvalidParameter, IoFailure, SpecSampError, cli, experiments
+from specsamp import InvalidParameter, IoFailure, SpecSampError, bipartite, cli, experiments
 from specsamp.cli import main
 from specsamp.experiments import (
     GENERATOR_IDS,
@@ -607,6 +607,41 @@ def test_cli_exp_bipartite_small(tmp_path):
     assert code == 0
     rows = _read_report(out)
     assert {r["mode"] for r in rows} >= {"exact", "chebyshev_p2", "chebyshev_p4"}
+
+
+def test_bipartite_sweep_runs_one_recurrence_per_input(products, monkeypatch):
+    # x runs once to the top order, 32, and each order's kept part once to
+    # its order: 32 + (2 + 4 + 8 + 16 + 24 + 32) = 118 block products.
+    counted = []
+    apply = bipartite.apply_chebyshev
+
+    def counting(op, cf, x, **kwargs):
+        counted.append(cf.order * (1 if x.ndim == 1 else x.shape[1]))
+        return apply(op, cf, x, **kwargs)
+
+    monkeypatch.setattr(bipartite, "apply_chebyshev", counting)
+    cfg = ExperimentConfig(graph_kind="matched", n=32, graph_seed=2, trials=3, rng_seed=7)
+    assert cfg.orders == (2, 4, 8, 16, 24, 32)
+    run_bipartite_experiment(cfg)
+    assert len(products) == 118 and set(products) == {3}
+    assert sum(counted) == sum(products)
+
+
+# The matched graph's operator is 12.5% nonzero at N = 32, a dense product,
+# and 6.25% at N = 64, a CSR one.
+@pytest.mark.parametrize("n", ["32", "64"], ids=["dense", "csr"])
+def test_cli_exp_bipartite_rows_do_not_depend_on_the_other_orders(tmp_path, n):
+    def lines(orders):
+        out = tmp_path / f"bp-{orders}.csv"
+        assert main(["exp", "bipartite", "--n", n, "--orders", orders,
+                     "--trials", "3", "--out", str(out)]) == 0
+        return [line for line in out.read_text().splitlines()[1:]
+                if line.split(",")[1] != "exact"]
+
+    swept = lines("8,2,4")
+    assert [line.split(",")[2] for line in swept] == ["8"] * 6 + ["2"] * 6 + ["4"] * 6
+    for i, order in enumerate(("8", "2", "4")):
+        assert swept[6 * i:6 * i + 6] == lines(order)
 
 
 @pytest.mark.parametrize("argv", [

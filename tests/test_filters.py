@@ -36,7 +36,7 @@ from specsamp import (
     save_filter,
     smoothness_ramp,
 )
-from specsamp.chebyshev import evaluate
+from specsamp.chebyshev import evaluate, stack
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,8 @@ def test_chebyshev_filter_rejects_an_empty_or_nonfinite_interval(interval):
         chebyshev_fit(lambda lam: 1.0, interval, 3)
 
 
-@pytest.mark.parametrize("coeffs", [[], [[1.0, 0.5]], 1.0], ids=["negative", "matrix", "scalar"])
+@pytest.mark.parametrize("coeffs", [[], [[[1.0, 0.5]]], [[]], 1.0],
+                         ids=["negative", "three-d", "empty-stack", "scalar"])
 def test_chebyshev_filter_rejects_a_bad_order(coeffs):
     with pytest.raises(InvalidParameter, match="nonempty vector"):
         ChebyshevFilter(coeffs, (0.0, 2.0))
@@ -323,6 +324,56 @@ def test_apply_chebyshev_matches_dense_recurrence(n, chords, seed, order, normal
     assert got.shape == shape and np.iscomplexobj(got) == complex_
     scale = np.abs(cf.coeffs).sum() * np.abs(x).max()
     assert_allclose(got, _dense_recurrence(op, cf, x), rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_apply_chebyshev_makes_one_product_per_order(products, order):
+    lam = np.linspace(0.0, 2.0, 8)
+    cf = ChebyshevFilter(np.ones(order + 1), (0.0, 2.0))
+    x = np.arange(24.0).reshape(8, 3)
+    out = apply_chebyshev(VariationOperator(np.diag(lam)), cf, x)
+    assert products == [3] * order
+    assert_allclose(out, evaluate(cf, lam)[:, None] * x, rtol=1e-14)
+
+
+def test_stack_pads_rows_to_the_top_order():
+    low = ChebyshevFilter([1.0, 2.0], (0.0, 2.0), fit_error=0.5)
+    high = ChebyshevFilter([3.0, 4.0, 5.0, 6.0], (0.0, 2.0), fit_error=0.25)
+    both = stack([low, high])
+    assert both.order == 3 and both.interval == (0.0, 2.0) and both.fit_error == 0.5
+    assert both.coeffs.tolist() == [[1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 5.0, 6.0]]
+    assert stack([both, low]).coeffs.shape == (3, 4)
+    with pytest.raises(IntervalMismatch):
+        stack([low, ChebyshevFilter([1.0], (0.0, 1.0))])
+    with pytest.raises(InvalidParameter):
+        stack([])
+
+
+# Both sides of the CSR density cut: a path on 10 vertices is 18% nonzero,
+# one on 100 is 2%.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 100), chords=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1),
+       orders=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+       t=st.sampled_from([None, 1, 3]))
+@example(n=10, chords=0.0, seed=1, orders=[3, 0, 5], t=3)
+@example(n=100, chords=0.0, seed=2, orders=[3, 0, 5], t=3)
+def test_a_stack_equals_each_row_alone(n, chords, seed, orders, t):
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < chords), 1)
+    w[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 2.0, n - 1)
+    op = normalized_laplacian(Graph(w + w.T))
+    # Some coefficients are exactly zero, trailing ones included.
+    filters = [ChebyshevFilter(rng.normal(size=p + 1) * (rng.random(p + 1) < 0.8), (0.0, 2.0))
+               for p in orders]
+    x = rng.normal(size=(n,) if t is None else (n, t))
+    both = stack(filters)
+    got = apply_chebyshev(op, both, x)
+    lam = np.linspace(0.0, 2.0, 9)
+    values = evaluate(both, lam)
+    assert got.shape == x.shape + (len(filters),) and values.shape == (9, len(filters))
+    for i, f in enumerate(filters):
+        assert np.array_equal(got[..., i], apply_chebyshev(op, f, x))
+        assert np.array_equal(values[:, i], evaluate(f, lam))
 
 
 def test_product_matrix_is_csr_up_to_ten_percent_nonzero():
