@@ -12,10 +12,16 @@ B = Phi Sigma Psi^T gives eigenvectors [phi; psi]/sqrt(2) at 1 - sigma and
 [phi; -psi]/sqrt(2) at 1 + sigma. The reduced graph is the Kron reduction
 of the normalized Laplacian onto the first part. The graph is stored first
 part first, so the eliminated block is exactly I and the reduced Laplacian
-is I - B B^T, which the same Phi diagonalizes at 1 - sigma^2: the
-reduced-graph basis is sqrt(2) times the top-left block of the paired
-basis, not a stored basis. Both identities hold to machine precision by
+is I - B B^T, which the same Phi diagonalizes at 1 - sigma^2: Phi is the
+reduced-graph basis. Both identities hold to machine precision by
 construction, degenerate eigenvalues included.
+
+Only Phi and Psi are kept. The N x N paired basis is formed when its
+``vectors`` are first read; exact filters never read them. With
+f = [f_lo; f_hi], a = Phi^T x_1 + Psi^T x_2 and b = Phi^T x_1 - Psi^T x_2,
+U diag(f) U^T x = [Phi (f_lo a + f_hi b); Psi (f_lo a - f_hi b)] / 2, in
+half-size products; a zero-padded part skips Psi^T x_2, and a first-part
+result skips the Psi product.
 
 Under the pairing lambda_max = 2, the one-branch bandlimit cuts at
 lambda = 1 and its DS correction is h = 1/a on the lower half, so the
@@ -36,12 +42,14 @@ reconstruct_from_part equals the frequency-domain chain exactly.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Tuple, Union
 
 import numpy as np
 
 from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
 from .errors import (
+    DimensionMismatch,
     DsConditionViolated,
     EigensolveFailure,
     NotBipartite,
@@ -51,7 +59,7 @@ from .errors import (
 from .filters import SpectralFilter, bandlimit, from_response
 from .graphs import Graph, VariationOperator, normalized_laplacian
 from .sampling import SamplingConfig, frequency_sample
-from .spectral import SpectralBasis, _column_signs, apply_filter
+from .spectral import SpectralBasis, _column_signs, _scale_rows, apply_filter
 
 _RESIDUAL_TOL = 1e-8
 NORMALIZED_INTERVAL = (0.0, 2.0)
@@ -63,14 +71,19 @@ class BipartiteSystem:
 
     The graph is stored first part first (its ``bipartition`` is the first
     part's size, N/2), so vertices 0..N/2-1 are the first part and every
-    signal here is in the graph's own vertex order. ``residual`` is the
-    max-norm residual of the SVD ``basis_b`` comes from; sqrt(2) times its
-    top-left ``half`` x ``half`` block is the reduced-graph basis. The
-    one-branch sampling setup follows from the operator's size N: ``cfg``
-    samples at M = 2, keeping ``half`` = K = N/2 samples.
+    signal here is in the graph's own vertex order. ``phi`` and ``psi`` are
+    the read-only SVD factors of the adjacency block, B = Phi Sigma Psi^T;
+    ``phi`` is the reduced-graph basis. ``basis_b`` holds the paired
+    frequencies and forms its N x N vectors from them only when they are
+    read; exact filters go through ``phi`` and ``psi`` instead. ``residual``
+    is the max-norm residual of the SVD. The one-branch sampling setup
+    follows from the operator's size N: ``cfg`` samples at M = 2, keeping
+    ``half`` = K = N/2 samples.
     """
 
     op_b: VariationOperator
+    phi: np.ndarray
+    psi: np.ndarray
     basis_b: SpectralBasis
     residual: float
 
@@ -83,9 +96,16 @@ class BipartiteSystem:
         return SamplingConfig(self.op_b.n, 2)
 
 
+def _paired_vectors(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The paired eigenbasis [[Phi, Phi], [Psi, -Psi]] / sqrt(2)."""
+    u_b = np.block([[phi, phi], [psi, -psi]])
+    u_b *= 1.0 / np.sqrt(2.0)
+    return u_b
+
+
 def build_system(g: Graph) -> BipartiteSystem:
     """Construct the paired eigenbasis of a bipartite graph with equal
-    parts from one SVD; its top-left block holds the reduced-graph basis.
+    parts from one SVD, kept as its factors Phi and Psi.
 
     Raises
     ------
@@ -117,10 +137,6 @@ def build_system(g: Graph) -> BipartiteSystem:
     # svd() sorts sigma descending, so 1 - sigma is already ascending.
     lam_low = 1.0 - sigma
 
-    u_b = np.block([[phi, phi], [psi, -psi]])
-    u_b *= 1.0 / np.sqrt(2.0)
-    basis_b = SpectralBasis(u_b, np.concatenate([lam_low, 2.0 - lam_low]))
-
     # Phi and Psi are square, so orthonormal factors with B Psi = Phi Sigma
     # give both the pairing and the reduced basis of I - B B^T.
     eye = np.eye(half)
@@ -129,28 +145,60 @@ def build_system(g: Graph) -> BipartiteSystem:
                          np.max(np.abs(block @ psi - phi * sigma))))
     if residual > _RESIDUAL_TOL:
         raise PairingFailure(f"SVD residual {residual!r} exceeds its bound")
-    return BipartiteSystem(op_b, basis_b, residual)
+    phi.flags.writeable = psi.flags.writeable = False
+    basis_b = SpectralBasis._on_demand(np.concatenate([lam_low, 2.0 - lam_low]),
+                                       partial(_paired_vectors, phi, psi), fourier=False)
+    return BipartiteSystem(op_b, phi, psi, basis_b, residual)
 
 
 def verify_corollary1(sys: BipartiteSystem, s: SpectralFilter, x: np.ndarray) -> float:
     """Residual of filtered sampling equivalence: the reduced-basis view of
-    energy-normalized frequency sampling, one product with the top-left
-    block of the paired basis, must equal keeping the first part of the
-    filtered signal. Returns max |difference|."""
+    energy-normalized frequency sampling, one product with the reduced-graph
+    basis Phi, must equal keeping the first part of the filtered signal.
+    That part is taken twice, from the dense U diag(s) U^T x and by
+    :func:`sample_first_part` through Phi and Psi, so this reads the paired
+    basis's vectors. Returns the larger max |difference|."""
     chat = frequency_sample(sys.basis_b, s, x, sys.cfg)
-    lhs = sys.basis_b.vectors[:sys.half, :sys.half] @ chat.values
-    return float(np.max(np.abs(lhs - sample_first_part(sys, s, x))))
+    lhs = sys.phi @ (chat.values / np.sqrt(2.0))
+    return float(max(np.max(np.abs(lhs - apply_filter(sys.basis_b, s, x)[:sys.half])),
+                     np.max(np.abs(lhs - sample_first_part(sys, s, x)))))
+
+
+def _apply_exact(sys: BipartiteSystem, f: SpectralFilter, x: np.ndarray,
+                 padded: bool) -> np.ndarray:
+    """U diag(f) U^T x through the halves Phi and Psi (see the module
+    docstring), as :func:`_apply` takes it."""
+    n, half = sys.op_b.n, sys.half
+    if f.n != n:
+        raise DimensionMismatch(f"filter length {f.n} != {n}")
+    x = np.asarray(x)
+    length = half if padded else n
+    if x.shape[0] != length:
+        raise DimensionMismatch(f"signal length {x.shape[0]} != {length}")
+    a = sys.phi.T @ x[:half]
+    b = a
+    if not padded:
+        psi_x = sys.psi.T @ x[half:]
+        a, b = a + psi_x, a - psi_x
+    # The 1/2 goes on the length-N/2 responses; a power of two scales exactly.
+    lo, hi = _scale_rows(0.5 * f.values[:half], a), _scale_rows(0.5 * f.values[half:], b)
+    first = sys.phi @ (lo + hi)
+    if not padded:
+        return first
+    return np.concatenate([first, sys.psi @ (lo - hi)])
 
 
 def _apply(sys: BipartiteSystem, f: Union[SpectralFilter, ChebyshevFilter],
-           x: np.ndarray) -> np.ndarray:
-    if isinstance(f, ChebyshevFilter):
-        return apply_chebyshev(sys.op_b, f, x, lambda_max=NORMALIZED_INTERVAL[1])
-    return apply_filter(sys.basis_b, f, x)
-
-
-def _zero_pad(part: np.ndarray) -> np.ndarray:
-    return np.concatenate([part, np.zeros_like(part)])
+           x: np.ndarray, padded: bool) -> np.ndarray:
+    """The sampling step's filtering, f applied to a length-N x with only the
+    first part of the result kept; or with ``padded``, the reconstruction
+    step's, f applied to the kept part x zero-padded to N."""
+    if not isinstance(f, ChebyshevFilter):
+        return _apply_exact(sys, f, x, padded)
+    if padded:
+        x = np.concatenate([x, np.zeros_like(x)])
+    y = apply_chebyshev(sys.op_b, f, x, lambda_max=NORMALIZED_INTERVAL[1])
+    return y if padded else y[:sys.half]
 
 
 def sample_first_part(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilter],
@@ -162,7 +210,7 @@ def sample_first_part(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFi
     ChebyshevFilter fitted on the normalized interval [0, 2], applied by
     its recurrence on the normalized Laplacian.
     """
-    return _apply(sys, g, x)[: sys.half]
+    return _apply(sys, g, x, padded=False)
 
 
 def reconstruct_from_part(sys: BipartiteSystem, w: Union[SpectralFilter, ChebyshevFilter],
@@ -170,7 +218,7 @@ def reconstruct_from_part(sys: BipartiteSystem, w: Union[SpectralFilter, Chebysh
     """Vertex-domain reconstruction step: zero-pad the kept first part,
     filter by w (as in :func:`sample_first_part`), times the sampling
     ratio M."""
-    return sys.cfg.m * _apply(sys, w, _zero_pad(kept))
+    return sys.cfg.m * _apply(sys, w, kept, padded=True)
 
 
 def _step_response(lam: float) -> float:

@@ -149,7 +149,8 @@ def test_build_system_requires_equal_parts():
 
 
 def test_system_derives_its_sampling_setup(sys16):
-    assert [f.name for f in fields(BipartiteSystem)] == ["op_b", "basis_b", "residual"]
+    assert [f.name for f in fields(BipartiteSystem)] == ["op_b", "phi", "psi", "basis_b",
+                                                  "residual"]
     for sys_, n in ((sys16, 16), (build_system(complete_bipartite(2)), 4)):
         assert sys_.op_b.n == n
         assert (sys_.half, sys_.cfg.n, sys_.cfg.m, sys_.cfg.k) == (n // 2, n, 2, n // 2)
@@ -213,6 +214,38 @@ def test_vertex_pipeline_equals_frequency_pipeline_random_filters(matched, n_hal
     chat = frequency_sample(sys_.basis_b, s, x, sys_.cfg)
     fx = reconstruct(sys_.basis_b, RecoveryDesign(h, w), chat)
     assert np.max(np.abs(vx - fx)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["matched", "random", "complete"]), n_half=st.integers(2, 24),
+       p=st.floats(0.3, 1.0), seed=st.integers(0, 2**32 - 1), draw=st.integers(0, 2**32 - 1),
+       trials=st.sampled_from([None, 1, 3]), is_complex=st.booleans())
+@example(family="complete", n_half=4, p=1.0, seed=0, draw=0, trials=3, is_complex=True)
+def test_exact_vertex_steps_equal_the_dense_paired_product(family, n_half, p, seed, draw,
+                                                           trials, is_complex):
+    # The steps go through Phi and Psi; the oracle is U diag(f) U^T x on the
+    # paired basis's vectors. K_{n,n} ties lambda = 1 across 2n - 2 vectors.
+    sys_ = build_system(complete_bipartite(n_half) if family == "complete"
+                        else _bipartite_graph(family == "matched", n_half, p, seed))
+    rng = np.random.default_rng(draw)
+    n, half = sys_.cfg.n, sys_.half
+    f = SpectralFilter(rng.normal(size=n))
+
+    def signal(rows):
+        shape = (rows,) if trials is None else (rows, trials)
+        v = rng.normal(size=shape)
+        return v + 1j * rng.normal(size=shape) if is_complex else v
+
+    x, part = signal(n), signal(half)
+    u = sys_.basis_b.vectors
+
+    def dense(v):
+        return u @ (f.values.reshape(-1, *[1] * (v.ndim - 1)) * (u.T @ v))
+
+    assert_allclose(sample_first_part(sys_, f, x), dense(x)[:half], rtol=0, atol=1e-12)
+    assert_allclose(reconstruct_from_part(sys_, f, part),
+                    sys_.cfg.m * dense(np.concatenate([part, np.zeros_like(part)])),
+                    rtol=0, atol=1e-12)
 
 
 def test_vertex_pipeline_perfect_recovery_ramp_generation(sys16):

@@ -627,6 +627,23 @@ def test_bipartite_sweep_runs_one_recurrence_per_input(products, monkeypatch):
     assert sum(counted) == sum(products)
 
 
+@pytest.mark.parametrize("kind,p", [("matched", 0.5), ("random", 0.5), ("random", 1.0)],
+                         ids=["matched", "random", "complete"])
+def test_bipartite_sweep_never_forms_the_paired_basis(monkeypatch, kind, p):
+    # Its exact filters go through Phi and Psi; p = 1 is K_{16,16}, where
+    # lambda = 1 is tied 30 times.
+    built = []
+
+    def spy(g):
+        built.append(bipartite.build_system(g))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_system", spy)
+    run_bipartite_experiment(ExperimentConfig(graph_kind=kind, n=32, p=p, orders=(2, 4),
+                                              trials=2))
+    assert len(built) == 1 and "vectors" not in vars(built[0].basis_b)
+
+
 # The matched graph's operator is 12.5% nonzero at N = 32, a dense product,
 # and 6.25% at N = 64, a CSR one.
 @pytest.mark.parametrize("n", ["32", "64"], ids=["dense", "csr"])
@@ -818,9 +835,9 @@ RECOVER = ["recover", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "
            "--rng-seed", "1", "--noise", "0.1"]
 GOLDEN_REPORTS = [
     (TABLE2, "d3ada780f2841addc42048d25327e1a57a48b998016fca49a2e0b4c27ff6f89e"),
-    (BIPARTITE, "f00733d124803ca18ee2da21c418cfb91a748677c137debb0226c36b46f430e2"),
+    (BIPARTITE, "437d303044139a9f9f2eee71423f48ae2274174686cb230fd34868d9c1caa730"),
     (["exp", "bipartite", "--n", "128", "--orders", "2,4", "--trials", "3"],
-     "d462e037cd21647063fca562f3187202ddc70e1e24db80e303c37357002f98c9"),
+     "fe2dee3dc82ef764889a3fcf530683d29101ba091fb2ca7f7cd5b4366c3a7b31"),
     ([*TABLE2, "--format", "json"],
      "80d87e49c347926ea868bffb67cb822561d873a18adfa44c53eac5ddb591694a"),
     (["exp", "table2", "--kind", "circular", "--n", "32", "--m", "4", "--trials", "3",
@@ -828,7 +845,7 @@ GOLDEN_REPORTS = [
      "12d29360703b43511e7f26b0a73307f56e74ca22b217fe5708797daeb7b8c2da"),
     (RECOVER, "53cac3c81a4a442e95ce7e71e44f17851aa446aceaaacd9aa5186664f926c74d"),
     (["exp", "bipartite", "--graph", "random", "--n", "32", "--orders", "2,4", "--trials", "3"],
-     "d22b76e004c0ff16fd21bf089a6550e5961e0558b2cf1874e854a1614603e665"),
+     "aebe78b2c4ddf6d15693ab09ddc69f2969b5c4566df9b7b0e3acbdf94f35de21"),
 ]
 
 # sha256 of each command's standard output, the report path written as OUT;
@@ -836,9 +853,9 @@ GOLDEN_REPORTS = [
 VERIFY = ["verify", "theorem1", "--count", "3", "--seed", "1"]
 GOLDEN_STDOUTS = [
     (TABLE2, "9f1c99f778e7ab9d50a6a61e0149fb2ba1578d9046a8b6658f6d97ed8cc540e5"),
-    (BIPARTITE, "945957426e3696cca9111e86590377ffa9390c8bfaf7ab1c3dcd6603cf573f63"),
+    (BIPARTITE, "2eb330d1129beb8d57ae005368019500669c0e5f414367aa7b17d9719c80e578"),
     (RECOVER, "42336e62dcf8cfe8377d9f40ca62283a957f72085e257af9fc30a581e94d8daf"),
-    (VERIFY, "87c35d60174bc5f966acaaac96b152e08618907fc51d5246a432b0202e6277d1"),
+    (VERIFY, "65e9752e0a9fe7aabb914ca4f63892dddbeb4e684421627e17eb34789a7b1c57"),
 ]
 
 
