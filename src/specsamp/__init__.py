@@ -33,7 +33,6 @@ from .experiments import (
     ExperimentConfig,
     ReportGroup,
     emit_report,
-    report_rows,
     run_bipartite_experiment,
     run_recovery_experiment,
     run_recovery_table,

@@ -65,7 +65,7 @@ _RESIDUAL_TOL = 1e-8
 NORMALIZED_INTERVAL = (0.0, 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteSystem:
     """Paired spectral machinery for one bipartite graph.
 
@@ -97,8 +97,13 @@ class BipartiteSystem:
 
 
 def _paired_vectors(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The paired eigenbasis [[Phi, Phi], [Psi, -Psi]] / sqrt(2)."""
-    u_b = np.block([[phi, phi], [psi, -psi]])
+    """The paired eigenbasis [[Phi, Phi], [Psi, -Psi]] / sqrt(2), filled
+    into one N x N array (np.block would also hold its concatenated rows)."""
+    half = len(phi)
+    u_b = np.empty((2 * half, 2 * half))
+    u_b[:half, :half] = u_b[:half, half:] = phi
+    u_b[half:, :half] = psi
+    np.negative(psi, out=u_b[half:, half:])
     u_b *= 1.0 / np.sqrt(2.0)
     return u_b
 

@@ -36,7 +36,7 @@ def _interval(interval) -> Tuple[float, float]:
     return a, b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebyshevFilter:
     """Chebyshev expansion of a spectral response on an interval, or a stack
     of them.

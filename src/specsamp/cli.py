@@ -75,14 +75,14 @@ def _cmd_recover(args) -> int:
     cfg = _config(args)
     groups = run_recovery_experiment(cfg)
     if args.out:
-        emit_report(groups, args.format, args.out)
+        emit_report(groups, args.out)
     print(f"mean_mse_db={groups[0].mean_db!r} over {cfg.trials} trial(s)")
     return 0
 
 
 def _cmd_exp_table2(args) -> int:
     groups = run_recovery_table(_config(args))
-    emit_report(groups, args.format, args.out)
+    emit_report(groups, args.out)
     for rec in sorted({(*g.labels, g.mean_db) for g in groups}):
         print(" ".join(str(v) for v in rec))
     print(f"wrote {sum(len(g.mse_db) for g in groups)} rows to {args.out}")
@@ -91,7 +91,7 @@ def _cmd_exp_table2(args) -> int:
 
 def _cmd_exp_bipartite(args) -> int:
     groups = run_bipartite_experiment(_config(args))
-    emit_report(groups, args.format, args.out)
+    emit_report(groups, args.out)
     for mode, db in sorted({(g.labels[1], g.mean_db) for g in groups}):
         print(f"{mode}: {db:.2f} dB")
     print(f"wrote {sum(len(g.mse_db) for g in groups)} rows to {args.out}")
@@ -150,7 +150,6 @@ def _command(subparsers, name: str, help: str, fn, groups, **defaults):
     if "run" in groups:  # --trials has no default here: each command sets its own
         p.add_argument("--trials", type=int)
         p.add_argument("--rng-seed", type=int, default=0)
-        p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(fn=fn, **defaults)
     return p
 

@@ -1,10 +1,11 @@
-"""Monte Carlo recovery experiments and report emission.
+"""Monte Carlo recovery experiments and CSV report emission.
 
 One :class:`ExperimentConfig` configures the three experiments (``recover``,
 ``exp table2`` and the bipartite Chebyshev-order sweep); each setting is
-checked once, before any graph is built. All three score their trials in
-one place, which raises InvalidParameter rather than report a non-finite
-energy.
+checked once, before any graph is built, and each graph, one of
+GRAPH_KINDS, comes from :func:`build_experiment_graph`. All three score
+their trials in one place, which raises InvalidParameter rather than report
+a non-finite energy.
 
 Every run is fully deterministic given its configuration and RNG seed:
 trial t draws from the t-th child of a single seed sequence, so a T-trial
@@ -27,12 +28,11 @@ the noise once per sampling filter, builds each filter once and each
 design and its gains once per generator, and scores each configuration
 with three length-K by K x T products.
 Results stay per-configuration columns (:class:`ReportGroup`) until
-:func:`emit_report` writes them; :func:`report_rows` flattens them.
+:func:`emit_report` writes them as a CSV report, one row per trial.
 """
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -113,10 +113,11 @@ FILTERS = {
 class ExperimentConfig:
     """One experiment: graph, sampling setup, filters, prior, strategy,
     noise, Chebyshev orders, trial count and RNG seed, each checked here but
-    ``graph_kind`` and the range of ``p``, which the graph builders check
-    before building. The recovery runners read every field but ``orders``;
-    the bipartite sweep reads ``graph_kind``, ``n``, ``graph_seed``, ``p``,
-    ``orders``, ``trials`` and ``rng_seed``. The sizes, counts, seeds and
+    ``graph_kind``, one of GRAPH_KINDS, and the range of ``p``, which
+    :func:`build_experiment_graph` and the generators check before building.
+    The recovery runners read every field but ``orders``; the bipartite
+    sweep reads ``graph_kind``, one of BIPARTITE_KINDS, ``n``,
+    ``graph_seed``, ``p``, ``orders``, ``trials`` and ``rng_seed``. The sizes, counts, seeds and
     orders are integers, the seeds at least 0, and ``orders`` holds at least
     one Chebyshev order, each at least 1 and each once; ``p`` and
     ``noise_variance`` are real numbers, stored as floats."""
@@ -167,33 +168,32 @@ class ExperimentConfig:
             raise InvalidParameter("smoothness-prior designs are ls or mx, not ds")
 
 
-def part_size(n: int, kind: str) -> int:
-    """Size of each part of a ``kind`` graph on n vertices with two equal parts.
-
-    Raises
-    ------
-    InvalidParameter
-        If n is odd.
-    """
-    if n % 2:
-        raise InvalidParameter(f"a {kind} graph needs an even n, got {n}")
-    return n // 2
-
-
-GRAPH_KINDS = ("sensor", "circular", "bipartite", "complete-bipartite")
+# The bipartite graph families: "matched" keeps the normalized spectrum away
+# from the filters' discontinuity at 1, which the polynomial approximations
+# of the bipartite sweep need; "bipartite", the plain Bernoulli(p) family, has
+# a spectrum clustered at 1, which caps the approximated pipeline's gain over
+# the baseline. "complete-bipartite" is its p = 1 graph.
+BIPARTITE_KINDS = ("bipartite", "complete-bipartite", "matched")
+GRAPH_KINDS = ("sensor", "circular", *BIPARTITE_KINDS)
 
 
 def build_experiment_graph(cfg: ExperimentConfig):
-    """The ``cfg.graph_kind`` graph, one of GRAPH_KINDS, on ``cfg.n`` vertices."""
-    if cfg.graph_kind == "sensor":
-        return gen_random_sensor(cfg.n, cfg.graph_seed)
-    if cfg.graph_kind == "circular":
-        return gen_circular(cfg.n)
-    if cfg.graph_kind == "bipartite":
-        return gen_random_bipartite(part_size(cfg.n, cfg.graph_kind), cfg.graph_seed, cfg.p)
-    if cfg.graph_kind == "complete-bipartite":
-        return complete_bipartite(part_size(cfg.n, cfg.graph_kind))
-    raise InvalidParameter(f"unknown graph kind {cfg.graph_kind!r}")
+    """The ``cfg.graph_kind`` graph, one of GRAPH_KINDS, on ``cfg.n`` vertices:
+    n/2 in each part of a bipartite kind, so InvalidParameter if n is odd."""
+    kind, n = cfg.graph_kind, cfg.n
+    if kind == "sensor":
+        return gen_random_sensor(n, cfg.graph_seed)
+    if kind == "circular":
+        return gen_circular(n)
+    if kind not in BIPARTITE_KINDS:
+        raise InvalidParameter(f"unknown graph kind {kind!r}")
+    if n % 2:
+        raise InvalidParameter(f"a {kind} graph needs an even n, got {n}")
+    if kind == "bipartite":
+        return gen_random_bipartite(n // 2, cfg.graph_seed, cfg.p)
+    if kind == "complete-bipartite":
+        return complete_bipartite(n // 2)
+    return gen_matched_bipartite(n // 2, cfg.graph_seed)
 
 
 def basis_for_config(cfg: ExperimentConfig, graph) -> SpectralBasis:
@@ -342,18 +342,11 @@ def run_recovery_table(base: ExperimentConfig) -> List[ReportGroup]:
     return _recovery_groups(base, GENERATOR_IDS, [*methods, BASELINE])
 
 
-# The bipartite sweep's graph families: "matched" keeps the normalized spectrum
-# away from the filters' discontinuity at 1, which the polynomial
-# approximations need; "random", the plain Bernoulli(p) family, has a spectrum
-# clustered at 1, which caps the approximated pipeline's gain over the baseline.
-BIPARTITE_KINDS = ("matched", "random")
-
-
 def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     """One-branch recovery on a bipartite graph across Chebyshev orders.
 
-    ``cfg.graph_kind`` must be one of BIPARTITE_KINDS, checked before any
-    graph is built, and ``cfg.n`` even: each part holds n/2 vertices.
+    ``cfg.graph_kind`` must be one of BIPARTITE_KINDS, checked before
+    :func:`build_experiment_graph` builds the graph, n/2 vertices per part.
     Signals are synthesized by :func:`reconstruct_from_part` with the exact
     combined response; sampling and decoding use order-P approximations, P in
     ``cfg.orders``, of the bandlimiting sampling filter and the combined
@@ -364,11 +357,7 @@ def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     if cfg.graph_kind not in BIPARTITE_KINDS:
         raise InvalidParameter(f"bipartite graph kind must be one of {BIPARTITE_KINDS}, "
                                f"got {cfg.graph_kind!r}")
-    half = part_size(cfg.n, "bipartite")
-    if cfg.graph_kind == "matched":
-        sys_ = build_system(gen_matched_bipartite(half, cfg.graph_seed))
-    else:
-        sys_ = build_system(gen_random_bipartite(half, cfg.graph_seed, cfg.p))
+    sys_ = build_system(build_experiment_graph(cfg))
     a = inverted_ramp(sys_.basis_b)
     s, wprime = one_branch_design(sys_, a.response)
 
@@ -394,34 +383,20 @@ def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     return groups
 
 
-def report_rows(groups: List[ReportGroup]) -> List[dict]:
-    """The groups flattened to report rows, one dict per trial keyed by
-    REPORT_COLUMNS: the records of a JSON report."""
-    return [dict(zip(REPORT_COLUMNS, (*g.labels, t, db, g.mean_db)))
-            for g in groups for t, db in enumerate(g.mse_db.tolist())]
-
-
-def emit_report(groups: List[ReportGroup], fmt: str, path: str) -> None:
-    """Write report groups as CSV or JSON, one row per trial, with a stable
-    column order. Every float is written as its repr."""
-    if fmt not in ("csv", "json"):
-        raise InvalidParameter(f"unknown report format {fmt!r}")
+def emit_report(groups: List[ReportGroup], path: str) -> None:
+    """Write report groups to ``path`` as CSV, one row per trial, with the
+    REPORT_COLUMNS header. Every float is written as its repr."""
     try:
-        if fmt == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerow(REPORT_COLUMNS)
-                for g in groups:
-                    # The labels go through csv once, for its quoting; the
-                    # trial, dB and mean columns never need quoting.
-                    prefix = io.StringIO()
-                    csv.writer(prefix, lineterminator="\n").writerow(
-                        [repr(v) if isinstance(v, float) else v for v in g.labels])
-                    head, mean = prefix.getvalue()[:-1], repr(g.mean_db)
-                    fh.write("".join(f"{head},{t},{db!r},{mean}\n"
-                                     for t, db in enumerate(g.mse_db.tolist())))
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report_rows(groups), fh, indent=1)
-                fh.write("\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(REPORT_COLUMNS)
+            for g in groups:
+                # The labels go through csv once, for its quoting; the
+                # trial, dB and mean columns never need quoting.
+                prefix = io.StringIO()
+                csv.writer(prefix, lineterminator="\n").writerow(
+                    [repr(v) if isinstance(v, float) else v for v in g.labels])
+                head, mean = prefix.getvalue()[:-1], repr(g.mean_db)
+                fh.write("".join(f"{head},{t},{db!r},{mean}\n"
+                                 for t, db in enumerate(g.mse_db.tolist())))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

@@ -16,7 +16,7 @@ from .graphs import _frozen
 Response = Callable[[float], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFilter:
     """Diagonal graph-frequency response.
 

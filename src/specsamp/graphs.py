@@ -81,7 +81,7 @@ def _symmetric(a, name: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph on ``n = weights.shape[0]`` vertices.
 
@@ -124,7 +124,7 @@ class Graph:
         return self.weights.sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationOperator:
     """Real symmetric positive semidefinite matrix used to define a GFT,
     checked and kept as Graph keeps its weights: finite and exactly

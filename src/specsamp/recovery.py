@@ -58,7 +58,7 @@ class Strategy(Enum):
     MX = "mx"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PgsModel:
     """Generator response, sampling configuration, and GFT basis defining
     a periodic-graph-spectrum subspace."""
@@ -72,7 +72,7 @@ class PgsModel:
             raise DimensionMismatch("generator, basis, and config sizes must agree")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryDesign:
     """Correction filter (K diagonal values) plus reconstruction filter
     (length N)."""

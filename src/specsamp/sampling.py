@@ -38,7 +38,7 @@ class SamplingConfig:
         return self.n // self.m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSpectrum:
     """Folded spectrum, K values or K x T for T trials, together with its
     sampling configuration."""

@@ -54,7 +54,10 @@ class SpectralBasis:
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        return _frozen(self._form_vectors(), "basis vectors", dtype=None)
+        # The formed matrix is the library's own: frozen in place, not copied.
+        u = self._form_vectors()
+        u.flags.writeable = False
+        return u
 
     @property
     def n(self) -> int:
@@ -90,8 +93,13 @@ def eigendecompose(op: VariationOperator) -> SpectralBasis:
 
 
 def _dft_matrix(n: int) -> np.ndarray:
+    # exp(2j*pi*m*m'/n)/sqrt(n), formed in place in one n x n array.
     m = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
+    u = 2j * np.pi * np.outer(m, m)
+    u /= n
+    np.exp(u, out=u)
+    u /= np.sqrt(n)
+    return u
 
 
 def dft_basis(n: int) -> SpectralBasis:

@@ -3,7 +3,6 @@ import csv
 import hashlib
 import inspect
 import io
-import json
 import math
 import os
 import subprocess
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from specsamp import InvalidParameter, IoFailure, SpecSampError, bipartite, cli, experiments
 from specsamp.cli import main
 from specsamp.experiments import (
+    BIPARTITE_KINDS,
     GENERATOR_IDS,
     GRAPH_KINDS,
     MODE_IDS,
@@ -31,7 +31,6 @@ from specsamp.experiments import (
     _trial_group,
     build_experiment_graph,
     emit_report,
-    report_rows,
     run_bipartite_experiment,
     run_recovery_experiment,
     run_recovery_table,
@@ -47,11 +46,24 @@ def _read_report(path):
         return list(csv.DictReader(fh))
 
 
+def _rows(groups):
+    """The report rows of ``groups``, one dict per trial, each column named
+    here rather than taken from REPORT_COLUMNS."""
+    rows = []
+    for g in groups:
+        for t in range(len(g.mse_db)):
+            rows.append({"prior": g.labels[0], "mode": g.labels[1], "strategy": g.labels[2],
+                         "sampling_filter": g.labels[3], "generator": g.labels[4],
+                         "noise": g.labels[5], "trial": t, "mse_db": float(g.mse_db[t]),
+                         "mean_mse_db": g.mean_db})
+    return rows
+
+
 def test_run_is_deterministic():
     cfg = ExperimentConfig(**SMALL)
     a = run_recovery_experiment(cfg)
     b = run_recovery_experiment(cfg)
-    assert report_rows(a) == report_rows(b)
+    assert _rows(a) == _rows(b)
 
 
 def test_unconstrained_noiseless_is_machine_precision():
@@ -70,7 +82,7 @@ def test_noise_degrades_recovery():
 
 
 def test_rows_have_report_columns():
-    rows = report_rows(run_recovery_experiment(ExperimentConfig(**SMALL)))
+    rows = _rows(run_recovery_experiment(ExperimentConfig(**SMALL)))
     assert len(rows) == SMALL["trials"]
     for row in rows:
         assert tuple(row.keys()) == REPORT_COLUMNS
@@ -79,7 +91,7 @@ def test_rows_have_report_columns():
 def test_baseline_forces_bandlimited_sampling():
     cfg = ExperimentConfig(prior="baseline", mode="predefined",
                            sampling_filter="ir", **SMALL)
-    assert report_rows(run_recovery_experiment(cfg))[0]["sampling_filter"] == "bl"
+    assert _rows(run_recovery_experiment(cfg))[0]["sampling_filter"] == "bl"
 
 
 def test_cli_recover_baseline_writes_canonical_labels(tmp_path):
@@ -162,9 +174,9 @@ def test_config_stores_integer_settings_as_ints():
     assert (type(cfg.noise_variance), type(cfg.p)) == (float, float)
 
 
-@pytest.mark.parametrize("kind", ["sensor", "bipartite", "nope"])
+@pytest.mark.parametrize("kind", ["sensor", "random", "nope"])
 def test_bipartite_experiment_rejects_other_graph_kinds(no_graphs, kind):
-    with pytest.raises(InvalidParameter, match="matched.*random"):
+    with pytest.raises(InvalidParameter, match="bipartite.*complete-bipartite.*matched"):
         run_bipartite_experiment(ExperimentConfig(graph_kind=kind, n=32, trials=2))
 
 
@@ -183,7 +195,7 @@ def test_cli_exp_bipartite_config_rejects_a_recovery_graph_kind(no_graphs, tmp_p
     argfile = _args_file(tmp_path / "run.args", "--graph=sensor")
     assert _exit_code([*SMALL_RUNS["bipartite"], argfile, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "matched" in err and "random" in err and "Traceback" not in err
+    assert "matched" in err and "complete-bipartite" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -218,6 +230,15 @@ def test_cli_has_no_eps_or_coeff_mean_flag(tmp_path, capsys, command, flag):
         assert caught.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_cli_has_no_format_flag(tmp_path, capsys, command):
+    # Reports are CSV only.
+    out = tmp_path / "r.json"
+    assert _exit_code([*SMALL_RUNS[command], "--format", "json", "--out", str(out)]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("orders", ["2,x", "2,,4", ""])
@@ -285,7 +306,7 @@ def test_smoothness_with_ds_is_rejected_before_any_graph(monkeypatch, tmp_path, 
 
 def test_table_matrix_row_counts():
     base = ExperimentConfig(noise_variance=0.1, **SMALL)
-    rows = report_rows(run_recovery_table(base))
+    rows = _rows(run_recovery_table(base))
     # 5 methods x 2 sampling filters = 10 proposed rows per generator/noise
     # cell, each row repeated per trial, plus one baseline per cell.
     proposed = [r for r in rows if r["prior"] != "baseline"]
@@ -314,7 +335,7 @@ def test_table_is_one_experiment(monkeypatch):
         prior, mode, strategy, sampling, generator, noise = group.labels
         cfg = replace(base, prior=prior, mode=mode, strategy=strategy,
                       sampling_filter=sampling, generator=generator, noise_variance=noise)
-        assert report_rows([group]) == report_rows(run_recovery_experiment(cfg))
+        assert _rows([group]) == _rows(run_recovery_experiment(cfg))
 
 
 def test_table_builds_each_design_once_per_generator(monkeypatch):
@@ -385,8 +406,8 @@ def test_cli_exp_bipartite_rejects_odd_n(tmp_path, capsys):
 def test_emit_report_csv_roundtrip(tmp_path):
     groups = run_recovery_experiment(ExperimentConfig(**SMALL))
     path = tmp_path / "r.csv"
-    emit_report(groups, "csv", str(path))
-    rows = report_rows(groups)
+    emit_report(groups, str(path))
+    rows = _rows(groups)
     back = _read_report(path)
     assert len(back) == len(rows)
     for want, got in zip(rows, back):
@@ -395,24 +416,17 @@ def test_emit_report_csv_roundtrip(tmp_path):
 
 def test_emit_report_empty_rows_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_report([], "csv", str(path))
+    emit_report([], str(path))
     assert path.read_text() == ",".join(REPORT_COLUMNS) + "\n"
-
-
-def test_emit_report_json(tmp_path):
-    groups = run_recovery_experiment(ExperimentConfig(**SMALL))
-    path = tmp_path / "r.json"
-    emit_report(groups, "json", str(path))
-    assert json.loads(path.read_text()) == report_rows(groups)
 
 
 def test_emit_report_deterministic_bytes(tmp_path):
     groups = run_recovery_experiment(ExperimentConfig(trials=1, **{k: v for k, v in SMALL.items() if k != "trials"}))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(groups, "csv", str(p1))
+    emit_report(groups, str(p1))
     emit_report(run_recovery_experiment(
         ExperimentConfig(trials=1, **{k: v for k, v in SMALL.items() if k != "trials"})),
-        "csv", str(p2))
+        str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -429,8 +443,8 @@ def test_bipartite_experiment_modes_and_exact_floor():
 def test_bipartite_experiment_deterministic():
     cfg = ExperimentConfig(graph_kind="matched", n=16, graph_seed=3, orders=(4,), trials=2,
                            rng_seed=9)
-    assert report_rows(run_bipartite_experiment(cfg)) == \
-        report_rows(run_bipartite_experiment(cfg))
+    assert _rows(run_bipartite_experiment(cfg)) == \
+        _rows(run_bipartite_experiment(cfg))
 
 
 def test_cli_gen_graph(tmp_path):
@@ -513,6 +527,40 @@ def test_cli_commands_offer_every_graph_kind(command):
         assert args.graph_kind == kind
 
 
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+def test_every_graph_kind_builds_through_the_one_builder(kind):
+    g = build_experiment_graph(ExperimentConfig(graph_kind=kind, n=16, graph_seed=3))
+    assert g.n == 16
+    assert g.bipartition == (None if kind in ("sensor", "circular") else 8)
+
+
+def test_complete_bipartite_sweep_is_the_bernoulli_sweep_at_p_1():
+    def rows(kind, p):
+        return _rows(run_bipartite_experiment(ExperimentConfig(
+            graph_kind=kind, n=16, p=p, orders=(2, 4), trials=2)))
+
+    assert repr(rows("complete-bipartite", 0.5)) == repr(rows("bipartite", 1.0))
+
+
+def _parser(*command):
+    """The parser of ``command``, a path of subcommand names."""
+    parser = cli.build_parser()
+    for name in command:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("command,flag,kinds", [
+    (["gen-graph"], "--kind", GRAPH_KINDS), (["filters", "dump"], "--kind", GRAPH_KINDS),
+    (["recover"], "--kind", GRAPH_KINDS), (["exp", "table2"], "--kind", GRAPH_KINDS),
+    (["exp", "bipartite"], "--graph", BIPARTITE_KINDS),
+], ids=["gen-graph", "filters-dump", "recover", "table2", "bipartite"])
+def test_cli_graph_flags_take_the_one_vocabulary(command, flag, kinds):
+    action = next(a for a in _parser(*command)._actions if flag in a.option_strings)
+    assert tuple(action.choices) == kinds
+
+
 class _Captured(Exception):
     pass
 
@@ -543,10 +591,10 @@ FLAG_FIELDS = [
      "run_recovery_table",
      dict(graph_kind="bipartite", n=12, graph_seed=3, p=0.25, m=3, trials=7,
           noise_variance=0.5, rng_seed=9)),
-    (["exp", "bipartite", "--n", "12", "--seed", "3", "--graph", "random", "--p", "0.25",
+    (["exp", "bipartite", "--n", "12", "--seed", "3", "--graph", "bipartite", "--p", "0.25",
       "--orders", "3,5", "--trials", "7", "--rng-seed", "9"],
      "run_bipartite_experiment",
-     dict(n=12, graph_seed=3, graph_kind="random", p=0.25, orders=(3, 5), trials=7,
+     dict(n=12, graph_seed=3, graph_kind="bipartite", p=0.25, orders=(3, 5), trials=7,
           rng_seed=9)),
 ]
 
@@ -627,11 +675,11 @@ def test_bipartite_sweep_runs_one_recurrence_per_input(products, monkeypatch):
     assert sum(counted) == sum(products)
 
 
-@pytest.mark.parametrize("kind,p", [("matched", 0.5), ("random", 0.5), ("random", 1.0)],
-                         ids=["matched", "random", "complete"])
-def test_bipartite_sweep_never_forms_the_paired_basis(monkeypatch, kind, p):
-    # Its exact filters go through Phi and Psi; p = 1 is K_{16,16}, where
-    # lambda = 1 is tied 30 times.
+@pytest.mark.parametrize("kind", ["matched", "bipartite", "complete-bipartite"],
+                         ids=["matched", "bipartite", "complete"])
+def test_bipartite_sweep_never_forms_the_paired_basis(monkeypatch, kind):
+    # Its exact filters go through Phi and Psi; K_{16,16} ties lambda = 1
+    # 30 times.
     built = []
 
     def spy(g):
@@ -639,8 +687,7 @@ def test_bipartite_sweep_never_forms_the_paired_basis(monkeypatch, kind, p):
         return built[-1]
 
     monkeypatch.setattr(experiments, "build_system", spy)
-    run_bipartite_experiment(ExperimentConfig(graph_kind=kind, n=32, p=p, orders=(2, 4),
-                                              trials=2))
+    run_bipartite_experiment(ExperimentConfig(graph_kind=kind, n=32, orders=(2, 4), trials=2))
     assert len(built) == 1 and "vectors" not in vars(built[0].basis_b)
 
 
@@ -838,13 +885,12 @@ GOLDEN_REPORTS = [
     (BIPARTITE, "437d303044139a9f9f2eee71423f48ae2274174686cb230fd34868d9c1caa730"),
     (["exp", "bipartite", "--n", "128", "--orders", "2,4", "--trials", "3"],
      "fe2dee3dc82ef764889a3fcf530683d29101ba091fb2ca7f7cd5b4366c3a7b31"),
-    ([*TABLE2, "--format", "json"],
-     "80d87e49c347926ea868bffb67cb822561d873a18adfa44c53eac5ddb591694a"),
     (["exp", "table2", "--kind", "circular", "--n", "32", "--m", "4", "--trials", "3",
       "--rng-seed", "1"],
      "12d29360703b43511e7f26b0a73307f56e74ca22b217fe5708797daeb7b8c2da"),
     (RECOVER, "53cac3c81a4a442e95ce7e71e44f17851aa446aceaaacd9aa5186664f926c74d"),
-    (["exp", "bipartite", "--graph", "random", "--n", "32", "--orders", "2,4", "--trials", "3"],
+    (["exp", "bipartite", "--graph", "bipartite", "--n", "32", "--orders", "2,4", "--trials",
+      "3"],
      "aebe78b2c4ddf6d15693ab09ddc69f2969b5c4566df9b7b0e3acbdf94f35de21"),
 ]
 
@@ -860,8 +906,8 @@ GOLDEN_STDOUTS = [
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_REPORTS,
-                         ids=["table2", "bipartite", "bipartite-csr", "table2-json",
-                              "table2-circular", "recover", "bipartite-random"])
+                         ids=["table2", "bipartite", "bipartite-csr", "table2-circular",
+                              "recover", "bipartite-random"])
 def test_cli_report_golden_digest(tmp_path, argv, digest):
     out = tmp_path / "report.csv"
     assert main([*argv, "--out", str(out)]) == 0
@@ -889,35 +935,19 @@ GROUPS = st.lists(st.builds(
     st.lists(DB_VALUES, min_size=1, max_size=5), DB_VALUES), max_size=4)
 
 
-def _oracle_rows(groups):
-    """One dict per trial, built without the library's flattener."""
-    rows = []
-    for g in groups:
-        for t in range(len(g.mse_db)):
-            rows.append({"prior": g.labels[0], "mode": g.labels[1], "strategy": g.labels[2],
-                         "sampling_filter": g.labels[3], "generator": g.labels[4],
-                         "noise": g.labels[5], "trial": t, "mse_db": float(g.mse_db[t]),
-                         "mean_mse_db": g.mean_db})
-    return rows
-
-
 @settings(max_examples=50, deadline=None)
 @given(groups=GROUPS)
 def test_emit_report_matches_a_row_by_row_oracle(tmp_path_factory, groups):
     folder = tmp_path_factory.mktemp("reports")
-    rows = _oracle_rows(groups)
+    rows = _rows(groups)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
     for row in rows:
         writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
                          for c in REPORT_COLUMNS])
-    emit_report(groups, "csv", str(folder / "r.csv"))
+    emit_report(groups, str(folder / "r.csv"))
     assert (folder / "r.csv").read_text(encoding="utf-8") == expected.getvalue()
-    # repr keeps NaN and the sign of zero visible to the comparison.
-    assert repr(report_rows(groups)) == repr(rows)
-    emit_report(groups, "json", str(folder / "r.json"))
-    assert (folder / "r.json").read_text(encoding="utf-8") == json.dumps(rows, indent=1) + "\n"
 
 
 def _loop_group(labels, err, energy):

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specsamp import (
+    ChebyshevFilter,
     DimensionMismatch,
     InvalidParameter,
     PgsModel,
+    RecoveryDesign,
+    SampledSpectrum,
     SamplingConfig,
     SpectralBasis,
     SpectralFilter,
     VariationOperator,
     apply_filter,
+    build_system,
     combinatorial_laplacian,
     complete_bipartite,
     design_subspace_unconstrained,
@@ -22,6 +26,7 @@ from specsamp import (
     eigendecompose,
     frequency_sample,
     gen_circular,
+    gen_matched_bipartite,
     gen_random_sensor,
     generate_pgs,
     gft,
@@ -33,6 +38,27 @@ from specsamp import (
     normalized_laplacian,
     reconstruct,
 )
+
+
+# Each frozen value object that holds arrays, built twice from equal inputs.
+VALUE_OBJECTS = {
+    "Graph": lambda: complete_bipartite(2),
+    "VariationOperator": lambda: combinatorial_laplacian(complete_bipartite(2)),
+    "SpectralFilter": lambda: identity_filter(4),
+    "ChebyshevFilter": lambda: ChebyshevFilter(np.ones(3), (0.0, 2.0)),
+    "RecoveryDesign": lambda: RecoveryDesign(np.ones(2), identity_filter(4)),
+    "SampledSpectrum": lambda: SampledSpectrum(np.ones(2), SamplingConfig(4, 2)),
+    "PgsModel": lambda: PgsModel(identity_filter(4), SamplingConfig(4, 2), dft_basis(4)),
+    "BipartiteSystem": lambda: build_system(complete_bipartite(2)),
+}
+
+
+@pytest.mark.parametrize("build", VALUE_OBJECTS.values(), ids=VALUE_OBJECTS)
+def test_value_objects_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_eigendecompose_diagonal_matrix():
@@ -169,6 +195,23 @@ def test_dft_basis_vectors_are_the_closed_form_matrix(n):
     assert not u.flags.writeable
     with pytest.raises(AttributeError):
         basis.vectors = np.eye(n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_system(gen_matched_bipartite(256, 1)).basis_b,
+    lambda: dft_basis(1024),
+], ids=["paired", "dft"])
+def test_on_demand_vectors_are_formed_once_on_first_read(build):
+    # The formed matrix is frozen in place, with no copy and no second
+    # matrix-sized temporary.
+    basis = build()
+    tracemalloc.start()
+    try:
+        u = basis.vectors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * u.nbytes
 
 
 def test_dft_basis_request_does_not_form_the_matrix():

@@ -46,6 +46,7 @@ from specsamp import (
 from specsamp.experiments import (
     FILTERS,
     GENERATOR_IDS,
+    REPORT_COLUMNS,
     SAMPLING_IDS,
     TABLE_METHODS,
     ExperimentConfig,
@@ -54,7 +55,6 @@ from specsamp.experiments import (
     basis_for_config,
     build_experiment_graph,
     design_for_config,
-    report_rows,
     run_recovery_experiment,
     run_recovery_table,
 )
@@ -149,6 +149,13 @@ def test_spectral_halves_reject_mismatched_sizes():
         error_gains(design, inverted_ramp(basis), a, SamplingConfig(8, 4))
 
 
+def _rows(groups):
+    """The report rows of ``groups``: one dict per trial, keyed by
+    REPORT_COLUMNS."""
+    return [dict(zip(REPORT_COLUMNS, (*g.labels, t, db, g.mean_db)))
+            for g in groups for t, db in enumerate(g.mse_db.tolist())]
+
+
 def _vertex_domain_rows(base):
     """The rows of ``run_recovery_table(base)`` scored in the vertex domain:
     every trial synthesized, sampled and reconstructed by the public
@@ -176,7 +183,7 @@ def _vertex_domain_rows(base):
                                             noise_variance),
                                            np.sum(np.abs(xt - x) ** 2, axis=0),
                                            np.sum(np.abs(x) ** 2, axis=0)))
-    return report_rows(groups)
+    return _rows(groups)
 
 
 @settings(max_examples=15, deadline=None)
@@ -187,7 +194,7 @@ def test_spectral_scoring_equals_vertex_scoring(kind, ratio, graph_seed, rng_see
     n, m = ratio
     base = ExperimentConfig(graph_kind=kind, n=n, m=m, graph_seed=graph_seed,
                             rng_seed=rng_seed, trials=trials, noise_variance=0.1)
-    rows = report_rows(run_recovery_table(base))
+    rows = _rows(run_recovery_table(base))
     expected = _vertex_domain_rows(base)
     assert len(rows) == len(expected) == 44 * trials
     for row, ref in zip(rows, expected):
@@ -242,7 +249,8 @@ def _agree_above_round_off(got, want, label):
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["sensor", "bipartite", "complete-bipartite", "circular"]),
+@given(kind=st.sampled_from(["sensor", "bipartite", "complete-bipartite", "matched",
+                            "circular"]),
        ratio=st.sampled_from(RATIOS), graph_seed=st.integers(0, 2**32 - 1),
        rng_seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4),
        noise_variance=st.sampled_from([0.0, 0.1]))
