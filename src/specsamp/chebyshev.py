@@ -16,23 +16,25 @@ products of its top order, not of F recurrences. Outputs carry the stack
 axis last.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, IntervalMismatch, InvalidParameter
-from .graphs import VariationOperator, _frozen, _integer
+from .graphs import VariationOperator, _frozen, _integer, _real
 
 GRID_POINTS = 1000
 
 
 def _interval(interval) -> Tuple[float, float]:
-    """``interval`` as floats (a, b); InvalidParameter unless finite with a < b."""
-    a, b = (float(v) for v in interval)
-    if not -math.inf < a < b < math.inf:  # NaN fails every comparison
-        raise InvalidParameter(f"need a finite interval with a < b, got {interval}")
+    """``interval`` as floats (a, b); InvalidParameter unless two finite reals with a < b."""
+    try:
+        a, b = (_real(v, "interval end") for v in interval)
+    except (TypeError, ValueError):  # not two ends: refused below
+        a = b = 0.0
+    if not a < b:
+        raise InvalidParameter(f"need an interval (a, b) with a < b, got {interval!r}")
     return a, b
 
 
@@ -138,9 +140,7 @@ def chebyshev_fit(response: Callable[[float], float], interval: Tuple[float, flo
     order : int
         Polynomial degree P >= 1.
     """
-    order = _integer(order, "order")
-    if order < 1:
-        raise InvalidParameter("need order >= 1")
+    order = _integer(order, "order", 1)
     a, b = _interval(interval)
     npts = 2 * order
     theta = np.pi * (np.arange(npts) + 0.5) / npts
@@ -171,12 +171,14 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
         If ``x`` does not have one row per vertex of ``op``.
     IntervalMismatch
         If ``lambda_max`` is given and exceeds the fit interval.
+    InvalidParameter
+        If ``lambda_max`` is given and is not a finite real number.
     """
     x = np.asarray(x, dtype=float if not np.iscomplexobj(x) else complex)
     if x.shape[0] != op.n:
         raise DimensionMismatch(f"signal length {x.shape[0]} != {op.n}")
     a, b = cf.interval
-    if lambda_max is not None and (lambda_max > b + 1e-9 or a > 1e-9):
+    if lambda_max is not None and (_real(lambda_max, "lambda_max") > b + 1e-9 or a > 1e-9):
         raise IntervalMismatch(f"interval [{a}, {b}] does not cover [0, {lambda_max}]")
     m = op.product_matrix
     scale = 2.0 / (b - a)

@@ -34,7 +34,7 @@ from .experiments import (
     run_recovery_table,
 )
 from .filters import inverted_ramp, save_filter
-from .graphs import complete_bipartite, gen_random_bipartite, save_graph
+from .graphs import _integer, complete_bipartite, gen_random_bipartite, save_graph
 from .sampling import SamplingConfig
 
 # KeyError and ValueError are configuration errors; any other SpecSampError is numerical.
@@ -99,13 +99,10 @@ def _cmd_exp_bipartite(args) -> int:
 
 
 def _cmd_verify_theorem1(args) -> int:
-    if args.count < 0:
-        raise InvalidParameter(f"need --count >= 0, got {args.count}")
-    if args.seed < 0:
-        raise InvalidParameter(f"need --seed >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    count, seed = _integer(args.count, "--count", 0), _integer(args.seed, "--seed", 0)
+    rng = np.random.default_rng(seed)
     cases = [("K_{2,2}", complete_bipartite(2)), ("K_{4,4}", complete_bipartite(4))]
-    for i in range(args.count):
+    for i in range(count):
         n_half = int(rng.integers(4, 65))
         cases.append((f"random(n_half={n_half})",
                       gen_random_bipartite(n_half, int(rng.integers(0, 2**32)))))
@@ -113,7 +110,7 @@ def _cmd_verify_theorem1(args) -> int:
     worst = worst_filtered = 0.0
     for name, graph in cases:
         system = build_system(graph)
-        x = np.random.default_rng(args.seed + 1).normal(size=graph.n)
+        x = np.random.default_rng(seed + 1).normal(size=graph.n)
         cres = verify_corollary1(system, inverted_ramp(system.basis_b), x)
         worst = max(worst, system.residual, cres)
         worst_filtered = max(worst_filtered, cres)

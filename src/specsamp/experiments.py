@@ -33,7 +33,6 @@ Results stay per-configuration columns (:class:`ReportGroup`) until
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, List, NamedTuple
@@ -118,9 +117,9 @@ class ExperimentConfig:
     The recovery runners read every field but ``orders``; the bipartite
     sweep reads ``graph_kind``, one of BIPARTITE_KINDS, ``n``,
     ``graph_seed``, ``p``, ``orders``, ``trials`` and ``rng_seed``. The sizes, counts, seeds and
-    orders are integers, the seeds at least 0, and ``orders`` holds at least
-    one Chebyshev order, each at least 1 and each once; ``p`` and
-    ``noise_variance`` are real numbers, stored as floats."""
+    orders are integers: ``trials`` >= 1, the seeds >= 0, and ``orders`` at
+    least one Chebyshev order, each >= 1 and each once. ``p`` and
+    ``noise_variance`` >= 0 are finite real numbers, stored as floats."""
 
     graph_kind: str = "sensor"
     n: int = 256
@@ -138,25 +137,20 @@ class ExperimentConfig:
     orders: tuple = (2, 4, 8, 16, 24, 32)
 
     def __post_init__(self):
-        for name in ("n", "graph_seed", "m", "trials", "rng_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name, least in (("n", None), ("graph_seed", 0), ("m", None), ("trials", 1),
+                            ("rng_seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         for name in ("p", "noise_variance"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         try:
-            object.__setattr__(self, "orders", tuple(_integer(p, "orders") for p in self.orders))
+            object.__setattr__(self, "orders",
+                               tuple(_integer(p, "orders", 1) for p in self.orders))
         except TypeError:
             raise InvalidParameter(f"orders must be a sequence, got {self.orders!r}") from None
-        if self.trials < 1:
-            raise InvalidParameter("need trials >= 1")
-        for name in ("graph_seed", "rng_seed"):
-            if getattr(self, name) < 0:
-                raise InvalidParameter(f"need {name} >= 0, got {getattr(self, name)}")
         if not self.orders or len(set(self.orders)) != len(self.orders):
             raise InvalidParameter(f"need at least one order, each once, got {self.orders}")
-        if any(p < 1 for p in self.orders):
-            raise InvalidParameter("orders must be >= 1")
-        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
-            raise InvalidParameter("need a finite noise_variance >= 0")
+        if self.noise_variance < 0:
+            raise InvalidParameter(f"need noise_variance >= 0, got {self.noise_variance}")
         if self.generator not in GENERATOR_IDS:
             raise InvalidParameter(f"unknown generator id {self.generator!r}")
         if self.sampling_filter not in SAMPLING_IDS:
@@ -353,6 +347,11 @@ def run_bipartite_experiment(cfg: ExperimentConfig) -> List[ReportGroup]:
     response. The approximated-bandlimited reconstruction is reported
     alongside as the baseline, after an exact-filter run (lossless up to
     conditioning).
+
+    Per trial, a Chebyshev row is 10 log10 of 2 sum delta^2 [(p_w,lo g - w'_lo)^2
+    + (p_w,hi g - w'_hi)^2] over 2 sum delta^2 (w'_lo^2 + w'_hi^2): delta = Phi^T d,
+    w' the synthesis response's halves, p_s and p_w the fits at the paired
+    frequencies, g = p_s,lo w'_lo + p_s,hi w'_hi. A baseline row has p_s for p_w.
     """
     if cfg.graph_kind not in BIPARTITE_KINDS:
         raise InvalidParameter(f"bipartite graph kind must be one of {BIPARTITE_KINDS}, "

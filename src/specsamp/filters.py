@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParameter, IoFailure
-from .graphs import _frozen
+from .graphs import _frozen, _integer, _real
 
 Response = Callable[[float], float]
 
@@ -34,7 +34,7 @@ class SpectralFilter:
     response: Optional[Response] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, "filter values"))
+        object.__setattr__(self, "values", _frozen(self.values, "filter values", ndim=1))
 
     @property
     def n(self) -> int:
@@ -48,17 +48,18 @@ def from_response(basis, fn: Response) -> SpectralFilter:
 
 
 def identity_filter(n: int) -> SpectralFilter:
-    return SpectralFilter(np.ones(n), response=lambda lam: 1.0)
+    """All-pass filter on n >= 1 frequencies."""
+    return SpectralFilter(np.ones(_integer(n, "n", 1)), response=lambda lam: 1.0)
 
 
 def bandlimit(basis, k: int) -> SpectralFilter:
     """Bandlimiting low-pass filter: 1 on the first k frequency indices, 0 above.
 
-    Index-defined, so no closed-form response is attached.
+    Index-defined, so no closed-form response is attached. 1 <= k <= n.
     """
-    n = len(basis.lambdas)
-    if not 0 < k <= n:
-        raise InvalidParameter("need 0 < k <= n")
+    n, k = len(basis.lambdas), _integer(k, "k", 1)
+    if k > n:
+        raise InvalidParameter(f"need k <= n = {n}, got {k}")
     vals = np.zeros(n)
     vals[:k] = 1.0
     return SpectralFilter(vals)
@@ -66,8 +67,8 @@ def bandlimit(basis, k: int) -> SpectralFilter:
 
 def _scale(basis, eps: float = 0.0) -> float:
     """lambda_max + eps, the frequency scale of the closed-form responses;
-    InvalidParameter unless lambda_max > 0 and eps >= 0."""
-    lam_max = float(np.max(basis.lambdas))
+    InvalidParameter unless lambda_max > 0 and eps is finite and >= 0."""
+    lam_max, eps = float(np.max(basis.lambdas)), _real(eps, "eps")
     if lam_max <= 0 or eps < 0:
         raise InvalidParameter("need lambda_max > 0 and eps >= 0")
     return lam_max + eps

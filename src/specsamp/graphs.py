@@ -40,26 +40,36 @@ _MATCH_WEIGHT = 6.0
 _MATCH_EXTRA = 2
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; InvalidParameter unless it is an integer."""
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int; InvalidParameter unless an integer, at least ``least`` if given."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InvalidParameter(
             f"{name} must be an integer, got {type(value).__name__}") from None
+    if least is not None and value < least:
+        raise InvalidParameter(f"need {name} >= {least}, got {value}")
+    return value
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; InvalidParameter unless it is a real number."""
-    if not isinstance(value, numbers.Real):
-        raise InvalidParameter(f"{name} must be a real number, got {type(value).__name__}")
+    """``value`` as a float; InvalidParameter unless it is a finite real number."""
+    if not (isinstance(value, numbers.Real) and -np.inf < value < np.inf):  # NaN fails both
+        raise InvalidParameter(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
 
-def _frozen(a, name: str, dtype=float) -> np.ndarray:
-    """A read-only copy of ``a`` as a ``dtype`` array (None keeps the input's
-    type); InvalidParameter unless every entry is finite."""
-    m = np.array(a, dtype=dtype)
+def _frozen(a, name: str, dtype=float, ndim: Optional[int] = None) -> np.ndarray:
+    """A read-only numeric copy of ``a`` as ``dtype`` (None keeps its type), ``ndim``-D
+    if given; InvalidParameter unless it is one and every entry is finite."""
+    try:
+        m = np.array(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"{name} must be a numeric array: {exc}") from None
+    if m.dtype.kind not in "biufc":
+        raise InvalidParameter(f"{name} must be a numeric array, got dtype {m.dtype}")
+    if ndim is not None and m.ndim != ndim:
+        raise InvalidParameter(f"{name} must be {ndim}-D, got shape {m.shape}")
     # min and max propagate NaN and inf and allocate nothing. A complex
     # array's are checked part by part: the lexicographic complex min and
     # max can pass over an infinite imaginary part.
@@ -108,9 +118,9 @@ class Graph:
         object.__setattr__(self, "weights", w)
         h = self.bipartition
         if h is not None:
-            h = _integer(h, "first part size")
+            h = _integer(h, "first part size", 0)
             object.__setattr__(self, "bipartition", h)
-            if not 0 <= h <= self.n:
+            if h > self.n:
                 raise InvalidParameter(f"first part size {h} outside [0, {self.n}]")
             if np.any(w[:h, :h] != 0) or np.any(w[h:, h:] != 0):
                 raise InvalidParameter("bipartition admits no intra-part edges")
@@ -189,9 +199,8 @@ def _bipartite(block: np.ndarray) -> np.ndarray:
 
 
 def gen_circular(n: int) -> Graph:
-    """Unit-weight cycle on n vertices."""
-    if n < 2:
-        raise InvalidParameter("need n >= 2")
+    """Unit-weight cycle on n >= 2 vertices."""
+    n = _integer(n, "n", 2)
     w = np.zeros((n, n))
     idx = np.arange(n)
     w[idx, (idx + 1) % n] = 1.0
@@ -205,10 +214,9 @@ def gen_random_sensor(n: int, seed: int) -> Graph:
     Vertices are points drawn uniformly in the unit square; each point is
     joined to its 6 nearest neighbors with weight exp(-d^2 / (2 theta^2)),
     theta being the mean 6-NN distance, and the edge set symmetrized.
-    Resamples until connected (at most 100 attempts).
+    Resamples until connected (at most 100 attempts). n >= 2, seed >= 0.
     """
-    if n < 2:
-        raise InvalidParameter("need n >= 2")
+    n, seed = _integer(n, "n", 2), _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     kk = min(_SENSOR_NEIGHBORS, n - 1)
     for _ in range(_MAX_RESAMPLE):
@@ -230,10 +238,9 @@ def gen_random_bipartite(n_half: int, seed: int, p: float = 0.5) -> Graph:
 
     Each cross edge is present independently with probability p, with unit
     weight. The first n_half vertices form the first part. Resamples until
-    connected (at most 100 attempts).
+    connected (at most 100 attempts). n_half >= 1, seed >= 0, 0 < p <= 1.
     """
-    if n_half < 1:
-        raise InvalidParameter(f"need at least 1 vertex per part, got {n_half}")
+    n_half, seed = _integer(n_half, "vertices per part", 1), _integer(seed, "seed", 0)
     p = _real(p, "p")
     if not 0.0 < p <= 1.0:
         raise InvalidParameter("need 0 < p <= 1")
@@ -252,10 +259,10 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
     second part with weight 6 plus 2 unit-weight random cross edges. The
     dominant matching keeps the normalized-Laplacian spectrum away from 1,
     which polynomial filter approximations need: both standard sampling
-    filters jump exactly there.
+    filters jump exactly there. n_half >= 3, seed >= 0.
     """
-    if n_half <= _MATCH_EXTRA:
-        raise InvalidParameter(f"need more than {_MATCH_EXTRA} vertices per part, got {n_half}")
+    n_half = _integer(n_half, "vertices per part", _MATCH_EXTRA + 1)
+    seed = _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
         block = np.zeros((n_half, n_half))
@@ -273,9 +280,8 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
 
 
 def complete_bipartite(n_half: int) -> Graph:
-    """K_{n_half,n_half} with unit weights, first part first."""
-    if n_half < 1:
-        raise InvalidParameter(f"need at least 1 vertex per part, got {n_half}")
+    """K_{n_half,n_half} with unit weights, first part first; n_half >= 1."""
+    n_half = _integer(n_half, "vertices per part", 1)
     return Graph(_bipartite(np.ones((n_half, n_half))), bipartition=n_half)
 
 

@@ -12,7 +12,6 @@ Coefficients, signals and sampled spectra may carry a trailing trial
 axis; synthesis and reconstruction act along axis 0.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +25,7 @@ from .errors import (
     ZeroReference,
 )
 from .filters import SpectralFilter
-from .graphs import _frozen
+from .graphs import _frozen, _real
 from .sampling import (
     SampledSpectrum,
     SamplingConfig,
@@ -81,7 +80,7 @@ class RecoveryDesign:
     w: SpectralFilter
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _frozen(self.h, "correction values"))
+        object.__setattr__(self, "h", _frozen(self.h, "correction values", ndim=1))
 
 
 @dataclass(frozen=True)
@@ -271,12 +270,8 @@ def mse_db(x: np.ndarray, xtilde: np.ndarray) -> float:
         raise DimensionMismatch("signals must have equal length")
     # Two scalar tests, not two scans of a per-signal caller's signals; x
     # comes first, since inf - inf in the difference would warn.
-    ref = _energy(x.ravel())
-    if not math.isfinite(ref):
-        raise InvalidParameter("signal energies must be finite")
+    ref = _real(_energy(x.ravel()), "signal energy")
     if ref == 0.0:
         raise ZeroReference("reference signal has zero energy")
-    err = _energy((x - xtilde).ravel())
-    if not math.isfinite(err):
-        raise InvalidParameter("signal energies must be finite")
+    err = _real(_energy((x - xtilde).ravel()), "error energy")
     return float(_floored_db(err / ref))

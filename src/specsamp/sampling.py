@@ -22,15 +22,15 @@ from .spectral import SpectralBasis, _scale_rows, gft
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Signal length n and sampling ratio m, integers; m must divide n exactly."""
+    """Signal length n and sampling ratio m, integers >= 1; m must divide n exactly."""
 
     n: int
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "m", _integer(self.m, "m"))
-        if self.n < 1 or self.m < 1 or self.n % self.m != 0:
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        object.__setattr__(self, "m", _integer(self.m, "m", 1))
+        if self.n % self.m != 0:
             raise InvalidParameter(f"sampling ratio {self.m} must divide n={self.n}")
 
     @property

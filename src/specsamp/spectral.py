@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EigensolveFailure
 from .filters import SpectralFilter
-from .graphs import VariationOperator, _frozen
+from .graphs import VariationOperator, _frozen, _integer
 
 _SIGN_TOL = 1e-8
 
@@ -109,10 +109,9 @@ def dft_basis(n: int) -> SpectralBasis:
     equals the unitary DFT. The attached frequencies are the circulant
     Laplacian eigenvalues 2 - 2cos(2*pi*i/n), kept in index order (they
     are not monotone). ``gft`` and ``igft`` apply this basis by FFT in
-    O(n log n); the n x n matrix is formed only when ``vectors`` is read.
+    O(n log n); the n x n matrix is formed only when ``vectors`` is read; n >= 2.
     """
-    if n < 2:
-        raise DimensionMismatch("need n >= 2")
+    n = _integer(n, "n", 2)
     lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
     return SpectralBasis._on_demand(lam, partial(_dft_matrix, n), fourier=True)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specsamp import InvalidParameter, IoFailure, SpecSampError, bipartite, cli, experiments
@@ -35,6 +35,9 @@ from specsamp.experiments import (
     run_recovery_experiment,
     run_recovery_table,
 )
+from specsamp.bipartite import build_system, fit_one_branch, one_branch_design
+from specsamp.chebyshev import evaluate
+from specsamp.filters import inverted_ramp
 from specsamp.recovery import MSE_FLOOR_DB
 
 SMALL = dict(graph_kind="sensor", n=32, graph_seed=1, m=4, trials=3, rng_seed=5)
@@ -983,3 +986,47 @@ def test_noise_free_ds_recovery_is_exact(kind, n, m, graph_seed, rng_seed, trial
         assert (g.labels, g.mse_db.tolist(), g.mean_db) == (labels, trial_db, mean_db)
         if labels[:3] == ("subspace", "unconstrained", "ds"):
             assert max(trial_db) <= -200.0 and mean_db <= -200.0, labels
+
+
+# The bipartite sweep in closed form. A polynomial in L is diagonal in the
+# paired basis, and keeping the first part is the fold, so with
+# delta = Phi^T d and the synthesis response w' split into halves,
+# g = p_s,lo w'_lo + p_s,hi w'_hi gives
+#   ||e||^2 = 2 sum delta^2 [(p_w,lo g - w'_lo)^2 + (p_w,hi g - w'_hi)^2],
+#   ||x||^2 = 2 sum delta^2 (w'_lo^2 + w'_hi^2),
+# with the fits evaluated at the paired frequencies; the baseline row decodes
+# with p_s. The formula shares no recurrence, stack, operator product or
+# zero-padding with the runner. A matched graph on 64 or more vertices is
+# sparse enough for CSR products; the other kinds take dense ones.
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(BIPARTITE_KINDS), n_half=st.integers(3, 40),
+       graph_seed=st.integers(0, 2**32 - 1), p=st.floats(0.5, 1.0),
+       orders=st.lists(st.integers(1, 32), min_size=1, max_size=4, unique=True),
+       trials=st.integers(1, 5), rng_seed=st.integers(0, 2**32 - 1))
+@example(kind="matched", n_half=32, graph_seed=1, p=0.5, orders=[8, 2, 4], trials=3, rng_seed=5)
+@example(kind="complete-bipartite", n_half=8, graph_seed=0, p=0.5, orders=[1, 16], trials=2,
+         rng_seed=0)
+def test_bipartite_sweep_rows_equal_the_closed_form(kind, n_half, graph_seed, p, orders,
+                                                     trials, rng_seed):
+    cfg = ExperimentConfig(graph_kind=kind, n=2 * n_half, graph_seed=graph_seed, p=p,
+                           orders=tuple(orders), trials=trials, rng_seed=rng_seed)
+    rows = {g.labels[1]: g.mse_db for g in run_bipartite_experiment(cfg)}
+    assert len(rows) == 1 + 2 * len(orders)
+    sys_ = build_system(build_experiment_graph(cfg))
+    a = inverted_ramp(sys_.basis_b)
+    _, wprime = one_branch_design(sys_, a.response)
+    w_lo, w_hi = wprime.values[:n_half, None], wprime.values[n_half:, None]
+    d, _ = experiments._draw_trials(rng_seed, trials, n_half)
+    delta2 = (sys_.phi.T @ d) ** 2
+    signal = 2.0 * np.sum(delta2 * (w_lo**2 + w_hi**2), axis=0)
+    for order in orders:
+        cf_s, cf_w = fit_one_branch(a.response, order)
+        p_s, p_w = (evaluate(cf, sys_.basis_b.lambdas)[:, None] for cf in (cf_s, cf_w))
+        g = p_s[:n_half] * w_lo + p_s[n_half:] * w_hi
+        for mode, p_d in ((f"chebyshev_p{order}", p_w), (f"chebyshev_baseline_p{order}", p_s)):
+            error = 2.0 * np.sum(delta2 * ((p_d[:n_half] * g - w_lo) ** 2
+                                           + (p_d[n_half:] * g - w_hi) ** 2), axis=0)
+            expected = 10.0 * np.log10(error / signal)
+            above = expected > -200.0
+            np.testing.assert_allclose(rows[mode][above], expected[above], rtol=0, atol=1e-9,
+                                       err_msg=mode)
