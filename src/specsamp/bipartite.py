@@ -7,9 +7,13 @@ normalized Laplacian with its mirror 2 - lambda at offset K = N/2, so the
 reduced-graph GFT of the kept samples equals the energy-normalized folded
 spectrum exactly.
 
-The paired basis comes from one SVD of the normalized adjacency block:
+The paired basis comes from the SVD of the normalized adjacency block:
 B = Phi Sigma Psi^T gives eigenvectors [phi; psi]/sqrt(2) at 1 - sigma and
-[phi; -psi]/sqrt(2) at 1 + sigma. The reduced graph is the Kron reduction
+[phi; -psi]/sqrt(2) at 1 + sigma. When the weights certify sigma_min(B) away
+from 0, as a dominant matching does, the factors come from the cheaper
+symmetric eigensolver instead: eigh(B B^T) gives Sigma^2 and Phi, and
+Psi = B^T Phi Sigma^-1. Otherwise, as on K_{n,n}, where sigma = 0, they come
+from one SVD. Either way the same residual check guards them. The reduced graph is the Kron reduction
 of the normalized Laplacian onto the first part. The graph is stored first
 part first, so the eliminated block is exactly I and the reduced Laplacian
 is I - B B^T, which the same Phi diagonalizes at 1 - sigma^2: Phi is the
@@ -57,7 +61,7 @@ from .errors import (
     UnequalParts,
 )
 from .filters import SpectralFilter, bandlimit, from_response
-from .graphs import Graph, VariationOperator, normalized_laplacian
+from .graphs import Graph, VariationOperator, _product_form, normalized_laplacian
 from .sampling import SamplingConfig, frequency_sample
 from .spectral import SpectralBasis, _column_signs, _scale_rows, apply_filter
 
@@ -76,7 +80,9 @@ class BipartiteSystem:
     ``phi`` is the reduced-graph basis. ``basis_b`` holds the paired
     frequencies and forms its N x N vectors from them only when they are
     read; exact filters go through ``phi`` and ``psi`` instead. ``residual``
-    is the max-norm residual of the SVD. The one-branch sampling setup
+    is the max-norm residual of that SVD, max |Phi^T Phi - I|,
+    |Psi^T Psi - I| and |B Psi - Phi Sigma|, whether the factors came from
+    eigh(B B^T) or from svd(B). The one-branch sampling setup
     follows from the operator's size N: ``cfg`` samples at M = 2, keeping
     ``half`` = K = N/2 samples.
     """
@@ -108,20 +114,73 @@ def _paired_vectors(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return u_b
 
 
+def _sigma_min_bound(g: Graph) -> float:
+    """A lower bound on the smallest singular value of B from the weights
+    alone, or 0.0 when there is none.
+
+    With pi the row argmax of the cross block W, a permutation, write
+    W = D_pi + E. Weyl's bound and the Schur test give
+    sigma_min(W) >= min_i W_{i,pi(i)} - sqrt(max row sum(E) max col sum(E)),
+    and B = D_1^{-1/2} W D_2^{-1/2} gives
+    sigma_min(B) >= sigma_min(W) / sqrt(max d_1 max d_2).
+    """
+    half = g.bipartition
+    w = g.weights[:half, half:]
+    partner = np.argmax(w, axis=1)
+    if np.any(np.bincount(partner, minlength=half) != 1):
+        return 0.0
+    matched = w[np.arange(half), partner]
+    d_1, d_2 = w.sum(axis=1), w.sum(axis=0)
+    col_e = d_2.copy()
+    col_e[partner] -= matched
+    bound = matched.min() - np.sqrt(np.max(d_1 - matched) * col_e.max())
+    return max(float(bound / np.sqrt(d_1.max() * d_2.max())), 0.0)
+
+
+def _svd_factors(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phi, sigma (descending) and Psi of B = Phi Sigma Psi^T, by SVD."""
+    try:
+        phi, sigma, psi_t = np.linalg.svd(block)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(str(exc)) from exc
+    return phi, sigma, psi_t.T
+
+
+def _eigh_factors(block) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phi, sigma (descending) and Psi of B = Phi Sigma Psi^T, for a dense or
+    CSR block with a certified sigma_min: eigh(B B^T) gives sigma^2 and Phi,
+    and Psi = B^T Phi / sigma."""
+    gram = block @ block.T
+    try:
+        mu, phi = np.linalg.eigh(gram if isinstance(gram, np.ndarray) else gram.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(str(exc)) from exc
+    # eigh() sorts ascending; reversed, sigma descends as svd() returns it.
+    sigma = np.sqrt(mu[::-1])
+    phi = np.ascontiguousarray(phi[:, ::-1])
+    psi = block.T @ phi
+    psi *= 1.0 / sigma
+    return phi, sigma, psi
+
+
 def build_system(g: Graph) -> BipartiteSystem:
     """Construct the paired eigenbasis of a bipartite graph with equal
-    parts from one SVD, kept as its factors Phi and Psi.
+    parts, kept as the factors Phi and Psi of its adjacency block.
+
+    When the weights certify sigma_min(B) >= b with b^2 above the residual
+    bound, the factors come from eigh(B B^T) on the block's product form
+    (CSR when sparse enough); otherwise, as on K_{n,n}, from one SVD.
 
     Raises
     ------
     NotBipartite, UnequalParts
         If the graph carries no bipartition or its parts differ in size.
     EigensolveFailure
-        If the SVD does not converge.
+        If the SVD or eigensolver does not converge.
     PairingFailure
-        If the SVD it takes is not one: Phi or Psi is not orthonormal, or
-        B Psi misses Phi Sigma (should not happen; exposed rather than
-        assumed).
+        If the factors it takes are not an SVD: Phi or Psi is not
+        orthonormal, or B Psi misses Phi Sigma (should not happen; exposed
+        rather than assumed).
     """
     if g.bipartition is None:
         raise NotBipartite("graph carries no bipartition")
@@ -130,16 +189,18 @@ def build_system(g: Graph) -> BipartiteSystem:
         raise UnequalParts(f"parts have sizes {half} and {n - half}")
     op_b = normalized_laplacian(g)
 
-    block = -op_b.matrix[:half, half:]
-    try:
-        phi, sigma, psi_t = np.linalg.svd(block)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(str(exc)) from exc
+    cross = op_b.matrix[:half, half:]
+    # A certified sigma_min keeps the division by sigma well conditioned.
+    if _sigma_min_bound(g) ** 2 > _RESIDUAL_TOL:
+        block = -_product_form(cross)
+        phi, sigma, psi = _eigh_factors(block)
+    else:
+        block = -cross
+        phi, sigma, psi = _svd_factors(block)
     signs = _column_signs(phi)
     phi *= signs
-    psi = psi_t.T
     psi *= signs
-    # svd() sorts sigma descending, so 1 - sigma is already ascending.
+    # sigma descends, so 1 - sigma is already ascending.
     lam_low = 1.0 - sigma
 
     # Phi and Psi are square, so orthonormal factors with B Psi = Phi Sigma

@@ -12,6 +12,7 @@ the matrix is sparse enough for that to pay, else the dense matrix itself.
 
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -54,7 +55,8 @@ def _integer(value, name: str, least: Optional[int] = None) -> int:
 
 def _real(value, name: str) -> float:
     """``value`` as a float; InvalidParameter unless it is a finite real number."""
-    if not (isinstance(value, numbers.Real) and -np.inf < value < np.inf):  # NaN fails both
+    # An int too large for a float fails too, and NaN fails every comparison.
+    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
         raise InvalidParameter(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
@@ -134,6 +136,15 @@ class Graph:
         return self.weights.sum(axis=1)
 
 
+def _product_form(m: np.ndarray):
+    """A CSR copy of ``m`` when at most ``_CSR_MAX_DENSITY`` of its entries are
+    nonzero, else ``m`` itself: a dense BLAS product beats a CSR one on a
+    denser matrix."""
+    if np.count_nonzero(m) <= _CSR_MAX_DENSITY * m.size:
+        return csr_matrix(m)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class VariationOperator:
     """Real symmetric positive semidefinite matrix used to define a GFT,
@@ -151,15 +162,9 @@ class VariationOperator:
 
     @cached_property
     def product_matrix(self):
-        """The matrix to multiply by, chosen on first use and kept.
-
-        A CSR copy of ``matrix`` when at most ``_CSR_MAX_DENSITY`` of its
-        entries are nonzero, else ``matrix`` itself: a dense BLAS product
-        beats a CSR one on a denser matrix.
-        """
-        if np.count_nonzero(self.matrix) <= _CSR_MAX_DENSITY * self.matrix.size:
-            return csr_matrix(self.matrix)
-        return self.matrix
+        """The matrix to multiply by, chosen on first use and kept: the
+        :func:`_product_form` of ``matrix``."""
+        return _product_form(self.matrix)
 
 
 def combinatorial_laplacian(g: Graph) -> VariationOperator:

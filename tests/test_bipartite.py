@@ -11,6 +11,7 @@ from specsamp import (
     ConnectivityFailure,
     DimensionMismatch,
     DsConditionViolated,
+    EigensolveFailure,
     NotBipartite,
     PairingFailure,
     RecoveryDesign,
@@ -29,13 +30,14 @@ from specsamp import (
     identity_filter,
     inverted_ramp,
     mse_db,
+    normalized_laplacian,
     one_branch_design,
     reconstruct,
     reconstruct_from_part,
     sample_first_part,
     verify_corollary1,
 )
-from specsamp.bipartite import _step_response
+from specsamp.bipartite import _sigma_min_bound, _step_response
 from specsamp.graphs import Graph
 
 
@@ -69,10 +71,9 @@ def _bipartite_graph(matched, n_half, p, seed):
 def test_reduction_identity_residual_small(graph):
     sys_ = build_system(graph)
     h = sys_.half
-    # The residual is blind to the column signs build_system fixes.
+    # The residual of the factors build_system keeps, whichever way it took them.
     block = -sys_.op_b.matrix[:h, h:]
-    phi, sigma, psi_t = np.linalg.svd(block)
-    psi = psi_t.T
+    phi, psi, sigma = sys_.phi, sys_.psi, 1.0 - sys_.basis_b.lambdas[:h]
     expected = max(np.max(np.abs(phi.T @ phi - np.eye(h))),
                    np.max(np.abs(psi.T @ psi - np.eye(h))),
                    np.max(np.abs(block @ psi - phi * sigma)))
@@ -385,6 +386,46 @@ def test_build_system_checks_the_svd_it_takes(monkeypatch, factor):
     monkeypatch.setattr(np.linalg, "svd", corrupted)
     with pytest.raises(PairingFailure):
         build_system(gen_random_bipartite(8, seed=41))
+
+
+@pytest.mark.parametrize("part", ["vectors", "values"])
+def test_build_system_checks_the_eigh_factors_it_takes(monkeypatch, part):
+    # A matched graph has a certified sigma_min, so it takes eigh(B B^T).
+    eigh = np.linalg.eigh
+
+    def corrupted(a, *args, **kwargs):
+        mu, phi = eigh(a, *args, **kwargs)
+        if part == "vectors":
+            phi[:, -1] += 1e-6
+        else:
+            mu[-1] += 1e-6
+        return mu, phi
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(PairingFailure):
+        build_system(gen_matched_bipartite(8, seed=41))
+
+
+def test_build_system_reports_an_eigensolver_that_does_not_converge(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EigensolveFailure, match="did not converge"):
+        build_system(gen_matched_bipartite(8, seed=41))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_half=st.integers(3, 64), seed=st.integers(0, 2**32 - 1))
+def test_sigma_min_certificate_is_a_positive_lower_bound(n_half, seed):
+    g = gen_matched_bipartite(n_half, seed)
+    block = -normalized_laplacian(g).matrix[:n_half, n_half:]
+    assert 0.0 < _sigma_min_bound(g) <= np.linalg.svd(block, compute_uv=False).min()
+
+
+def test_graphs_without_a_dominant_matching_have_no_certificate():
+    assert _sigma_min_bound(complete_bipartite(4)) == 0.0
+    assert _sigma_min_bound(gen_random_bipartite(8, seed=41)) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["exact", "chebyshev"])

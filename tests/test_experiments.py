@@ -694,6 +694,25 @@ def test_bipartite_sweep_never_forms_the_paired_basis(monkeypatch, kind):
     assert len(built) == 1 and "vectors" not in vars(built[0].basis_b)
 
 
+@pytest.mark.parametrize("kind,factorization", [("matched", "eigh"), ("bipartite", "svd"),
+                                                ("complete-bipartite", "svd")],
+                         ids=["matched", "bipartite", "complete"])
+def test_exp_bipartite_factors_only_the_matched_graph_by_eigh(tmp_path, monkeypatch, kind,
+                                                              factorization):
+    # The matched graph's weights certify sigma_min(B) > 0; a random graph's
+    # and K_{16,16}'s do not, so they keep the SVD.
+    calls = []
+    for name in ("eigh", "svd"):
+        def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    assert main(["exp", "bipartite", "--graph", kind, "--n", "32", "--orders", "2",
+                 "--trials", "2", "--out", str(tmp_path / "bp.csv")]) == 0
+    assert calls == [factorization]
+
+
 # The matched graph's operator is 12.5% nonzero at N = 32, a dense product,
 # and 6.25% at N = 64, a CSR one.
 @pytest.mark.parametrize("n", ["32", "64"], ids=["dense", "csr"])
@@ -885,9 +904,9 @@ RECOVER = ["recover", "--kind", "sensor", "--n", "32", "--m", "4", "--trials", "
            "--rng-seed", "1", "--noise", "0.1"]
 GOLDEN_REPORTS = [
     (TABLE2, "d3ada780f2841addc42048d25327e1a57a48b998016fca49a2e0b4c27ff6f89e"),
-    (BIPARTITE, "437d303044139a9f9f2eee71423f48ae2274174686cb230fd34868d9c1caa730"),
+    (BIPARTITE, "946d4a9d09ee9b421bb7939b24ff45d3128ec423f133beb13f6d8942a52c84fe"),
     (["exp", "bipartite", "--n", "128", "--orders", "2,4", "--trials", "3"],
-     "fe2dee3dc82ef764889a3fcf530683d29101ba091fb2ca7f7cd5b4366c3a7b31"),
+     "91f24ea575cdfb038f718d435d21b870f24318c46d2828ef777340ee308a2d6c"),
     (["exp", "table2", "--kind", "circular", "--n", "32", "--m", "4", "--trials", "3",
       "--rng-seed", "1"],
      "12d29360703b43511e7f26b0a73307f56e74ca22b217fe5708797daeb7b8c2da"),
@@ -902,7 +921,7 @@ GOLDEN_REPORTS = [
 VERIFY = ["verify", "theorem1", "--count", "3", "--seed", "1"]
 GOLDEN_STDOUTS = [
     (TABLE2, "9f1c99f778e7ab9d50a6a61e0149fb2ba1578d9046a8b6658f6d97ed8cc540e5"),
-    (BIPARTITE, "2eb330d1129beb8d57ae005368019500669c0e5f414367aa7b17d9719c80e578"),
+    (BIPARTITE, "5e48b19303ca7a5f7f520ae5b250fe4c699daddda6795fb097e8a140040369db"),
     (RECOVER, "42336e62dcf8cfe8377d9f40ca62283a957f72085e257af9fc30a581e94d8daf"),
     (VERIFY, "65e9752e0a9fe7aabb914ca4f63892dddbeb4e684421627e17eb34789a7b1c57"),
 ]

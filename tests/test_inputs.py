@@ -71,6 +71,7 @@ CASES = {
     "bipartite-string-seed": (lambda: gen_random_bipartite(4, "0"), INTEGER),
     "bipartite-nan-p": (lambda: gen_random_bipartite(4, 0, math.nan), FINITE),
     "bipartite-string-p": (lambda: gen_random_bipartite(4, 0, "0.5"), FINITE),
+    "bipartite-huge-int-p": (lambda: gen_random_bipartite(4, 0, 10**400), FINITE),
     "matched-float-size": (lambda: gen_matched_bipartite(4.0, 0), INTEGER),
     "matched-size-2": (lambda: gen_matched_bipartite(2, 0), "need vertices per part >= 3"),
     "matched-negative-seed": (lambda: gen_matched_bipartite(4, -1), BOUND),
@@ -109,7 +110,9 @@ CASES = {
     "config-order-0": (lambda: ExperimentConfig(orders=(2, 0)), BOUND),
     "config-float-order": (lambda: ExperimentConfig(orders=(2.5,)), INTEGER),
     "config-string-p": (lambda: ExperimentConfig(p="x"), FINITE),
+    "config-huge-int-p": (lambda: ExperimentConfig(p=10**400), FINITE),
     "config-nan-noise": (lambda: ExperimentConfig(noise_variance=math.nan), FINITE),
+    "config-huge-int-noise": (lambda: ExperimentConfig(noise_variance=10**400), FINITE),
     "verify-count-minus-1": (lambda: _verify(count=-1), r"need --count >= 0, got -1"),
     "verify-negative-seed": (lambda: _verify(seed=-1), r"need --seed >= 0, got -1"),
     # Malformed arrays: ragged, non-numeric, or of the wrong dimension.
