@@ -206,10 +206,11 @@ def build_system(g: Graph) -> BipartiteSystem:
     # Phi and Psi are square, so orthonormal factors with B Psi = Phi Sigma
     # give both the pairing and the reduced basis of I - B B^T.
     eye = np.eye(half)
-    residual = float(max(np.max(np.abs(phi.T @ phi - eye)),
-                         np.max(np.abs(psi.T @ psi - eye)),
-                         np.max(np.abs(block @ psi - phi * sigma))))
-    if residual > _RESIDUAL_TOL:
+    # np.max keeps a NaN from any of the three, and NaN fails the bound.
+    residual = float(np.max([np.max(np.abs(phi.T @ phi - eye)),
+                             np.max(np.abs(psi.T @ psi - eye)),
+                             np.max(np.abs(block @ psi - phi * sigma))]))
+    if not residual <= _RESIDUAL_TOL:
         raise PairingFailure(f"SVD residual {residual!r} exceeds its bound")
     phi.flags.writeable = psi.flags.writeable = False
     basis_b = SpectralBasis._on_demand(np.concatenate([lam_low, 2.0 - lam_low]),

@@ -388,9 +388,10 @@ def test_build_system_checks_the_svd_it_takes(monkeypatch, factor):
         build_system(gen_random_bipartite(8, seed=41))
 
 
-@pytest.mark.parametrize("part", ["vectors", "values"])
+@pytest.mark.parametrize("part", ["vectors", "values", "nan"])
 def test_build_system_checks_the_eigh_factors_it_takes(monkeypatch, part):
     # A matched graph has a certified sigma_min, so it takes eigh(B B^T).
+    # A NaN sigma makes Psi's column and two of the three residuals NaN.
     eigh = np.linalg.eigh
 
     def corrupted(a, *args, **kwargs):
@@ -398,7 +399,7 @@ def test_build_system_checks_the_eigh_factors_it_takes(monkeypatch, part):
         if part == "vectors":
             phi[:, -1] += 1e-6
         else:
-            mu[-1] += 1e-6
+            mu[-1] += 1e-6 if part == "values" else np.nan
         return mu, phi
 
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
