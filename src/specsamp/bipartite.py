@@ -12,13 +12,14 @@ B = Phi Sigma Psi^T gives eigenvectors [phi; psi]/sqrt(2) at 1 - sigma and
 [phi; -psi]/sqrt(2) at 1 + sigma. When the weights certify sigma_min(B) away
 from 0, as a dominant matching does, the factors come from the cheaper
 symmetric eigensolver instead: eigh(B B^T) gives Sigma^2 and Phi, and
-Psi = B^T Phi Sigma^-1. Otherwise, as on K_{n,n}, where sigma = 0, they come
-from one SVD. Either way the same residual check guards them. The reduced graph is the Kron reduction
-of the normalized Laplacian onto the first part. The graph is stored first
-part first, so the eliminated block is exactly I and the reduced Laplacian
-is I - B B^T, which the same Phi diagonalizes at 1 - sigma^2: Phi is the
-reduced-graph basis. Both identities hold to machine precision by
-construction, degenerate eigenvalues included.
+Psi = B^T Phi Sigma^-1. Otherwise, as on K_{n,n}, where sigma = 0, they
+come from one SVD. Either way the same residual check guards them. The
+reduced graph is the Kron reduction of the normalized Laplacian onto the
+first part. The graph is stored first part first, so the eliminated block
+is exactly I and the reduced Laplacian is I - B B^T, which the same Phi
+diagonalizes at 1 - sigma^2: Phi is the reduced-graph basis. Both
+identities hold to machine precision by construction, degenerate
+eigenvalues included.
 
 Only Phi and Psi are kept. The N x N paired basis is formed when its
 ``vectors`` are first read; exact filters never read them. With
