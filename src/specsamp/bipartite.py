@@ -62,7 +62,7 @@ from .errors import (
     UnequalParts,
 )
 from .filters import SpectralFilter, bandlimit, from_response
-from .graphs import Graph, VariationOperator, _product_form, normalized_laplacian
+from .graphs import Graph, VariationOperator, _dense, _product_form, normalized_laplacian
 from .sampling import SamplingConfig, frequency_sample
 from .spectral import SpectralBasis, _column_signs, _scale_rows, apply_filter
 
@@ -151,9 +151,8 @@ def _eigh_factors(block) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phi, sigma (descending) and Psi of B = Phi Sigma Psi^T, for a dense or
     CSR block with a certified sigma_min: eigh(B B^T) gives sigma^2 and Phi,
     and Psi = B^T Phi / sigma."""
-    gram = block @ block.T
     try:
-        mu, phi = np.linalg.eigh(gram if isinstance(gram, np.ndarray) else gram.toarray())
+        mu, phi = np.linalg.eigh(_dense(block @ block.T))
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
     # eigh() sorts ascending; reversed, sigma descends as svd() returns it.
@@ -164,13 +163,31 @@ def _eigh_factors(block) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phi, sigma, psi
 
 
+def _svd_residual(block, phi: np.ndarray, sigma: np.ndarray, psi: np.ndarray) -> float:
+    """max |Phi^T Phi - I|, |Psi^T Psi - I| and |B Psi - Phi Sigma|, each
+    formed in place in one half-size array; NaN if any term holds one."""
+    terms = []
+    for f in (phi, psi):
+        gram = f.T @ f
+        gram.flat[::len(gram) + 1] -= 1.0
+        terms.append(np.abs(gram, out=gram).max())
+    r = block @ psi
+    r -= phi * sigma
+    terms.append(np.abs(r, out=r).max())
+    # np.max keeps a NaN from any of the three, and NaN fails the bound.
+    return float(np.max(terms))
+
+
 def build_system(g: Graph) -> BipartiteSystem:
     """Construct the paired eigenbasis of a bipartite graph with equal
     parts, kept as the factors Phi and Psi of its adjacency block.
 
-    When the weights certify sigma_min(B) >= b with b^2 above the residual
-    bound, the factors come from eigh(B B^T) on the block's product form
-    (CSR when sparse enough); otherwise, as on K_{n,n}, from one SVD.
+    The block is read from the normalized Laplacian in the form it was
+    built in, CSR on a sparse graph. When the weights certify
+    sigma_min(B) >= b with b^2 above the residual bound, the factors come
+    from eigh(B B^T) on the block's product form (CSR when sparse enough);
+    otherwise, as on K_{n,n}, from one SVD of the dense block. The graph's
+    weights are not read after the operator and the certificate are taken.
 
     Raises
     ------
@@ -189,14 +206,18 @@ def build_system(g: Graph) -> BipartiteSystem:
     if 2 * half != n:
         raise UnequalParts(f"parts have sizes {half} and {n - half}")
     op_b = normalized_laplacian(g)
-
-    cross = op_b.matrix[:half, half:]
     # A certified sigma_min keeps the division by sigma well conditioned.
-    if _sigma_min_bound(g) ** 2 > _RESIDUAL_TOL:
+    certified = _sigma_min_bound(g) ** 2 > _RESIDUAL_TOL
+    # Past here only the operator is read: a caller that holds no other
+    # reference to the graph frees its N x N weights before the factorization.
+    del g
+
+    cross = op_b._form[:half, half:]
+    if certified:
         block = -_product_form(cross)
         phi, sigma, psi = _eigh_factors(block)
     else:
-        block = -cross
+        block = -_dense(cross)
         phi, sigma, psi = _svd_factors(block)
     signs = _column_signs(phi)
     phi *= signs
@@ -206,11 +227,7 @@ def build_system(g: Graph) -> BipartiteSystem:
 
     # Phi and Psi are square, so orthonormal factors with B Psi = Phi Sigma
     # give both the pairing and the reduced basis of I - B B^T.
-    eye = np.eye(half)
-    # np.max keeps a NaN from any of the three, and NaN fails the bound.
-    residual = float(np.max([np.max(np.abs(phi.T @ phi - eye)),
-                             np.max(np.abs(psi.T @ psi - eye)),
-                             np.max(np.abs(block @ psi - phi * sigma))]))
+    residual = _svd_residual(block, phi, sigma, psi)
     if not residual <= _RESIDUAL_TOL:
         raise PairingFailure(f"SVD residual {residual!r} exceeds its bound")
     phi.flags.writeable = psi.flags.writeable = False

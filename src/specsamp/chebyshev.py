@@ -5,9 +5,9 @@ convention, so a degree-P fit of a degree-<=P polynomial is exact. The
 resulting filter is applied with matrix-vector products only, giving a
 P-hop localized vertex-domain realization that never touches the
 eigendecomposition. The products are taken with the operator's
-``product_matrix``, chosen once per operator: a CSR copy of a sparse operator,
-so each product costs O(nnz) rather than O(N^2), or the dense matrix of a
-dense one.
+``product_matrix``, chosen once per operator: the CSR matrix of a sparse
+operator, so each product costs O(nnz) rather than O(N^2), or the dense matrix
+of a dense one.
 
 A filter may hold a stack of expansions on one interval, one per row of its
 coefficient matrix (see :func:`stack`). One recurrence then serves every row:

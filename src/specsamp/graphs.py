@@ -1,13 +1,21 @@
 """Graph representation, generators and Laplacian operators.
 
-Graphs are undirected, weighted, without self-loops, and stored dense: the
-target sizes (a few thousand vertices at most) make the eigendecomposition
-the dominant cost, not storage. Weights and variation operators must be
-exactly symmetric, as every builder here makes them. A bipartite graph is
-stored first part first, so its bipartition is one integer, the first
-part's size. The Chebyshev recurrence multiplies by a variation operator's
-``product_matrix``: a CSR copy of its matrix, built once on first use, when
-the matrix is sparse enough for that to pay, else the dense matrix itself.
+Graphs are undirected, weighted, without self-loops, and their weights are
+stored dense. Weights and variation operators must be exactly symmetric, as
+every builder here makes them. A bipartite graph is stored first part
+first, so its bipartition is one integer, the first part's size.
+
+The public ``Graph`` and ``VariationOperator`` constructors copy and check
+what they are given. What the library builds itself is exact by
+construction and is frozen in place, with no copy and no re-check: the
+generators' weights (the sensor graph's aside) and both Laplacians. The
+normalized Laplacian is built in its product form: CSR, straight from the
+weights' nonzeros, when at most ``_CSR_MAX_DENSITY`` of its entries are
+nonzero, so no N x N array is formed for it; else dense. A CSR operator
+forms its dense ``matrix`` only when that is first read. The Chebyshev
+recurrence multiplies by a variation operator's ``product_matrix``: that
+CSR matrix, or for a dense operator a CSR copy when the matrix is sparse
+enough for that to pay, else the dense matrix itself.
 """
 
 import numbers
@@ -84,13 +92,21 @@ def _frozen(a, name: str, dtype=float, ndim: Optional[int] = None) -> np.ndarray
 
 def _symmetric(a, name: str) -> np.ndarray:
     """A read-only float copy of ``a``; InvalidParameter unless it is a finite,
-    exactly symmetric square matrix."""
+    exactly symmetric, nonempty square matrix."""
     m = _frozen(a, name)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidParameter(f"{name} must be a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InvalidParameter(f"{name} must be a nonempty square matrix, got shape {m.shape}")
     if not np.array_equal(m, m.T):
         raise InvalidParameter(f"{name} must be symmetric")
     return m
+
+
+class _Built:
+    """Weights a generator here built exactly symmetric, nonnegative, with zero
+    diagonal and no intra-part edges: ``Graph`` freezes them in place."""
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +122,21 @@ class Graph:
         first part first: vertices 0..h-1 form the first part and h..n-1
         the second. When present, no edge may join two vertices of the
         same part.
+
+    The weights are checked and kept as a read-only copy. A generator
+    here passes its own weights wrapped in ``_Built`` instead; they are
+    frozen in place, with no copy and no check.
     """
 
     weights: np.ndarray
     bipartition: Optional[int] = None
 
     def __post_init__(self):
+        if isinstance(self.weights, _Built):
+            w = self.weights.weights
+            w.flags.writeable = False
+            object.__setattr__(self, "weights", w)
+            return
         w = _symmetric(self.weights, "weights")
         if np.any(np.diag(w) != 0):
             raise InvalidParameter("self-loops are not allowed")
@@ -136,56 +161,112 @@ class Graph:
         return self.weights.sum(axis=1)
 
 
-def _product_form(m: np.ndarray):
-    """A CSR copy of ``m`` when at most ``_CSR_MAX_DENSITY`` of its entries are
-    nonzero, else ``m`` itself: a dense BLAS product beats a CSR one on a
-    denser matrix."""
-    if np.count_nonzero(m) <= _CSR_MAX_DENSITY * m.size:
-        return csr_matrix(m)
-    return m
+def _dense(m) -> np.ndarray:
+    """``m`` as a dense array: itself when it is one, else its CSR densified."""
+    return m if isinstance(m, np.ndarray) else m.toarray()
 
 
-@dataclass(frozen=True, eq=False)
+def _product_form(m):
+    """``m``, dense or CSR, as CSR when at most ``_CSR_MAX_DENSITY`` of its
+    entries are nonzero, else dense: a dense BLAS product beats a CSR one on
+    a denser matrix. A matrix already in that form is returned as it is."""
+    dense = isinstance(m, np.ndarray)
+    if (np.count_nonzero(m) if dense else m.nnz) <= _CSR_MAX_DENSITY * m.shape[0] * m.shape[1]:
+        return csr_matrix(m) if dense else m
+    return m if dense else m.toarray()
+
+
 class VariationOperator:
-    """Real symmetric positive semidefinite matrix used to define a GFT,
-    checked and kept as Graph keeps its weights: finite and exactly
-    symmetric, else InvalidParameter."""
+    """Real symmetric positive semidefinite matrix used to define a GFT.
 
-    matrix: np.ndarray
+    ``VariationOperator(matrix)`` checks and copies ``matrix`` as Graph
+    checks its weights: a finite, exactly symmetric, nonempty square
+    matrix, else InvalidParameter. The Laplacians here are built by
+    :meth:`_built` and kept in the form they were built in. ``matrix`` is
+    always a read-only dense array; a CSR-built operator forms it on first
+    read and keeps it.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _symmetric(self.matrix, "matrix"))
+    def __init__(self, matrix):
+        # Fields go straight into the instance dict, since __setattr__
+        # refuses; a stored ``matrix`` shadows the on-demand property.
+        m = _symmetric(matrix, "matrix")
+        vars(self).update(matrix=m, _form=m)
+
+    @classmethod
+    def _built(cls, m) -> "VariationOperator":
+        """An operator on a dense or CSR matrix built here exactly symmetric,
+        frozen in place with no copy and no check."""
+        op = cls.__new__(cls)
+        arrays = (m,) if isinstance(m, np.ndarray) else (m.data, m.indices, m.indptr)
+        for a in arrays:
+            a.flags.writeable = False
+        vars(op)["_form"] = m
+        return op
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = _dense(self._form)
+        m.flags.writeable = False
+        return m
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self._form.shape[0]
 
     @cached_property
     def product_matrix(self):
         """The matrix to multiply by, chosen on first use and kept: the
-        :func:`_product_form` of ``matrix``."""
-        return _product_form(self.matrix)
+        :func:`_product_form` of the form the operator was built in."""
+        return _product_form(self._form)
 
 
 def combinatorial_laplacian(g: Graph) -> VariationOperator:
-    """Return L = D - A with D the diagonal degree matrix."""
-    return VariationOperator(np.diag(g.degrees) - g.weights)
+    """Return L = D - A with D the diagonal degree matrix, built dense."""
+    # 0 - W then the degrees on the diagonal, in one N x N array: entry for
+    # entry the value of np.diag(deg) - W.
+    m = np.subtract(0.0, g.weights)
+    np.fill_diagonal(m, g.degrees)
+    return VariationOperator._built(m)
 
 
 def normalized_laplacian(g: Graph) -> VariationOperator:
     """Return the symmetrically normalized Laplacian D^{-1/2} L D^{-1/2}.
+
+    It is built in its product form: CSR from the weights' nonzeros when at
+    most ``_CSR_MAX_DENSITY`` of its entries are nonzero, else dense in one
+    N x N array. Either way each entry is I - W * outer(dinv, dinv) computed
+    as 0 - w_ij (dinv_i dinv_j), with 1 on the diagonal: one product per
+    entry, so entries (i, j) and (j, i) are equal exactly, and the CSR
+    matrix holds the dense one's nonzeros in the same order.
 
     Raises
     ------
     IsolatedVertex
         If any vertex has degree zero.
     """
+    w, n = g.weights, g.n
     deg = g.degrees
     if np.any(deg <= 0):
         raise IsolatedVertex("normalized Laplacian requires all degrees > 0")
     dinv = 1.0 / np.sqrt(deg)
-    # One product per entry, so entries (i, j) and (j, i) are equal exactly.
-    return VariationOperator(np.eye(g.n) - g.weights * np.outer(dinv, dinv))
+    if np.count_nonzero(w) + n > _CSR_MAX_DENSITY * n * n:
+        m = np.outer(dinv, dinv)
+        np.multiply(w, m, out=m)
+        np.subtract(0.0, m, out=m)
+        np.fill_diagonal(m, 1.0)
+        return VariationOperator._built(m)
+    rows, cols = np.nonzero(w)
+    data = np.subtract(0.0, w[rows, cols] * (dinv[rows] * dinv[cols]))
+    # Each row's 1 goes in before its first entry right of the diagonal.
+    diag = np.arange(n)
+    at = np.searchsorted(rows * n + cols, diag * (n + 1))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n) + 1)])
+    return VariationOperator._built(csr_matrix(
+        (np.insert(data, at, 1.0), np.insert(cols, at, diag), indptr), shape=(n, n)))
 
 
 def _is_connected(weights: np.ndarray) -> bool:
@@ -210,7 +291,7 @@ def gen_circular(n: int) -> Graph:
     idx = np.arange(n)
     w[idx, (idx + 1) % n] = 1.0
     w[(idx + 1) % n, idx] = 1.0
-    return Graph(w)
+    return Graph(_Built(w))
 
 
 def gen_random_sensor(n: int, seed: int) -> Graph:
@@ -253,7 +334,7 @@ def gen_random_bipartite(n_half: int, seed: int, p: float = 0.5) -> Graph:
     for _ in range(_MAX_RESAMPLE):
         w = _bipartite((rng.random((n_half, n_half)) < p).astype(float))
         if _is_connected(w):
-            return Graph(w, bipartition=n_half)
+            return Graph(_Built(w), bipartition=n_half)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
@@ -280,14 +361,14 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
             block[i, idx + (idx >= partner[i])] = 1.0
         w = _bipartite(block)
         if _is_connected(w):
-            return Graph(w, bipartition=n_half)
+            return Graph(_Built(w), bipartition=n_half)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
 
 
 def complete_bipartite(n_half: int) -> Graph:
     """K_{n_half,n_half} with unit weights, first part first; n_half >= 1."""
     n_half = _integer(n_half, "vertices per part", 1)
-    return Graph(_bipartite(np.ones((n_half, n_half))), bipartition=n_half)
+    return Graph(_Built(_bipartite(np.ones((n_half, n_half)))), bipartition=n_half)
 
 
 def save_graph(g: Graph, path: str) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_matrix
 
 from specsamp import (
     BipartiteSystem,
@@ -422,6 +423,30 @@ def test_sigma_min_certificate_is_a_positive_lower_bound(n_half, seed):
     g = gen_matched_bipartite(n_half, seed)
     block = -normalized_laplacian(g).matrix[:n_half, n_half:]
     assert 0.0 < _sigma_min_bound(g) <= np.linalg.svd(block, compute_uv=False).min()
+
+
+def test_sparse_uncertified_block_is_densified_for_one_svd(monkeypatch):
+    # 5.96% nonzero, so the operator is CSR; no dominant matching, so no
+    # certificate: the CSR cross block is densified for the SVD.
+    g = gen_random_bipartite(64, 0, 0.1)
+    assert _sigma_min_bound(g) == 0.0
+    calls = []
+    for name in ("eigh", "svd"):
+        def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    sys_ = build_system(g)
+    assert calls == ["svd"]
+    assert isinstance(sys_.op_b.product_matrix, csr_matrix)
+    assert sys_.residual <= 1e-10
+
+
+def test_build_system_forms_no_dense_operator_on_a_sparse_graph():
+    sys_ = build_system(gen_matched_bipartite(512, 7))
+    assert "matrix" not in vars(sys_.op_b)
+    assert isinstance(sys_.op_b.product_matrix, csr_matrix)
 
 
 def test_graphs_without_a_dominant_matching_have_no_certificate():

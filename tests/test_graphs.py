@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_matrix
 
 from specsamp import (
     Graph,
@@ -200,20 +202,62 @@ _GRAPHS = st.one_of(
 )
 
 
-# The operators are built exactly symmetric, so they pass the exact check
-# without repair, and they are the textbook D - W and I - D^-1/2 W D^-1/2.
+# What the library builds is frozen in place without a check, so every graph
+# and Laplacian it builds must pass the public checks: the graph's weights
+# and both operators as given to the public constructors. The operators are
+# the textbook D - W and I - W * outer(dinv, dinv) bit for bit, whether the
+# normalized one was built dense or CSR: it is at most 10% nonzero, so CSR,
+# on a cycle of 30 or more vertices and a matched graph of 20 or more per part.
 @settings(max_examples=100, deadline=None)
 @given(g=_GRAPHS)
+@example(g=gen_circular(30))
+@example(g=gen_matched_bipartite(20, 1))
 def test_laplacians_are_exactly_symmetric_by_construction(g):
     w, deg = g.weights, g.weights.sum(axis=1)
-    assert_allclose(combinatorial_laplacian(g).matrix, np.diag(deg) - w, rtol=0, atol=1e-15)
+    assert not w.flags.writeable
+    Graph(w.copy(), g.bipartition)
+    ops = [(combinatorial_laplacian(g), np.diag(deg) - w)]
     if np.any(deg == 0):
         with pytest.raises(IsolatedVertex):
             normalized_laplacian(g)
-        return
-    d = np.diag(1.0 / np.sqrt(deg))
-    assert_allclose(normalized_laplacian(g).matrix, np.eye(g.n) - d @ w @ d,
-                    rtol=0, atol=1e-15)
+    else:
+        dinv = 1.0 / np.sqrt(deg)
+        ops.append((normalized_laplacian(g), np.eye(g.n) - w * np.outer(dinv, dinv)))
+    for op, textbook in ops:
+        assert op.n == g.n
+        assert op.matrix.tobytes() == textbook.tobytes()
+        assert not op.matrix.flags.writeable
+        VariationOperator(op.matrix)
+
+
+def test_generators_freeze_their_weights_in_place_and_graph_copies_its_input():
+    w = complete_bipartite(2).weights.copy()
+    g = Graph(w, bipartition=2)
+    assert g.weights is not w and np.array_equal(g.weights, w)
+    assert w.flags.writeable and not g.weights.flags.writeable
+
+
+# A matched graph of 512 vertices per part is 0.39% nonzero: its normalized
+# Laplacian is built as CSR, and its dense matrix is formed only when read.
+def test_sparse_normalized_laplacian_forms_no_dense_matrix():
+    g = gen_matched_bipartite(512, 7)
+    n = g.n
+    tracemalloc.start()
+    try:
+        op = normalized_laplacian(g)
+        m = op.product_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    assert isinstance(m, csr_matrix) and m is op.product_matrix
+    assert "matrix" not in vars(op)
+    dense = op.matrix
+    assert op.matrix is dense and not dense.flags.writeable
+    assert np.array_equal(m.toarray(), dense)
+    assert not m.data.flags.writeable
+    with pytest.raises(AttributeError):
+        op.matrix = dense
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])

@@ -118,6 +118,8 @@ CASES = {
     # Malformed arrays: ragged, non-numeric, or of the wrong dimension.
     "graph-ragged": (lambda: Graph([[0, 1], [1]]), ARRAY),
     "operator-ragged": (lambda: VariationOperator([[0, 1], [1]]), ARRAY),
+    "graph-empty": (lambda: Graph(np.zeros((0, 0))), "nonempty square matrix"),
+    "operator-empty": (lambda: VariationOperator(np.zeros((0, 0))), "nonempty square matrix"),
     "filter-string": (lambda: SpectralFilter(["a"]), ARRAY),
     "filter-matrix": (lambda: SpectralFilter(np.ones((4, 4))), "1-D"),
     "chebyshev-string": (lambda: ChebyshevFilter(["a"], (0, 2)), ARRAY),
