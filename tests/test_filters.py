@@ -105,10 +105,11 @@ def test_filter_table_roundtrip(tmp_path, sensor_basis):
     (lambda a: ChebyshevFilter(a, (0.0, 2.0)), np.arange(4.0)),
     (lambda a: RecoveryDesign(a, identity_filter(8)),
      np.arange(4.0)),
+    (lambda a: Graph(a), np.ones((3, 3)) - np.eye(3)),
     (lambda a: VariationOperator(a), np.eye(3)),
     (lambda a: SpectralBasis(a, np.arange(3.0)), np.eye(3)),
     (lambda a: SampledSpectrum(a, SamplingConfig(8, 2)), np.arange(4.0)),
-], ids=["spectral-filter", "chebyshev-coeffs", "design-h", "variation-operator",
+], ids=["spectral-filter", "chebyshev-coeffs", "design-h", "graph", "variation-operator",
         "spectral-basis", "sampled-spectrum"])
 def test_constructors_leave_caller_array_writeable(build, a):
     stored = [v for v in vars(build(a)).values() if isinstance(v, np.ndarray)]

@@ -230,13 +230,6 @@ def test_laplacians_are_exactly_symmetric_by_construction(g):
         VariationOperator(op.matrix)
 
 
-def test_generators_freeze_their_weights_in_place_and_graph_copies_its_input():
-    w = complete_bipartite(2).weights.copy()
-    g = Graph(w, bipartition=2)
-    assert g.weights is not w and np.array_equal(g.weights, w)
-    assert w.flags.writeable and not g.weights.flags.writeable
-
-
 # A matched graph of 512 vertices per part is 0.39% nonzero: its normalized
 # Laplacian is built as CSR, and its dense matrix is formed only when read.
 def test_sparse_normalized_laplacian_forms_no_dense_matrix():
