@@ -40,6 +40,15 @@ drops it. On K_{4,4} (lambda = 0, 1, 1, 1 | 2, 1, 1, 1) exact recovery errs
 by about 1e-15, and by order 1 with the step. The Chebyshev fits need no
 basis; a polynomial in L cannot tell tied lambda = 1 vectors apart.
 
+The Chebyshev fits run on [0, 2], where their argument is L - I =
+-[[0, B], [B^T, 0]] exactly: the normalized Laplacian holds exact 1s and 0s
+in its diagonal blocks. So T_k(L - I) maps a zero-padded first part onto
+the second part for odd k and back onto the first for even k, and the
+reconstruction step runs its recurrence on half-size terms, one product
+with an N/2 x N/2 cross block of the operator each, with no padding. The
+sampling step filters a full signal by the full-size recurrence. A fit on
+another interval is refused.
+
 The spectral decimation pair used for the bridge is energy-preserving
 (scaled by 1/sqrt(M)); its inverse direction surfaces as a gain of M in
 the vertex-domain reconstruction, so that sample_first_part followed by
@@ -52,17 +61,25 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .chebyshev import ChebyshevFilter, apply_chebyshev, chebyshev_fit
+from .chebyshev import ChebyshevFilter, _recurrence, apply_chebyshev, chebyshev_fit
 from .errors import (
     DimensionMismatch,
     DsConditionViolated,
     EigensolveFailure,
+    IntervalMismatch,
     NotBipartite,
     PairingFailure,
     UnequalParts,
 )
 from .filters import SpectralFilter, bandlimit, from_response
-from .graphs import Graph, VariationOperator, _dense, _product_form, normalized_laplacian
+from .graphs import (
+    Graph,
+    VariationOperator,
+    _dense,
+    _product_form,
+    _signal,
+    normalized_laplacian,
+)
 from .sampling import SamplingConfig, frequency_sample
 from .spectral import SpectralBasis, _column_signs, _scale_rows, apply_filter
 
@@ -256,10 +273,7 @@ def _apply_exact(sys: BipartiteSystem, f: SpectralFilter, x: np.ndarray,
     n, half = sys.op_b.n, sys.half
     if f.n != n:
         raise DimensionMismatch(f"filter length {f.n} != {n}")
-    x = np.asarray(x)
-    length = half if padded else n
-    if x.shape[0] != length:
-        raise DimensionMismatch(f"signal length {x.shape[0]} != {length}")
+    x = _signal(x, half if padded else n)
     a = sys.phi.T @ x[:half]
     b = a
     if not padded:
@@ -277,13 +291,25 @@ def _apply(sys: BipartiteSystem, f: Union[SpectralFilter, ChebyshevFilter],
            x: np.ndarray, padded: bool) -> np.ndarray:
     """The sampling step's filtering, f applied to a length-N x with only the
     first part of the result kept; or with ``padded``, the reconstruction
-    step's, f applied to the kept part x zero-padded to N."""
+    step's, f applied to the kept part x zero-padded to N.
+
+    A Chebyshev fit must be on [0, 2], where its argument is L - I. Its
+    diagonal blocks are exactly 0 (the normalized Laplacian's are exactly
+    I), so T_k(L - I) maps the padded part onto the second part for odd k
+    and onto the first for even k: the reconstruction's recurrence runs on
+    the half-size cross blocks of the product matrix.
+    """
     if not isinstance(f, ChebyshevFilter):
         return _apply_exact(sys, f, x, padded)
-    if padded:
-        x = np.concatenate([x, np.zeros_like(x)])
-    y = apply_chebyshev(sys.op_b, f, x, lambda_max=NORMALIZED_INTERVAL[1])
-    return y if padded else y[:sys.half]
+    if f.interval != NORMALIZED_INTERVAL:
+        raise IntervalMismatch(f"bipartite steps take fits on {list(NORMALIZED_INTERVAL)}, "
+                               f"got {list(f.interval)}")
+    if not padded:
+        return apply_chebyshev(sys.op_b, f, x)[:sys.half]
+    m, half = sys.op_b.product_matrix, sys.half
+    # Indexed by the parity of k: onto the first part, onto the second.
+    blocks = (m[:half, half:], m[half:, :half])
+    return _recurrence(f, _signal(x, half), lambda t, k: blocks[k % 2] @ t, parts=2)
 
 
 def sample_first_part(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFilter],
@@ -293,7 +319,8 @@ def sample_first_part(sys: BipartiteSystem, g: Union[SpectralFilter, ChebyshevFi
 
     ``g`` is a SpectralFilter on the paired basis, applied exactly, or a
     ChebyshevFilter fitted on the normalized interval [0, 2], applied by
-    its recurrence on the normalized Laplacian.
+    its recurrence on the normalized Laplacian; a fit on any other interval
+    raises IntervalMismatch. ``x`` is (N,) or (N, T), else DimensionMismatch.
     """
     return _apply(sys, g, x, padded=False)
 
@@ -302,7 +329,8 @@ def reconstruct_from_part(sys: BipartiteSystem, w: Union[SpectralFilter, Chebysh
                           kept: np.ndarray) -> np.ndarray:
     """Vertex-domain reconstruction step: zero-pad the kept first part,
     filter by w (as in :func:`sample_first_part`), times the sampling
-    ratio M."""
+    ratio M. ``kept`` is (N/2,) or (N/2, T). A Chebyshev fit's recurrence
+    takes only half-size products and pads nothing (see :func:`_apply`)."""
     return sys.cfg.m * _apply(sys, w, kept, padded=True)
 
 

@@ -13,7 +13,13 @@ A filter may hold a stack of expansions on one interval, one per row of its
 coefficient matrix (see :func:`stack`). One recurrence then serves every row:
 the terms T_k(A)x depend on x and k only, so a stack of F fits costs the
 products of its top order, not of F recurrences. Outputs carry the stack
-axis last.
+axis last. The recurrence updates each new term in place and adds every
+coefficient's term through one reused buffer.
+
+The one recurrence also runs on the two parts of a bipartite vertex set,
+where the mapped operator sends each part onto the other: terms alternate
+between the parts and are held at half size (the bipartite reconstruction
+step, :mod:`specsamp.bipartite`).
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +27,8 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, IntervalMismatch, InvalidParameter
-from .graphs import VariationOperator, _frozen, _integer, _real
+from .errors import IntervalMismatch, InvalidParameter
+from .graphs import VariationOperator, _frozen, _integer, _real, _signal
 
 GRID_POINTS = 1000
 
@@ -95,27 +101,43 @@ def stack(filters: Sequence[ChebyshevFilter]) -> ChebyshevFilter:
     return ChebyshevFilter(coeffs, interval, fit_error=max(f.fit_error for f in filters))
 
 
-def _recurrence(cf: ChebyshevFilter, x: np.ndarray, mapped: Callable) -> np.ndarray:
+def _recurrence(cf: ChebyshevFilter, x: np.ndarray, mapped: Callable,
+                parts: int = 1) -> np.ndarray:
     """coeffs[0]/2 x + sum_k coeffs[k] T_k(A) x by the three-term
-    recurrence, where ``mapped(v)`` applies the interval-mapped argument A.
+    recurrence, where ``mapped(v, k)`` returns A v, a new array, as the
+    k-th term's product. ``x`` is taken as float, or complex if it is.
 
     Each term is formed once, with cf.order products, and every row of a
     stack adds it in the same order as a filter of that row alone, so each
     output is bit-identical to the single-filter one. A row stops at its
-    last nonzero coefficient. A stack's outputs are returned along a
-    trailing axis, each a contiguous block.
+    last nonzero coefficient. Each new term is updated in place, and each
+    coefficient's term is added through one reused buffer. A stack's
+    outputs are returned along a trailing axis, each a contiguous block.
+
+    With ``parts`` = 2, A maps a two-part vertex set's parts onto each other
+    and x lies on the first: the terms of even k lie on the first part and
+    those of odd k on the second, so each is held at half size, and
+    ``mapped`` gets the term of k - 1 and returns the k-th's part only.
+    The output stacks the two parts' sums, first part first.
     """
+    x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
     rows = np.atleast_2d(cf.coeffs)
     stops = [np.flatnonzero(c)[-1] if c.any() else 0 for c in rows]
-    out = np.empty((len(rows),) + x.shape, dtype=np.result_type(rows, x))
+    out = np.zeros((len(rows), parts) + x.shape, dtype=np.result_type(rows, x))
+    term = np.empty(x.shape, dtype=out.dtype)
     for f, c in enumerate(rows):
-        out[f] = 0.5 * c[0] * x
+        np.multiply(x, 0.5 * c[0], out=out[f, 0, ...])
     t_prev, t_cur = None, x
     for k in range(1, cf.order + 1):
-        t_prev, t_cur = t_cur, (mapped(t_cur) if k == 1 else 2.0 * mapped(t_cur) - t_prev)
+        t = mapped(t_cur, k)
+        if k > 1:
+            t *= 2.0
+            t -= t_prev
+        t_prev, t_cur = t_cur, t
         for f, stop in enumerate(stops):
             if k <= stop:
-                out[f] += rows[f, k] * t_cur
+                out[f, k % parts, ...] += np.multiply(t, rows[f, k], out=term)
+    out = out[:, 0] if parts == 1 else out.reshape(len(rows), -1, *x.shape[1:])
     return out[0] if cf.coeffs.ndim == 1 else np.moveaxis(out, 0, -1)
 
 
@@ -124,7 +146,7 @@ def evaluate(cf: ChebyshevFilter, lam) -> np.ndarray:
     values run along a trailing axis."""
     a, b = cf.interval
     t = (2.0 * np.asarray(lam, dtype=float) - (a + b)) / (b - a)
-    return _recurrence(cf, np.ones_like(t), lambda v: t * v)
+    return _recurrence(cf, np.ones_like(t), lambda v, k: t * v)
 
 
 def chebyshev_fit(response: Callable[[float], float], interval: Tuple[float, float],
@@ -168,19 +190,24 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
     Raises
     ------
     DimensionMismatch
-        If ``x`` does not have one row per vertex of ``op``.
+        If ``x`` is not (N,) or (N, T), one row per vertex of ``op``.
     IntervalMismatch
         If ``lambda_max`` is given and exceeds the fit interval.
     InvalidParameter
         If ``lambda_max`` is given and is not a finite real number.
     """
-    x = np.asarray(x, dtype=float if not np.iscomplexobj(x) else complex)
-    if x.shape[0] != op.n:
-        raise DimensionMismatch(f"signal length {x.shape[0]} != {op.n}")
+    x = _signal(x, op.n)
     a, b = cf.interval
     if lambda_max is not None and (_real(lambda_max, "lambda_max") > b + 1e-9 or a > 1e-9):
         raise IntervalMismatch(f"interval [{a}, {b}] does not cover [0, {lambda_max}]")
     m = op.product_matrix
     scale = 2.0 / (b - a)
     shift = (a + b) / (b - a)
-    return _recurrence(cf, x, lambda v: scale * (m @ v) - shift * v)
+
+    def mapped(v, k):
+        t = m @ v
+        t *= scale
+        t -= shift * v
+        return t
+
+    return _recurrence(cf, x, mapped)

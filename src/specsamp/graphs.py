@@ -1,21 +1,26 @@
 """Graph representation, generators and Laplacian operators.
 
-Graphs are undirected, weighted, without self-loops, and their weights are
-stored dense. Weights and variation operators must be exactly symmetric, as
-every builder here makes them. A bipartite graph is stored first part
-first, so its bipartition is one integer, the first part's size.
+Graphs are undirected, weighted and without self-loops. Weights and
+variation operators must be exactly symmetric, as every builder here makes
+them. A bipartite graph is stored first part first, so its bipartition is
+one integer, the first part's size.
 
 The public ``Graph`` and ``VariationOperator`` constructors copy and check
-what they are given. What the library builds itself is exact by
-construction and is frozen in place, with no copy and no re-check: the
+the dense matrices they are given. What the library builds itself is exact
+by construction and is frozen in place, with no copy and no re-check: the
 generators' weights (the sensor graph's aside) and both Laplacians. The
-normalized Laplacian is built in its product form: CSR, straight from the
-weights' nonzeros, when at most ``_CSR_MAX_DENSITY`` of its entries are
-nonzero, so no N x N array is formed for it; else dense. A CSR operator
-forms its dense ``matrix`` only when that is first read. The Chebyshev
-recurrence multiplies by a variation operator's ``product_matrix``: that
-CSR matrix, or for a dense operator a CSR copy when the matrix is sparse
-enough for that to pay, else the dense matrix itself.
+matched bipartite generator builds its weights as a canonical
+``scipy.sparse.csr_array`` (sorted indices, no duplicates) straight from
+its edges, so ``Graph.weights`` is an ndarray or a csr_array; every other
+generator's weights are dense. The normalized Laplacian is built in its
+product form: CSR, straight from the weights' nonzeros, when at most
+``_CSR_MAX_DENSITY`` of its entries are nonzero, so no N x N array is
+formed for it; else dense. The combinatorial Laplacian is dense. A CSR
+operator forms its dense ``matrix`` only when that is first read. The
+Chebyshev recurrence multiplies by a variation operator's
+``product_matrix``: that CSR matrix, or for a dense operator a CSR copy
+when the matrix is sparse enough for that to pay, else the dense matrix
+itself.
 """
 
 import numbers
@@ -23,14 +28,15 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConnectivityFailure,
+    DimensionMismatch,
     InvalidParameter,
     IoFailure,
     IsolatedVertex,
@@ -101,11 +107,28 @@ def _symmetric(a, name: str) -> np.ndarray:
     return m
 
 
+def _signal(x, n: int, name: str = "signal") -> np.ndarray:
+    """``x`` as an array; DimensionMismatch unless it is (n,) or (n, T)."""
+    x = np.asarray(x)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise DimensionMismatch(f"{name} must have shape ({n},) or ({n}, T), got {x.shape}")
+    return x
+
+
+def _frozen_in_place(m):
+    """``m``, a dense array or a CSR matrix or array, made read-only with no
+    copy."""
+    for a in (m,) if isinstance(m, np.ndarray) else (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    return m
+
+
 class _Built:
     """Weights a generator here built exactly symmetric, nonnegative, with zero
-    diagonal and no intra-part edges: ``Graph`` freezes them in place."""
+    diagonal and no intra-part edges, an ndarray or a canonical csr_array:
+    ``Graph`` freezes them in place."""
 
-    def __init__(self, weights: np.ndarray):
+    def __init__(self, weights):
         self.weights = weights
 
 
@@ -115,7 +138,7 @@ class Graph:
 
     Parameters
     ----------
-    weights : ndarray(n, n)
+    weights : ndarray(n, n), or a csr_array for a library-built graph
         Exactly symmetric nonnegative edge-weight matrix with zero diagonal.
     bipartition : optional int
         Size h of the first part of a bipartite graph, which is stored
@@ -124,18 +147,16 @@ class Graph:
         same part.
 
     The weights are checked and kept as a read-only copy. A generator
-    here passes its own weights wrapped in ``_Built`` instead; they are
-    frozen in place, with no copy and no check.
+    here passes its own weights, an ndarray or a csr_array, wrapped in
+    ``_Built`` instead; they are frozen in place, with no copy and no check.
     """
 
-    weights: np.ndarray
+    weights: Union[np.ndarray, csr_array]
     bipartition: Optional[int] = None
 
     def __post_init__(self):
         if isinstance(self.weights, _Built):
-            w = self.weights.weights
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", _frozen_in_place(self.weights.weights))
             return
         w = _symmetric(self.weights, "weights")
         if np.any(np.diag(w) != 0):
@@ -164,6 +185,15 @@ class Graph:
 def _dense(m) -> np.ndarray:
     """``m`` as a dense array: itself when it is one, else its CSR densified."""
     return m if isinstance(m, np.ndarray) else m.toarray()
+
+
+def _entries(m):
+    """Row, column and value of each nonzero of ``m``, an ndarray or a
+    canonical csr_array, in row-major order, the order ``np.nonzero`` gives."""
+    if isinstance(m, np.ndarray):
+        rows, cols = np.nonzero(m)
+        return rows, cols, m[rows, cols]
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 
 def _product_form(m):
@@ -198,10 +228,7 @@ class VariationOperator:
         """An operator on a dense or CSR matrix built here exactly symmetric,
         frozen in place with no copy and no check."""
         op = cls.__new__(cls)
-        arrays = (m,) if isinstance(m, np.ndarray) else (m.data, m.indices, m.indptr)
-        for a in arrays:
-            a.flags.writeable = False
-        vars(op)["_form"] = m
+        vars(op)["_form"] = _frozen_in_place(m)
         return op
 
     def __setattr__(self, name, value):
@@ -225,10 +252,11 @@ class VariationOperator:
 
 
 def combinatorial_laplacian(g: Graph) -> VariationOperator:
-    """Return L = D - A with D the diagonal degree matrix, built dense."""
+    """Return L = D - A with D the diagonal degree matrix, built dense, also
+    from CSR weights: its one use is an eigendecomposition."""
     # 0 - W then the degrees on the diagonal, in one N x N array: entry for
     # entry the value of np.diag(deg) - W.
-    m = np.subtract(0.0, g.weights)
+    m = np.subtract(0.0, _dense(g.weights))
     np.fill_diagonal(m, g.degrees)
     return VariationOperator._built(m)
 
@@ -236,12 +264,13 @@ def combinatorial_laplacian(g: Graph) -> VariationOperator:
 def normalized_laplacian(g: Graph) -> VariationOperator:
     """Return the symmetrically normalized Laplacian D^{-1/2} L D^{-1/2}.
 
-    It is built in its product form: CSR from the weights' nonzeros when at
-    most ``_CSR_MAX_DENSITY`` of its entries are nonzero, else dense in one
-    N x N array. Either way each entry is I - W * outer(dinv, dinv) computed
-    as 0 - w_ij (dinv_i dinv_j), with 1 on the diagonal: one product per
-    entry, so entries (i, j) and (j, i) are equal exactly, and the CSR
-    matrix holds the dense one's nonzeros in the same order.
+    It is built in its product form: CSR from the weights' nonzeros (read
+    straight from CSR weights) when at most ``_CSR_MAX_DENSITY`` of its
+    entries are nonzero, else dense in one N x N array. Either way each
+    entry is I - W * outer(dinv, dinv) computed as 0 - w_ij (dinv_i dinv_j),
+    with 1 on the diagonal: one product per entry, so entries (i, j) and
+    (j, i) are equal exactly, and the CSR matrix holds the dense one's
+    nonzeros in the same order.
 
     Raises
     ------
@@ -253,14 +282,15 @@ def normalized_laplacian(g: Graph) -> VariationOperator:
     if np.any(deg <= 0):
         raise IsolatedVertex("normalized Laplacian requires all degrees > 0")
     dinv = 1.0 / np.sqrt(deg)
-    if np.count_nonzero(w) + n > _CSR_MAX_DENSITY * n * n:
+    nnz = np.count_nonzero(w) if isinstance(w, np.ndarray) else w.nnz
+    if nnz + n > _CSR_MAX_DENSITY * n * n:
         m = np.outer(dinv, dinv)
-        np.multiply(w, m, out=m)
+        np.multiply(_dense(w), m, out=m)
         np.subtract(0.0, m, out=m)
         np.fill_diagonal(m, 1.0)
         return VariationOperator._built(m)
-    rows, cols = np.nonzero(w)
-    data = np.subtract(0.0, w[rows, cols] * (dinv[rows] * dinv[cols]))
+    rows, cols, values = _entries(w)
+    data = np.subtract(0.0, values * (dinv[rows] * dinv[cols]))
     # Each row's 1 goes in before its first entry right of the diagonal.
     diag = np.arange(n)
     at = np.searchsorted(rows * n + cols, diag * (n + 1))
@@ -269,7 +299,7 @@ def normalized_laplacian(g: Graph) -> VariationOperator:
         (np.insert(data, at, 1.0), np.insert(cols, at, diag), indptr), shape=(n, n)))
 
 
-def _is_connected(weights: np.ndarray) -> bool:
+def _is_connected(weights) -> bool:
     ncomp, _ = connected_components(csr_matrix(weights > 0), directed=False)
     return ncomp == 1
 
@@ -282,6 +312,18 @@ def _bipartite(block: np.ndarray) -> np.ndarray:
     w[:h, h:] = block
     w[h:, :h] = block.T
     return w
+
+
+def _bipartite_csr(block: csr_array) -> csr_array:
+    """:func:`_bipartite` in canonical CSR, from a canonical CSR ``block``: its
+    rows shifted right by h, then its transpose's rows, sorted as CSC-to-CSR
+    conversion leaves them."""
+    h = block.shape[0]
+    low = block.T.tocsr()
+    return csr_array((np.concatenate([block.data, low.data]),
+                       np.concatenate([block.indices + h, low.indices]),
+                       np.concatenate([block.indptr, low.indptr[1:] + block.nnz])),
+                      shape=(2 * h, 2 * h))
 
 
 def gen_circular(n: int) -> Graph:
@@ -345,21 +387,28 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
     second part with weight 6 plus 2 unit-weight random cross edges. The
     dominant matching keeps the normalized-Laplacian spectrum away from 1,
     which polynomial filter approximations need: both standard sampling
-    filters jump exactly there. n_half >= 3, seed >= 0.
+    filters jump exactly there. The weights are a csr_array, built from
+    the 3 n_half cross edges. n_half >= 3, seed >= 0.
     """
     n_half = _integer(n_half, "vertices per part", _MATCH_EXTRA + 1)
     seed = _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
+    per_row = 1 + _MATCH_EXTRA
+    values = np.ones((n_half, per_row))
+    values[:, 0] = _MATCH_WEIGHT
     for _ in range(_MAX_RESAMPLE):
-        block = np.zeros((n_half, n_half))
         partner = rng.permutation(n_half)
-        block[np.arange(n_half), partner] = _MATCH_WEIGHT
-        for i in range(n_half):
-            # The extra edges avoid the partner: draw from the other
-            # n_half - 1 columns, skipping over partner[i].
-            idx = rng.choice(n_half - 1, size=_MATCH_EXTRA, replace=False)
-            block[i, idx + (idx >= partner[i])] = 1.0
-        w = _bipartite(block)
+        # The extra edges avoid the partner: draw from the other n_half - 1
+        # columns, skipping over partner[i].
+        extra = np.array([rng.choice(n_half - 1, size=_MATCH_EXTRA, replace=False)
+                          for _ in range(n_half)])
+        cols = np.column_stack([partner, extra + (extra >= partner[:, None])])
+        order = np.argsort(cols, axis=1)
+        block = csr_array((np.take_along_axis(values, order, axis=1).ravel(),
+                            np.take_along_axis(cols, order, axis=1).ravel(),
+                            np.arange(0, per_row * n_half + 1, per_row)),
+                           shape=(n_half, n_half))
+        w = _bipartite_csr(block)
         if _is_connected(w):
             return Graph(_Built(w), bipartition=n_half)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")
@@ -378,9 +427,10 @@ def save_graph(g: Graph, path: str) -> None:
     if g.bipartition is not None:
         header += f" bipartite {g.bipartition}"
     lines = [header]
-    rows, cols = np.nonzero(np.triu(g.weights))
-    for m, n_ in zip(rows, cols):
-        lines.append(f"{m} {n_} {float(g.weights[m, n_])!r}")
+    rows, cols, values = _entries(g.weights)
+    upper = cols > rows
+    for m, n_, v in zip(rows[upper], cols[upper], values[upper]):
+        lines.append(f"{m} {n_} {float(v)!r}")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -25,7 +25,7 @@ from .errors import (
     ZeroReference,
 )
 from .filters import SpectralFilter
-from .graphs import _frozen, _real
+from .graphs import _frozen, _real, _signal
 from .sampling import (
     SampledSpectrum,
     SamplingConfig,
@@ -97,9 +97,7 @@ def _small(corr: np.ndarray) -> np.ndarray:
 def pgs_spectrum(model: PgsModel, dhat: np.ndarray) -> np.ndarray:
     """Spectrum of a PGS signal from length-K expansion coefficients:
     xhat = diag(generator) upsample(dhat)."""
-    dhat = np.asarray(dhat)
-    if dhat.shape[0] != model.cfg.k:
-        raise DimensionMismatch(f"expected {model.cfg.k} coefficients, got {dhat.shape[0]}")
+    dhat = _signal(dhat, model.cfg.k, "coefficients")
     return _scaled_upsample(model.generator.values, dhat, model.cfg)
 
 

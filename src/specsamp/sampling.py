@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
 from .filters import SpectralFilter
-from .graphs import _frozen, _integer
+from .graphs import _frozen, _integer, _signal
 from .spectral import SpectralBasis, _scale_rows, gft
 
 
@@ -55,9 +55,7 @@ class SampledSpectrum:
 
 def spectral_fold(xhat: np.ndarray, cfg: SamplingConfig) -> SampledSpectrum:
     """Fold a length-N spectrum into length K: out[i] = sum_l xhat[i + K*l]."""
-    xhat = np.asarray(xhat)
-    if xhat.shape[0] != cfg.n:
-        raise DimensionMismatch(f"spectrum length {xhat.shape[0]} != {cfg.n}")
+    xhat = _signal(xhat, cfg.n, "spectrum")
     folded = xhat.reshape(cfg.m, cfg.k, *xhat.shape[1:]).sum(axis=0)
     return SampledSpectrum(folded, cfg)
 

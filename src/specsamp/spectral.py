@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EigensolveFailure
 from .filters import SpectralFilter
-from .graphs import VariationOperator, _frozen, _integer
+from .graphs import VariationOperator, _frozen, _integer, _signal
 
 _SIGN_TOL = 1e-8
 
@@ -119,9 +119,7 @@ def dft_basis(n: int) -> SpectralBasis:
 def gft(b: SpectralBasis, x: np.ndarray) -> np.ndarray:
     """Forward transform: xhat[i] = <u_i, x>; the unitary DFT, by FFT, on
     the DFT basis."""
-    x = np.asarray(x)
-    if x.shape[0] != b.n:
-        raise DimensionMismatch(f"signal length {x.shape[0]} != {b.n}")
+    x = _signal(x, b.n)
     if b._fourier:
         return np.fft.fft(x, axis=0, norm="ortho")
     # U* x without forming the conjugated N x N basis; conj() is free on
@@ -132,9 +130,7 @@ def gft(b: SpectralBasis, x: np.ndarray) -> np.ndarray:
 def igft(b: SpectralBasis, xhat: np.ndarray) -> np.ndarray:
     """Inverse transform: x = U xhat; the unitary inverse DFT, by FFT, on
     the DFT basis."""
-    xhat = np.asarray(xhat)
-    if xhat.shape[0] != b.n:
-        raise DimensionMismatch(f"spectrum length {xhat.shape[0]} != {b.n}")
+    xhat = _signal(xhat, b.n, "spectrum")
     if b._fourier:
         return np.fft.ifft(xhat, axis=0, norm="ortho")
     return b.vectors @ xhat

@@ -13,11 +13,13 @@ from specsamp import (
     DimensionMismatch,
     DsConditionViolated,
     EigensolveFailure,
+    IntervalMismatch,
     NotBipartite,
     PairingFailure,
     RecoveryDesign,
     SpectralFilter,
     UnequalParts,
+    apply_chebyshev,
     bandlimit,
     build_system,
     chebyshev_fit,
@@ -39,6 +41,7 @@ from specsamp import (
     verify_corollary1,
 )
 from specsamp.bipartite import _sigma_min_bound, _step_response
+from specsamp.chebyshev import stack
 from specsamp.graphs import Graph
 
 
@@ -456,11 +459,71 @@ def test_graphs_without_a_dominant_matching_have_no_certificate():
 
 @pytest.mark.parametrize("kind", ["exact", "chebyshev"])
 def test_vertex_steps_reject_wrong_length_signals(sys16, kind):
-    f = (identity_filter(16) if kind == "exact"
-         else chebyshev_fit(lambda lam: 1.0, (0.0, 2.0), 3))
-    with pytest.raises(DimensionMismatch):
-        sample_first_part(sys16, f, np.ones(15))
-    with pytest.raises(DimensionMismatch):
-        reconstruct_from_part(sys16, f, np.ones(7))
-    with pytest.raises(DimensionMismatch):
-        sample_first_part(sys16, f, np.ones(17))
+    # The random graph's operator is dense; the matched graph's, 64 vertices
+    # per part, is CSR.
+    for sys_ in (sys16, build_system(gen_matched_bipartite(64, 1))):
+        n = sys_.op_b.n
+        f = (identity_filter(n) if kind == "exact"
+             else chebyshev_fit(lambda lam: 1.0, (0.0, 2.0), 3))
+        with pytest.raises(DimensionMismatch):
+            sample_first_part(sys_, f, np.ones(n - 1))
+        with pytest.raises(DimensionMismatch):
+            reconstruct_from_part(sys_, f, np.ones(n // 2 - 1))
+        with pytest.raises(DimensionMismatch):
+            sample_first_part(sys_, f, np.ones(n + 1))
+        # Signals of another rank: (N,) and (N, T) only.
+        for length, step in ((n, sample_first_part), (n // 2, reconstruct_from_part)):
+            for bad in (np.ones((length, 2, 2)), np.float64(1.0)):
+                with pytest.raises(DimensionMismatch):
+                    step(sys_, f, bad)
+
+
+def _padded_reference(sys_, cf, kept):
+    """M times the recurrence on the kept part zero-padded to N, the full-size
+    form the reconstruction's half-size recurrence must equal."""
+    return sys_.cfg.m * apply_chebyshev(sys_.op_b, cf, np.concatenate([kept, np.zeros_like(kept)]))
+
+
+# The reconstruction's recurrence takes the product matrix's cross blocks on
+# half-size terms. On a CSR operator each block row sums the same entries in
+# the same order as the full row, with the zero half's terms left out, so
+# the result is bit for bit the padded recurrence's; a dense block is a
+# strided BLAS product that may sum in another order.
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["matched", "random"]), n_half=st.integers(3, 80),
+       seed=st.integers(0, 2**32 - 1),
+       orders=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       trials=st.sampled_from([None, 1, 3]), complex_input=st.booleans())
+@example(kind="matched", n_half=64, seed=1, orders=[8, 3], trials=2, complex_input=True)
+@example(kind="random", n_half=64, seed=0, orders=[5], trials=None, complex_input=False)
+def test_parity_reconstruction_equals_the_padded_recurrence(kind, n_half, seed, orders,
+                                                           trials, complex_input):
+    try:
+        g = (gen_matched_bipartite(n_half, seed) if kind == "matched"
+             else gen_random_bipartite(n_half, seed, 0.1 if n_half >= 40 else 0.5))
+    except ConnectivityFailure:
+        reject()
+    sys_ = build_system(g)
+    rng = np.random.default_rng(seed)
+    shape = (n_half,) if trials is None else (n_half, trials)
+    kept = rng.normal(size=shape)
+    if complex_input:
+        kept = kept + 1j * rng.normal(size=shape)
+    fits = [chebyshev_fit(lambda lam, o=o: np.exp(-o * lam), (0.0, 2.0), o) for o in orders]
+    for cf in (fits[0], stack(fits)):
+        got = reconstruct_from_part(sys_, cf, kept)
+        want = _padded_reference(sys_, cf, kept)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if isinstance(sys_.op_b.product_matrix, csr_matrix):
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 2.5), (0.0, 1.9), (-0.5, 2.0)])
+def test_vertex_steps_take_only_fits_on_the_normalized_interval(sys16, interval):
+    cf = chebyshev_fit(lambda lam: 1.0, interval, 3)
+    with pytest.raises(IntervalMismatch):
+        sample_first_part(sys16, cf, np.ones(16))
+    with pytest.raises(IntervalMismatch):
+        reconstruct_from_part(sys16, cf, np.ones(8))

@@ -661,8 +661,9 @@ def test_cli_exp_bipartite_small(tmp_path):
 
 
 def test_bipartite_sweep_runs_one_recurrence_per_input(products, monkeypatch):
-    # x runs once to the top order, 32, and each order's kept part once to
-    # its order: 32 + (2 + 4 + 8 + 16 + 24 + 32) = 118 block products.
+    # x runs once to the top order, 32, in products of N rows, and each
+    # order's kept part once to its order, in products of N/2 rows with one
+    # cross block: 32 + (2 + 4 + 8 + 16 + 24 + 32) = 118 block products.
     counted = []
     apply = bipartite.apply_chebyshev
 
@@ -671,11 +672,14 @@ def test_bipartite_sweep_runs_one_recurrence_per_input(products, monkeypatch):
         return apply(op, cf, x, **kwargs)
 
     monkeypatch.setattr(bipartite, "apply_chebyshev", counting)
-    cfg = ExperimentConfig(graph_kind="matched", n=32, graph_seed=2, trials=3, rng_seed=7)
-    assert cfg.orders == (2, 4, 8, 16, 24, 32)
-    run_bipartite_experiment(cfg)
-    assert len(products) == 118 and set(products) == {3}
-    assert sum(counted) == sum(products)
+    for n in (32, 128):  # a dense operator, then a CSR one
+        first = len(products)
+        cfg = ExperimentConfig(graph_kind="matched", n=n, graph_seed=2, trials=3, rng_seed=7)
+        assert cfg.orders == (2, 4, 8, 16, 24, 32)
+        run_bipartite_experiment(cfg)
+        assert products[first:] == [3] * 118
+        assert products.rows[first:] == [n] * 32 + [n // 2] * 86
+    assert counted == [32 * 3] * 2
 
 
 @pytest.mark.parametrize("kind", ["matched", "bipartite", "complete-bipartite"],

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 
 from specsamp import (
     Graph,
@@ -22,6 +24,12 @@ from specsamp import (
     normalized_laplacian,
     save_graph,
 )
+from specsamp.cli import main
+
+
+def _weights(g):
+    """The weights as a dense array: the matched generator holds a csr_array."""
+    return g.weights if isinstance(g.weights, np.ndarray) else g.weights.toarray()
 
 
 def two_vertex():
@@ -101,7 +109,7 @@ def test_sensor_graph_deterministic():
 
 @pytest.mark.parametrize("gen", [gen_random_bipartite, gen_matched_bipartite])
 def test_bipartite_generators_deterministic(gen):
-    assert np.array_equal(gen(12, seed=13).weights, gen(12, seed=13).weights)
+    assert np.array_equal(_weights(gen(12, seed=13)), _weights(gen(12, seed=13)))
 
 
 @pytest.mark.parametrize("p", ["x", None, 0.0, 1.5, float("nan")])
@@ -124,7 +132,7 @@ def test_matched_bipartite_needs_three_vertices_per_part():
     (100, 7, "8d341f5f568d7a0a0c074f2c7ebe88848fba46a0354dc3eea3cf8273ba6e2725"),
 ])
 def test_matched_bipartite_weights_pinned(n_half, seed, digest):
-    w = gen_matched_bipartite(n_half, seed).weights
+    w = _weights(gen_matched_bipartite(n_half, seed))
     assert hashlib.sha256(w.tobytes()).hexdigest() == digest
 
 
@@ -136,13 +144,14 @@ def test_matched_bipartite_weights_pinned(n_half, seed, digest):
 ])
 def test_generated_graphs_satisfy_invariants(factory):
     g = factory()
-    assert np.array_equal(g.weights, g.weights.T)
-    assert np.all(np.diag(g.weights) == 0)
-    assert np.all(g.weights >= 0)
+    w = _weights(g)
+    assert np.array_equal(w, w.T)
+    assert np.all(np.diag(w) == 0)
+    assert np.all(w >= 0)
     if g.bipartition is not None:
         h = g.bipartition
-        assert np.all(g.weights[:h, :h] == 0)
-        assert np.all(g.weights[h:, h:] == 0)
+        assert np.all(w[:h, :h] == 0)
+        assert np.all(w[h:, h:] == 0)
 
 
 def test_bipartite_generator_records_partition():
@@ -206,15 +215,24 @@ _GRAPHS = st.one_of(
 # and Laplacian it builds must pass the public checks: the graph's weights
 # and both operators as given to the public constructors. The operators are
 # the textbook D - W and I - W * outer(dinv, dinv) bit for bit, whether the
-# normalized one was built dense or CSR: it is at most 10% nonzero, so CSR,
-# on a cycle of 30 or more vertices and a matched graph of 20 or more per part.
+# weights are dense or CSR and the normalized one was built dense or CSR: it
+# is at most 10% nonzero, so CSR, on a cycle of 30 or more vertices and a
+# matched graph of 20 or more per part. The matched generator builds CSR
+# weights, canonical so that their entries come in np.nonzero's order.
 @settings(max_examples=100, deadline=None)
 @given(g=_GRAPHS)
 @example(g=gen_circular(30))
 @example(g=gen_matched_bipartite(20, 1))
 def test_laplacians_are_exactly_symmetric_by_construction(g):
-    w, deg = g.weights, g.weights.sum(axis=1)
-    assert not w.flags.writeable
+    w = _weights(g)
+    deg = w.sum(axis=1)
+    if isinstance(g.weights, csr_array):
+        assert g.weights.has_canonical_format
+        stored = (g.weights.data, g.weights.indices, g.weights.indptr)
+    else:
+        stored = (g.weights,)
+    assert not any(a.flags.writeable for a in stored)
+    assert g.degrees.tobytes() == deg.tobytes()
     Graph(w.copy(), g.bipartition)
     ops = [(combinatorial_laplacian(g), np.diag(deg) - w)]
     if np.any(deg == 0):
@@ -251,6 +269,32 @@ def test_sparse_normalized_laplacian_forms_no_dense_matrix():
     assert not m.data.flags.writeable
     with pytest.raises(AttributeError):
         op.matrix = dense
+
+
+# The matched generator builds CSR straight from its 3 N/2 edges: with its
+# normalized Laplacian and product matrix it forms neither an N x N array
+# (32 MiB here) nor an N/2 x N/2 block (8 MiB).
+def test_matched_path_forms_no_dense_matrix():
+    tracemalloc.start()
+    try:
+        g = gen_matched_bipartite(1024, 3)
+        m = normalized_laplacian(g).product_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert isinstance(g.weights, csr_array) and isinstance(m, csr_matrix)
+
+
+# sha256 of the edge list written from the matched graph's CSR weights: the
+# bytes written from the dense weights it was built with before.
+def test_csr_graph_saves_the_dense_edge_list(tmp_path):
+    path = tmp_path / "g.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-graph", "--kind", "matched", "--n", "64", "--seed", "3",
+                     "--out", str(path)]) == 0
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "ee2e30338804fa8cae257272ffffb8660d975c733351ce549f8cdc7cc90f138b")
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])

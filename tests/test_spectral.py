@@ -36,7 +36,9 @@ from specsamp import (
     linear_decay,
     mse_db,
     normalized_laplacian,
+    pgs_spectrum,
     reconstruct,
+    spectral_fold,
 )
 
 
@@ -156,6 +158,26 @@ def test_gft_dimension_mismatch():
         gft(basis, np.zeros(5))
     with pytest.raises(DimensionMismatch):
         igft(basis, np.zeros(3))
+
+
+# Signals and spectra are (N,) or (N, T); the FFT would take a 3-D signal
+# along axis 0, and an eigenbasis product a 0-D one would fail in numpy.
+@pytest.mark.parametrize("basis", [
+    dft_basis(16),
+    eigendecompose(combinatorial_laplacian(gen_random_sensor(16, seed=3))),
+], ids=["dft", "sensor"])
+@pytest.mark.parametrize("bad", [np.ones((16, 2, 2)), np.float64(1.0)], ids=["3-d", "0-d"])
+def test_transforms_reject_signals_of_another_rank(basis, bad):
+    for transform in (gft, igft):
+        with pytest.raises(DimensionMismatch, match=r"\(16,\) or \(16, T\)"):
+            transform(basis, bad)
+    with pytest.raises(DimensionMismatch):
+        apply_filter(basis, identity_filter(16), bad)
+    cfg = SamplingConfig(16, 2)
+    with pytest.raises(DimensionMismatch):
+        spectral_fold(bad, cfg)
+    with pytest.raises(DimensionMismatch):
+        pgs_spectrum(PgsModel(identity_filter(16), cfg, basis), bad[:8] if np.ndim(bad) else bad)
 
 
 def _assert_close_relative(got, want):
