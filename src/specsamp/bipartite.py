@@ -152,7 +152,11 @@ def _sigma_min_bound(g: Graph) -> float:
     col_e = d_2.copy()
     col_e[partner] -= matched
     bound = matched.min() - np.sqrt(np.max(d_1 - matched) * col_e.max())
-    return max(float(bound / np.sqrt(d_1.max() * d_2.max())), 0.0)
+    # Less 4 half eps: B is built and factored in floating point. Each entry
+    # is within a few eps of the exact one, and the bound can be tight (it
+    # is exactly sigma_min(B) on some 4 + 4 vertex matched graphs).
+    bound = bound / np.sqrt(d_1.max() * d_2.max()) - 4 * half * np.finfo(float).eps
+    return max(float(bound), 0.0)
 
 
 def _svd_factors(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

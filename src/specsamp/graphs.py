@@ -21,6 +21,12 @@ Chebyshev recurrence multiplies by a variation operator's
 ``product_matrix``: that CSR matrix, or for a dense operator a CSR copy
 when the matrix is sparse enough for that to pay, else the dense matrix
 itself.
+
+``import specsamp`` loads only numpy. ``scipy.sparse`` is imported inside
+the functions that build CSR, so it loads at the first CSR build: the
+matched generator, the sparse normalized Laplacian or the CSR product
+form. The generators' connectivity test is numpy alone, on dense and CSR
+weights.
 """
 
 import numbers
@@ -28,11 +34,9 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConnectivityFailure,
@@ -41,6 +45,9 @@ from .errors import (
     IoFailure,
     IsolatedVertex,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 # Share of nonzero entries at or below which an operator's products are taken
 # in CSR. On a 2-vCPU x86-64 VM with one BLAS thread, N = 2048 and 100
@@ -151,7 +158,7 @@ class Graph:
     ``_Built`` instead; they are frozen in place, with no copy and no check.
     """
 
-    weights: Union[np.ndarray, csr_array]
+    weights: "np.ndarray | csr_array"
     bipartition: Optional[int] = None
 
     def __post_init__(self):
@@ -191,7 +198,9 @@ def _entries(m):
     """Row, column and value of each nonzero of ``m``, an ndarray or a
     canonical csr_array, in row-major order, the order ``np.nonzero`` gives."""
     if isinstance(m, np.ndarray):
-        rows, cols = np.nonzero(m)
+        # np.nonzero finds a boolean mask's nonzeros faster than a float
+        # array's: 2.6 ms against 4.3 ms on a 1024-vertex sensor graph.
+        rows, cols = np.nonzero(m != 0)
         return rows, cols, m[rows, cols]
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
@@ -202,7 +211,10 @@ def _product_form(m):
     a denser matrix. A matrix already in that form is returned as it is."""
     dense = isinstance(m, np.ndarray)
     if (np.count_nonzero(m) if dense else m.nnz) <= _CSR_MAX_DENSITY * m.shape[0] * m.shape[1]:
-        return csr_matrix(m) if dense else m
+        if not dense:
+            return m
+        from scipy.sparse import csr_matrix
+        return csr_matrix(m)
     return m if dense else m.toarray()
 
 
@@ -289,6 +301,7 @@ def normalized_laplacian(g: Graph) -> VariationOperator:
         np.subtract(0.0, m, out=m)
         np.fill_diagonal(m, 1.0)
         return VariationOperator._built(m)
+    from scipy.sparse import csr_matrix
     rows, cols, values = _entries(w)
     data = np.subtract(0.0, values * (dinv[rows] * dinv[cols]))
     # Each row's 1 goes in before its first entry right of the diagonal.
@@ -300,8 +313,33 @@ def normalized_laplacian(g: Graph) -> VariationOperator:
 
 
 def _is_connected(weights) -> bool:
-    ncomp, _ = connected_components(csr_matrix(weights > 0), directed=False)
-    return ncomp == 1
+    """Whether the graph whose edges are the nonzeros of ``weights``, an
+    ndarray or a canonical csr_array, is connected.
+
+    Each vertex's label starts as its own index. A pass lowers each
+    vertex's label, and its label's label, to the least label among its
+    neighbours, then sets each label to its label's label. A label is
+    always a vertex of the same component and never rises, so the passes
+    stop, with one label per component: its least vertex. Vertex 0 keeps
+    label 0, so the graph is connected iff every label is 0. Lowering the
+    label's label too merges whole runs at once: a 1000-vertex path in
+    random order takes 9 passes, against 404 without it.
+    """
+    rows, cols, _ = _entries(weights)
+    label = np.arange(weights.shape[0])
+    # _entries gives the edges row by row: each row's run starts where the
+    # row index changes.
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    owners = rows[starts]
+    while True:
+        least = np.minimum.reduceat(label[cols], starts)
+        lowered = label.copy()
+        np.minimum.at(lowered, label[owners], least)
+        lowered[owners] = np.minimum(lowered[owners], least)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return not label.any()
+        label = lowered
 
 
 def _bipartite(block: np.ndarray) -> np.ndarray:
@@ -314,10 +352,11 @@ def _bipartite(block: np.ndarray) -> np.ndarray:
     return w
 
 
-def _bipartite_csr(block: csr_array) -> csr_array:
+def _bipartite_csr(block: "csr_array") -> "csr_array":
     """:func:`_bipartite` in canonical CSR, from a canonical CSR ``block``: its
     rows shifted right by h, then its transpose's rows, sorted as CSC-to-CSR
     conversion leaves them."""
+    from scipy.sparse import csr_array
     h = block.shape[0]
     low = block.T.tocsr()
     return csr_array((np.concatenate([block.data, low.data]),
@@ -390,6 +429,7 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
     filters jump exactly there. The weights are a csr_array, built from
     the 3 n_half cross edges. n_half >= 3, seed >= 0.
     """
+    from scipy.sparse import csr_array
     n_half = _integer(n_half, "vertices per part", _MATCH_EXTRA + 1)
     seed = _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)

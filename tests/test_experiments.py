@@ -3,6 +3,7 @@ import csv
 import hashlib
 import inspect
 import io
+import json
 import math
 import os
 import subprocess
@@ -782,6 +783,85 @@ def test_cli_exits_1_quietly_on_a_closed_stdout():
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def _run_python(code, *args, **env):
+    """Run ``code`` in a fresh interpreter on this checkout's library, with
+    ``env`` over the environment; its completed process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src, **env})
+
+
+# Prints the scipy modules loaded after the dense commands and the DFT stream,
+# then after a matched-graph sweep, each a JSON list on a line of its own after
+# "scipy: ". The check needs a fresh interpreter: pytest has loaded scipy
+# already.
+_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+import numpy as np
+import specsamp
+from specsamp.cli import main
+
+def scipy_modules():
+    print("scipy:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+
+out = Path(sys.argv[1])
+for argv in (["exp", "table2", "--kind", "sensor", "--n", "64", "--trials", "2"],
+             ["recover", "--kind", "circular", "--trials", "2"],
+             ["filters", "dump", "--kind", "sensor", "--n", "32"]):
+    assert main([*argv, "--out", str(out / argv[0])]) == 0, argv
+basis = specsamp.dft_basis(64)
+cfg = specsamp.SamplingConfig(basis.n, 8)
+s = specsamp.inverted_ramp(basis)
+a = specsamp.linear_decay(basis, 0.1)
+design = specsamp.design_subspace_unconstrained(s, a, cfg)
+x = specsamp.generate_pgs(specsamp.PgsModel(a, cfg, basis), np.ones(cfg.k))
+specsamp.reconstruct(basis, design, specsamp.frequency_sample(basis, s, x, cfg))
+scipy_modules()
+assert main(["exp", "bipartite", "--graph", "matched", "--n", "64", "--trials", "2",
+             "--out", str(out / "bipartite")]) == 0
+scipy_modules()
+"""
+
+
+def test_dense_commands_and_the_dft_stream_load_no_scipy(tmp_path):
+    # scipy.sparse loads at the first CSR build, here the matched generator,
+    # and never brings csgraph or scipy.linalg with it.
+    proc = _run_python(_SCIPY_PROBE, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    dense, matched = (json.loads(line.removeprefix("scipy: "))
+                      for line in proc.stdout.splitlines() if line.startswith("scipy: "))
+    assert dense == []
+    assert "scipy.sparse" in matched
+    assert not [m for m in matched
+                if m.startswith(("scipy.sparse.csgraph", "scipy.linalg"))]
+
+
+# 208 is the smallest N (a multiple of m = 8) at which the two reports differ
+# in their bytes on a 2-vCPU x86-64 VM with numpy 2.4's OpenBLAS: 371 of 440
+# rows, by at most 3e-13 dB. Exact rows at the -320 dB floor may move freely.
+def test_table2_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    reports = []
+    for threads in (1, 2):
+        out = tmp_path / f"table2-{threads}.csv"
+        proc = _run_python("import sys; from specsamp.cli import main; sys.exit(main())",
+                           "exp", "table2", "--kind", "sensor", "--n", 208, "--trials", 10,
+                           "--out", out, OPENBLAS_NUM_THREADS=str(threads))
+        assert proc.returncode == 0, proc.stderr
+        reports.append(_read_report(out))
+    one, two = reports
+    assert len(one) == len(two) == 44 * 10
+    values = ("mse_db", "mean_mse_db")
+    for r1, r2 in zip(one, two):
+        assert {k: v for k, v in r1.items() if k not in values} == \
+            {k: v for k, v in r2.items() if k not in values}
+        for key in values:
+            a, b = float(r1[key]), float(r2[key])
+            if max(a, b) > -200.0:
+                assert abs(a - b) <= 1e-9, (r1, r2)
 
 
 def test_cli_exp_bipartite_config_keys(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.sparse import csr_array, csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from specsamp import (
     Graph,
@@ -25,6 +26,7 @@ from specsamp import (
     save_graph,
 )
 from specsamp.cli import main
+from specsamp.graphs import _is_connected
 
 
 def _weights(g):
@@ -246,6 +248,42 @@ def test_laplacians_are_exactly_symmetric_by_construction(g):
         assert op.matrix.tobytes() == textbook.tobytes()
         assert not op.matrix.flags.writeable
         VariationOperator(op.matrix)
+
+
+def _assert_connectivity_is_csgraphs(w):
+    """_is_connected on dense ``w`` and on its canonical csr_array agrees with
+    scipy's connected components."""
+    sparse = csr_array(w)
+    assert sparse.has_canonical_format
+    expected = connected_components(sparse, directed=False)[0] == 1
+    assert _is_connected(w) == _is_connected(sparse) == expected
+
+
+# The edge probabilities give edgeless, isolated-vertex, disconnected and
+# connected draws.
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), density=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, density=0.0, seed=0)
+@example(n=2, density=0.0, seed=0)
+def test_connectivity_is_scipys(n, density, seed):
+    _assert_connectivity_is_csgraphs(np.asarray(_random_graph(n, density, seed).weights))
+
+
+# A 1000-vertex path, numbered in order or shuffled, has diameter 999: the
+# passes must carry label 0 its whole length. Cut in the middle, it falls in
+# two.
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_connectivity_on_a_1000_vertex_path(shuffled):
+    n = 1000
+    order = np.random.default_rng(3).permutation(n) if shuffled else np.arange(n)
+    w = np.zeros((n, n))
+    w[order[:-1], order[1:]] = w[order[1:], order[:-1]] = 1.0
+    _assert_connectivity_is_csgraphs(w)
+    assert _is_connected(w)
+    w[order[499], order[500]] = w[order[500], order[499]] = 0.0
+    _assert_connectivity_is_csgraphs(w)
+    assert not _is_connected(w)
 
 
 # A matched graph of 512 vertices per part is 0.39% nonzero: its normalized
