@@ -76,7 +76,6 @@ from .graphs import (
     Graph,
     VariationOperator,
     _dense,
-    _product_form,
     _signal,
     normalized_laplacian,
 )
@@ -206,9 +205,9 @@ def build_system(g: Graph) -> BipartiteSystem:
     The block is read from the normalized Laplacian in the form it was
     built in, CSR on a sparse graph. When the weights certify
     sigma_min(B) >= b with b^2 above the residual bound, the factors come
-    from eigh(B B^T) on the block's product form (CSR when sparse enough);
-    otherwise, as on K_{n,n}, from one SVD of the dense block. The graph's
-    weights are not read after the operator and the certificate are taken.
+    from eigh(B B^T) on the block in that form; otherwise, as on K_{n,n},
+    from one SVD of the dense block. The graph's weights are not read after
+    the operator and the certificate are taken.
 
     Raises
     ------
@@ -233,13 +232,10 @@ def build_system(g: Graph) -> BipartiteSystem:
     # reference to the graph frees its N x N weights before the factorization.
     del g
 
+    # B, in the operator's own form for eigh(B B^T) and dense for the SVD.
     cross = op_b._form[:half, half:]
-    if certified:
-        block = -_product_form(cross)
-        phi, sigma, psi = _eigh_factors(block)
-    else:
-        block = -_dense(cross)
-        phi, sigma, psi = _svd_factors(block)
+    block = -(cross if certified else _dense(cross))
+    phi, sigma, psi = (_eigh_factors if certified else _svd_factors)(block)
     signs = _column_signs(phi)
     phi *= signs
     psi *= signs

@@ -5,9 +5,9 @@ convention, so a degree-P fit of a degree-<=P polynomial is exact. The
 resulting filter is applied with matrix-vector products only, giving a
 P-hop localized vertex-domain realization that never touches the
 eigendecomposition. The products are taken with the operator's
-``product_matrix``, chosen once per operator: the CSR matrix of a sparse
-operator, so each product costs O(nnz) rather than O(N^2), or the dense matrix
-of a dense one.
+``product_matrix``, the form it was built in: a sparse normalized
+Laplacian's CSR matrix, so each product costs O(nnz) rather than O(N^2), or
+a dense operator's dense matrix.
 
 A filter may hold a stack of expansions on one interval, one per row of its
 coefficient matrix (see :func:`stack`). One recurrence then serves every row:
@@ -55,8 +55,8 @@ class ChebyshevFilter:
     matrix, one expansion per row on the shared interval, lower orders
     zero-padded; its order is the top order P, and a row's trailing zeros
     are skipped when it is applied. fit_error, keyword-only, is the max
-    absolute error on a 1000-point grid: for a stack, the largest of its
-    rows'.
+    absolute error on a 1000-point grid, a finite real number >= 0: for a
+    stack, the largest of its rows'.
     """
 
     coeffs: np.ndarray
@@ -65,6 +65,10 @@ class ChebyshevFilter:
 
     def __post_init__(self):
         object.__setattr__(self, "interval", _interval(self.interval))
+        err = _real(self.fit_error, "fit_error")
+        if err < 0:
+            raise InvalidParameter(f"need fit_error >= 0, got {err}")
+        object.__setattr__(self, "fit_error", err)
         c = _frozen(self.coeffs, "coefficients")
         if c.ndim not in (1, 2) or not c.size:
             raise InvalidParameter("coefficients must be a nonempty vector or a stack of "
@@ -142,10 +146,10 @@ def _recurrence(cf: ChebyshevFilter, x: np.ndarray, mapped: Callable,
 
 
 def evaluate(cf: ChebyshevFilter, lam) -> np.ndarray:
-    """Evaluate the expansion at scalar or array frequencies; a stack's
-    values run along a trailing axis."""
+    """Evaluate the expansion at scalar or array frequencies, finite and
+    real, else InvalidParameter; a stack's values run along a trailing axis."""
     a, b = cf.interval
-    t = (2.0 * np.asarray(lam, dtype=float) - (a + b)) / (b - a)
+    t = (2.0 * _frozen(lam, "frequencies") - (a + b)) / (b - a)
     return _recurrence(cf, np.ones_like(t), lambda v, k: t * v)
 
 

@@ -7,11 +7,12 @@ GRAPH_KINDS, comes from :func:`build_experiment_graph`. All three score
 their trials in one place, which raises InvalidParameter rather than report
 a non-finite energy.
 
-Every run is fully deterministic given its configuration and RNG seed:
-trial t draws from the t-th child of a single seed sequence, so a T-trial
-run's per-trial columns are the first T of any longer run. Expansion
-coefficients are drawn from Normal(1, 1), and noise, when enabled, is added
-to the signal before sampling.
+Every run is fully deterministic given its configuration, RNG seed and
+BLAS thread count (OpenBLAS sums in another order on another thread
+count): trial t draws from the t-th child of a single seed sequence, so a
+T-trial run's per-trial columns are the first T of any longer run.
+Expansion coefficients are drawn from Normal(1, 1), and noise, when
+enabled, is added to the signal before sampling.
 
 The recovery experiments (``recover``, ``exp table2``) score each trial
 in closed form on the folded, length-K spectrum. A trial with coefficients

@@ -12,21 +12,18 @@ generators' weights (the sensor graph's aside) and both Laplacians. The
 matched bipartite generator builds its weights as a canonical
 ``scipy.sparse.csr_array`` (sorted indices, no duplicates) straight from
 its edges, so ``Graph.weights`` is an ndarray or a csr_array; every other
-generator's weights are dense. The normalized Laplacian is built in its
-product form: CSR, straight from the weights' nonzeros, when at most
-``_CSR_MAX_DENSITY`` of its entries are nonzero, so no N x N array is
-formed for it; else dense. The combinatorial Laplacian is dense. A CSR
-operator forms its dense ``matrix`` only when that is first read. The
-Chebyshev recurrence multiplies by a variation operator's
-``product_matrix``: that CSR matrix, or for a dense operator a CSR copy
-when the matrix is sparse enough for that to pay, else the dense matrix
-itself.
+generator's weights are dense. The normalized Laplacian is the one matrix
+built in CSR: a csr_array, straight from the weights' nonzeros, when at
+most ``_CSR_MAX_DENSITY`` of its entries are nonzero, so no N x N array is
+formed for it; else dense. The combinatorial Laplacian, and any operator
+given to the public constructor, is dense. An operator is multiplied in
+the form it was built in, its ``product_matrix``; a CSR operator forms its
+dense ``matrix`` only when that is first read.
 
 ``import specsamp`` loads only numpy. ``scipy.sparse`` is imported inside
 the functions that build CSR, so it loads at the first CSR build: the
-matched generator, the sparse normalized Laplacian or the CSR product
-form. The generators' connectivity test is numpy alone, on dense and CSR
-weights.
+matched generator or the sparse normalized Laplacian. The generators'
+connectivity test is numpy alone, on dense and CSR weights.
 """
 
 import numbers
@@ -49,10 +46,10 @@ from .errors import (
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
-# Share of nonzero entries at or below which an operator's products are taken
-# in CSR. On a 2-vCPU x86-64 VM with one BLAS thread, N = 2048 and 100
-# right-hand sides, a CSR product costs 0.38x the dense one at 4% nonzeros,
-# 0.69x at 6% and 1.01x at 12.5%.
+# Share of nonzero entries at or below which the normalized Laplacian is
+# built, and so multiplied, in CSR. On a 2-vCPU x86-64 VM with one BLAS
+# thread, N = 2048 and 100 right-hand sides, a CSR product costs 0.38x the
+# dense one at 4% nonzeros, 0.69x at 6% and 1.01x at 12.5%.
 _CSR_MAX_DENSITY = 0.1
 _MAX_RESAMPLE = 100
 # gen_random_sensor: nearest neighbors joined to each point.
@@ -84,9 +81,13 @@ def _real(value, name: str) -> float:
 
 def _frozen(a, name: str, dtype=float, ndim: Optional[int] = None) -> np.ndarray:
     """A read-only numeric copy of ``a`` as ``dtype`` (None keeps its type), ``ndim``-D
-    if given; InvalidParameter unless it is one and every entry is finite."""
+    if given; InvalidParameter unless it is one, every entry is finite and a
+    complex ``a`` meets no real ``dtype``, a cast that would drop its imaginary part."""
     try:
-        m = np.array(a, dtype=dtype)
+        m = np.asarray(a)
+        if np.iscomplexobj(m) and dtype is not None and np.dtype(dtype).kind != "c":
+            raise InvalidParameter(f"{name} must be real, got dtype {m.dtype}")
+        m = np.array(m, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"{name} must be a numeric array: {exc}") from None
     if m.dtype.kind not in "biufc":
@@ -123,8 +124,7 @@ def _signal(x, n: int, name: str = "signal") -> np.ndarray:
 
 
 def _frozen_in_place(m):
-    """``m``, a dense array or a CSR matrix or array, made read-only with no
-    copy."""
+    """``m``, a dense array or a csr_array, made read-only with no copy."""
     for a in (m,) if isinstance(m, np.ndarray) else (m.data, m.indices, m.indptr):
         a.flags.writeable = False
     return m
@@ -205,19 +205,6 @@ def _entries(m):
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 
-def _product_form(m):
-    """``m``, dense or CSR, as CSR when at most ``_CSR_MAX_DENSITY`` of its
-    entries are nonzero, else dense: a dense BLAS product beats a CSR one on
-    a denser matrix. A matrix already in that form is returned as it is."""
-    dense = isinstance(m, np.ndarray)
-    if (np.count_nonzero(m) if dense else m.nnz) <= _CSR_MAX_DENSITY * m.shape[0] * m.shape[1]:
-        if not dense:
-            return m
-        from scipy.sparse import csr_matrix
-        return csr_matrix(m)
-    return m if dense else m.toarray()
-
-
 class VariationOperator:
     """Real symmetric positive semidefinite matrix used to define a GFT.
 
@@ -256,11 +243,11 @@ class VariationOperator:
     def n(self) -> int:
         return self._form.shape[0]
 
-    @cached_property
+    @property
     def product_matrix(self):
-        """The matrix to multiply by, chosen on first use and kept: the
-        :func:`_product_form` of the form the operator was built in."""
-        return _product_form(self._form)
+        """The matrix to multiply by: the operator in the form it was built
+        in, a csr_array or a dense array."""
+        return self._form
 
 
 def combinatorial_laplacian(g: Graph) -> VariationOperator:
@@ -276,13 +263,13 @@ def combinatorial_laplacian(g: Graph) -> VariationOperator:
 def normalized_laplacian(g: Graph) -> VariationOperator:
     """Return the symmetrically normalized Laplacian D^{-1/2} L D^{-1/2}.
 
-    It is built in its product form: CSR from the weights' nonzeros (read
-    straight from CSR weights) when at most ``_CSR_MAX_DENSITY`` of its
-    entries are nonzero, else dense in one N x N array. Either way each
-    entry is I - W * outer(dinv, dinv) computed as 0 - w_ij (dinv_i dinv_j),
-    with 1 on the diagonal: one product per entry, so entries (i, j) and
-    (j, i) are equal exactly, and the CSR matrix holds the dense one's
-    nonzeros in the same order.
+    It is built as a csr_array, the identity plus one entry per nonzero
+    weight (read straight from CSR weights), when at most
+    ``_CSR_MAX_DENSITY`` of its entries are nonzero, else dense in one
+    N x N array. Either way each entry is I - W * outer(dinv, dinv)
+    computed as 0 - w_ij (dinv_i dinv_j), with 1 on the diagonal: one
+    product per entry, so entries (i, j) and (j, i) are equal exactly, and
+    the CSR matrix holds the dense one's nonzeros in the same order.
 
     Raises
     ------
@@ -301,15 +288,11 @@ def normalized_laplacian(g: Graph) -> VariationOperator:
         np.subtract(0.0, m, out=m)
         np.fill_diagonal(m, 1.0)
         return VariationOperator._built(m)
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csr_array, eye_array
     rows, cols, values = _entries(w)
-    data = np.subtract(0.0, values * (dinv[rows] * dinv[cols]))
-    # Each row's 1 goes in before its first entry right of the diagonal.
-    diag = np.arange(n)
-    at = np.searchsorted(rows * n + cols, diag * (n + 1))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n) + 1)])
-    return VariationOperator._built(csr_matrix(
-        (np.insert(data, at, 1.0), np.insert(cols, at, diag), indptr), shape=(n, n)))
+    off = csr_array((np.subtract(0.0, values * (dinv[rows] * dinv[cols])), (rows, cols)),
+                    shape=(n, n))
+    return VariationOperator._built(eye_array(n, format="csr") + off)
 
 
 def _is_connected(weights) -> bool:
@@ -350,19 +333,6 @@ def _bipartite(block: np.ndarray) -> np.ndarray:
     w[:h, h:] = block
     w[h:, :h] = block.T
     return w
-
-
-def _bipartite_csr(block: "csr_array") -> "csr_array":
-    """:func:`_bipartite` in canonical CSR, from a canonical CSR ``block``: its
-    rows shifted right by h, then its transpose's rows, sorted as CSC-to-CSR
-    conversion leaves them."""
-    from scipy.sparse import csr_array
-    h = block.shape[0]
-    low = block.T.tocsr()
-    return csr_array((np.concatenate([block.data, low.data]),
-                       np.concatenate([block.indices + h, low.indices]),
-                       np.concatenate([block.indptr, low.indptr[1:] + block.nnz])),
-                      shape=(2 * h, 2 * h))
 
 
 def gen_circular(n: int) -> Graph:
@@ -429,7 +399,7 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
     filters jump exactly there. The weights are a csr_array, built from
     the 3 n_half cross edges. n_half >= 3, seed >= 0.
     """
-    from scipy.sparse import csr_array
+    from scipy.sparse import block_array, csr_array
     n_half = _integer(n_half, "vertices per part", _MATCH_EXTRA + 1)
     seed = _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
@@ -448,7 +418,7 @@ def gen_matched_bipartite(n_half: int, seed: int) -> Graph:
                             np.take_along_axis(cols, order, axis=1).ravel(),
                             np.arange(0, per_row * n_half + 1, per_row)),
                            shape=(n_half, n_half))
-        w = _bipartite_csr(block)
+        w = block_array([[None, block], [block.T, None]], format="csr")
         if _is_connected(w):
             return Graph(_Built(w), bipartition=n_half)
     raise ConnectivityFailure(f"no connected bipartite graph after {_MAX_RESAMPLE} attempts")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 
 from specsamp import (
     BipartiteSystem,
@@ -40,7 +40,7 @@ from specsamp import (
     sample_first_part,
     verify_corollary1,
 )
-from specsamp.bipartite import _sigma_min_bound, _step_response
+from specsamp.bipartite import _RESIDUAL_TOL, _sigma_min_bound, _step_response
 from specsamp.chebyshev import stack
 from specsamp.graphs import Graph
 
@@ -445,14 +445,38 @@ def test_sparse_uncertified_block_is_densified_for_one_svd(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy)
     sys_ = build_system(g)
     assert calls == ["svd"]
-    assert isinstance(sys_.op_b.product_matrix, csr_matrix)
+    assert isinstance(sys_.op_b.product_matrix, csr_array)
     assert sys_.residual <= 1e-10
 
 
 def test_build_system_forms_no_dense_operator_on_a_sparse_graph():
     sys_ = build_system(gen_matched_bipartite(512, 7))
     assert "matrix" not in vars(sys_.op_b)
-    assert isinstance(sys_.op_b.product_matrix, csr_matrix)
+    assert isinstance(sys_.op_b.product_matrix, csr_array)
+
+
+# With 20 to 29 vertices per part the Laplacian, 8 N/2 nonzeros, is at most
+# 10% nonzero and so CSR, but its cross block, 3 per row, is more than 10%
+# nonzero. The certified block goes into eigh(B B^T) in CSR as it is.
+@pytest.mark.parametrize("n_half", range(20, 30))
+def test_a_csr_block_denser_than_the_cut_is_factored_by_eigh(monkeypatch, n_half):
+    g = gen_matched_bipartite(n_half, n_half)
+    block = -normalized_laplacian(g).matrix[:n_half, n_half:]
+    assert np.count_nonzero(block) > 0.1 * n_half * n_half
+    calls = []
+    for name in ("eigh", "svd"):
+        def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    sys_ = build_system(g)
+    monkeypatch.undo()
+    assert calls == ["eigh"]
+    assert isinstance(sys_.op_b.product_matrix, csr_array)
+    assert sys_.residual <= _RESIDUAL_TOL
+    sigma = 1.0 - sys_.basis_b.lambdas[:n_half]
+    assert_allclose(sigma, np.linalg.svd(block, compute_uv=False), rtol=0, atol=1e-12)
 
 
 def test_graphs_without_a_dominant_matching_have_no_certificate():
@@ -517,7 +541,7 @@ def test_parity_reconstruction_equals_the_padded_recurrence(kind, n_half, seed, 
         got = reconstruct_from_part(sys_, cf, kept)
         want = _padded_reference(sys_, cf, kept)
         assert got.shape == want.shape and got.dtype == want.dtype
-        if isinstance(sys_.op_b.product_matrix, csr_matrix):
+        if isinstance(sys_.op_b.product_matrix, csr_array):
             assert np.array_equal(got, want)
         else:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

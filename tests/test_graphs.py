@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.sparse import csr_array, csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from specsamp import (
@@ -299,7 +299,7 @@ def test_sparse_normalized_laplacian_forms_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n
-    assert isinstance(m, csr_matrix) and m is op.product_matrix
+    assert isinstance(m, csr_array) and m is op.product_matrix
     assert "matrix" not in vars(op)
     dense = op.matrix
     assert op.matrix is dense and not dense.flags.writeable
@@ -321,7 +321,7 @@ def test_matched_path_forms_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-    assert isinstance(g.weights, csr_array) and isinstance(m, csr_matrix)
+    assert isinstance(g.weights, csr_array) and isinstance(m, csr_array)
 
 
 # sha256 of the edge list written from the matched graph's CSR weights: the

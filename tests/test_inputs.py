@@ -34,6 +34,7 @@ from specsamp import (
     linear_decay,
     normalized_laplacian,
 )
+from specsamp.chebyshev import evaluate
 from specsamp.cli import _cmd_verify_theorem1
 from specsamp.graphs import _integer
 
@@ -55,6 +56,7 @@ BOUND = r"need .+ >= -?\d+, got -?\d+"
 INTEGER = "must be an integer"
 FINITE = "must be a finite real number"
 ARRAY = "must be a numeric array"
+REAL = "must be real, got dtype complex128"
 
 # id -> (call, the message it must match)
 CASES = {
@@ -126,6 +128,20 @@ CASES = {
     "basis-string": (lambda: SpectralBasis([["a"]], [0.0]), ARRAY),
     "sampled-string": (lambda: SampledSpectrum(["a", "b"], SamplingConfig(4, 2)), ARRAY),
     "design-matrix": (lambda: RecoveryDesign(np.ones((2, 2)), identity_filter(4)), "1-D"),
+    # A complex array where a real one is required: a cast would drop its
+    # imaginary part.
+    "graph-complex": (lambda: Graph(np.array([[0, 1 + 5j], [1 + 5j, 0]])), REAL),
+    "filter-complex": (lambda: SpectralFilter([1 + 1j, 2]), REAL),
+    "chebyshev-complex": (lambda: ChebyshevFilter([1.0, 1j], (0, 2)), REAL),
+    "chebyshev-string-fit-error": (lambda: ChebyshevFilter([1.0], (0, 2), fit_error="x"),
+                                   FINITE),
+    "chebyshev-nan-fit-error": (lambda: ChebyshevFilter([1.0], (0, 2), fit_error=math.nan),
+                                FINITE),
+    "chebyshev-negative-fit-error": (lambda: ChebyshevFilter([1.0], (0, 2), fit_error=-0.5),
+                                     r"need fit_error >= 0, got -0.5"),
+    "evaluate-string": (lambda: evaluate(FIT, "abc"), ARRAY),
+    "evaluate-complex": (lambda: evaluate(FIT, [1j]), REAL),
+    "evaluate-nan": (lambda: evaluate(FIT, math.nan), "must be finite"),
 }
 
 
