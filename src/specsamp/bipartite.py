@@ -233,7 +233,7 @@ def build_system(g: Graph) -> BipartiteSystem:
     del g
 
     # B, in the operator's own form for eigh(B B^T) and dense for the SVD.
-    cross = op_b._form[:half, half:]
+    cross = op_b.matrix[:half, half:]
     block = -(cross if certified else _dense(cross))
     phi, sigma, psi = (_eigh_factors if certified else _svd_factors)(block)
     signs = _column_signs(phi)
@@ -297,7 +297,7 @@ def _apply(sys: BipartiteSystem, f: Union[SpectralFilter, ChebyshevFilter],
     diagonal blocks are exactly 0 (the normalized Laplacian's are exactly
     I), so T_k(L - I) maps the padded part onto the second part for odd k
     and onto the first for even k: the reconstruction's recurrence runs on
-    the half-size cross blocks of the product matrix.
+    the half-size cross blocks of the operator's matrix.
     """
     if not isinstance(f, ChebyshevFilter):
         return _apply_exact(sys, f, x, padded)
@@ -306,7 +306,7 @@ def _apply(sys: BipartiteSystem, f: Union[SpectralFilter, ChebyshevFilter],
                                f"got {list(f.interval)}")
     if not padded:
         return apply_chebyshev(sys.op_b, f, x)[:sys.half]
-    m, half = sys.op_b.product_matrix, sys.half
+    m, half = sys.op_b.matrix, sys.half
     # Indexed by the parity of k: onto the first part, onto the second.
     blocks = (m[:half, half:], m[half:, :half])
     return _recurrence(f, _signal(x, half), lambda t, k: blocks[k % 2] @ t, parts=2)

@@ -5,9 +5,9 @@ convention, so a degree-P fit of a degree-<=P polynomial is exact. The
 resulting filter is applied with matrix-vector products only, giving a
 P-hop localized vertex-domain realization that never touches the
 eigendecomposition. The products are taken with the operator's
-``product_matrix``, the form it was built in: a sparse normalized
-Laplacian's CSR matrix, so each product costs O(nnz) rather than O(N^2), or
-a dense operator's dense matrix.
+``matrix`` in the form it was built in: a sparse normalized Laplacian's
+csr_array, so each product costs O(nnz) rather than O(N^2), or a dense
+operator's dense array.
 
 A filter may hold a stack of expansions on one interval, one per row of its
 coefficient matrix (see :func:`stack`). One recurrence then serves every row:
@@ -187,7 +187,7 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
     recurrence: ``cf.order`` products per column of ``x``, and for a stack
     an (N, F) or (N, T, F) output, one filtered copy of ``x`` per row.
 
-    Only matrix-vector products with ``op.product_matrix`` are used.
+    Only matrix-vector products with ``op.matrix`` are used.
     When the caller knows the operator's largest frequency it can pass it
     so the interval coverage is checked.
 
@@ -204,7 +204,7 @@ def apply_chebyshev(op: VariationOperator, cf: ChebyshevFilter, x: np.ndarray,
     a, b = cf.interval
     if lambda_max is not None and (_real(lambda_max, "lambda_max") > b + 1e-9 or a > 1e-9):
         raise IntervalMismatch(f"interval [{a}, {b}] does not cover [0, {lambda_max}]")
-    m = op.product_matrix
+    m = op.matrix
     scale = 2.0 / (b - a)
     shift = (a + b) / (b - a)
 

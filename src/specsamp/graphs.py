@@ -16,9 +16,9 @@ generator's weights are dense. The normalized Laplacian is the one matrix
 built in CSR: a csr_array, straight from the weights' nonzeros, when at
 most ``_CSR_MAX_DENSITY`` of its entries are nonzero, so no N x N array is
 formed for it; else dense. The combinatorial Laplacian, and any operator
-given to the public constructor, is dense. An operator is multiplied in
-the form it was built in, its ``product_matrix``; a CSR operator forms its
-dense ``matrix`` only when that is first read.
+given to the public constructor, is dense. An operator is kept and
+multiplied in the form it was built in: ``VariationOperator.matrix``, like
+``Graph.weights``, is an ndarray or a csr_array (densify with ``.toarray()``).
 
 ``import specsamp`` loads only numpy. ``scipy.sparse`` is imported inside
 the functions that build CSR, so it loads at the first CSR build: the
@@ -30,7 +30,6 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -82,9 +81,16 @@ def _real(value, name: str) -> float:
 def _frozen(a, name: str, dtype=float, ndim: Optional[int] = None) -> np.ndarray:
     """A read-only numeric copy of ``a`` as ``dtype`` (None keeps its type), ``ndim``-D
     if given; InvalidParameter unless it is one, every entry is finite and a
-    complex ``a`` meets no real ``dtype``, a cast that would drop its imaginary part."""
+    complex ``a`` meets no real ``dtype``, a cast that would drop its imaginary part.
+    A sparse ``a``, or one of strings, bytes or records, is refused before any cast."""
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(a):
+        raise InvalidParameter(f"{name} must be a dense array, got {type(a).__name__}; "
+                               "densify it with .toarray()")
     try:
         m = np.asarray(a)
+        if m.dtype.kind in "USV":
+            raise InvalidParameter(f"{name} must be a numeric array, got dtype {m.dtype}")
         if np.iscomplexobj(m) and dtype is not None and np.dtype(dtype).kind != "c":
             raise InvalidParameter(f"{name} must be real, got dtype {m.dtype}")
         m = np.array(m, dtype=dtype)
@@ -131,12 +137,13 @@ def _frozen_in_place(m):
 
 
 class _Built:
-    """Weights a generator here built exactly symmetric, nonnegative, with zero
-    diagonal and no intra-part edges, an ndarray or a canonical csr_array:
-    ``Graph`` freezes them in place."""
+    """A matrix built here exactly symmetric, an ndarray or a canonical
+    csr_array: a generator's weights, nonnegative with zero diagonal and no
+    intra-part edges, or a Laplacian. ``Graph`` and ``VariationOperator``
+    freeze it in place, with no copy and no check."""
 
-    def __init__(self, weights):
-        self.weights = weights
+    def __init__(self, matrix):
+        self.matrix = matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +170,7 @@ class Graph:
 
     def __post_init__(self):
         if isinstance(self.weights, _Built):
-            object.__setattr__(self, "weights", _frozen_in_place(self.weights.weights))
+            object.__setattr__(self, "weights", _frozen_in_place(self.weights.matrix))
             return
         w = _symmetric(self.weights, "weights")
         if np.any(np.diag(w) != 0):
@@ -205,49 +212,27 @@ def _entries(m):
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 
+@dataclass(frozen=True, eq=False)
 class VariationOperator:
     """Real symmetric positive semidefinite matrix used to define a GFT.
 
     ``VariationOperator(matrix)`` checks and copies ``matrix`` as Graph
     checks its weights: a finite, exactly symmetric, nonempty square
-    matrix, else InvalidParameter. The Laplacians here are built by
-    :meth:`_built` and kept in the form they were built in. ``matrix`` is
-    always a read-only dense array; a CSR-built operator forms it on first
-    read and keeps it.
+    matrix, else InvalidParameter. The Laplacians here pass theirs wrapped
+    in ``_Built``; it is frozen in place in the form it was built in, so
+    ``matrix``, like ``Graph.weights``, is a read-only ndarray or csr_array.
     """
 
-    def __init__(self, matrix):
-        # Fields go straight into the instance dict, since __setattr__
-        # refuses; a stored ``matrix`` shadows the on-demand property.
-        m = _symmetric(matrix, "matrix")
-        vars(self).update(matrix=m, _form=m)
+    matrix: "np.ndarray | csr_array"
 
-    @classmethod
-    def _built(cls, m) -> "VariationOperator":
-        """An operator on a dense or CSR matrix built here exactly symmetric,
-        frozen in place with no copy and no check."""
-        op = cls.__new__(cls)
-        vars(op)["_form"] = _frozen_in_place(m)
-        return op
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = _dense(self._form)
-        m.flags.writeable = False
-        return m
+    def __post_init__(self):
+        m = self.matrix
+        object.__setattr__(self, "matrix", _frozen_in_place(m.matrix) if isinstance(m, _Built)
+                           else _symmetric(m, "matrix"))
 
     @property
     def n(self) -> int:
-        return self._form.shape[0]
-
-    @property
-    def product_matrix(self):
-        """The matrix to multiply by: the operator in the form it was built
-        in, a csr_array or a dense array."""
-        return self._form
+        return self.matrix.shape[0]
 
 
 def combinatorial_laplacian(g: Graph) -> VariationOperator:
@@ -257,7 +242,7 @@ def combinatorial_laplacian(g: Graph) -> VariationOperator:
     # entry the value of np.diag(deg) - W.
     m = np.subtract(0.0, _dense(g.weights))
     np.fill_diagonal(m, g.degrees)
-    return VariationOperator._built(m)
+    return VariationOperator(_Built(m))
 
 
 def normalized_laplacian(g: Graph) -> VariationOperator:
@@ -287,12 +272,12 @@ def normalized_laplacian(g: Graph) -> VariationOperator:
         np.multiply(_dense(w), m, out=m)
         np.subtract(0.0, m, out=m)
         np.fill_diagonal(m, 1.0)
-        return VariationOperator._built(m)
+        return VariationOperator(_Built(m))
     from scipy.sparse import csr_array, eye_array
     rows, cols, values = _entries(w)
     off = csr_array((np.subtract(0.0, values * (dinv[rows] * dinv[cols])), (rows, cols)),
                     shape=(n, n))
-    return VariationOperator._built(eye_array(n, format="csr") + off)
+    return VariationOperator(_Built(eye_array(n, format="csr") + off))
 
 
 def _is_connected(weights) -> bool:

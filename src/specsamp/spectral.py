@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EigensolveFailure
 from .filters import SpectralFilter
-from .graphs import VariationOperator, _frozen, _integer, _signal
+from .graphs import VariationOperator, _dense, _frozen, _integer, _signal
 
 _SIGN_TOL = 1e-8
 
@@ -85,7 +85,7 @@ def eigendecompose(op: VariationOperator) -> SpectralBasis:
         If the symmetric eigensolver does not converge.
     """
     try:
-        lam, u = np.linalg.eigh(op.matrix)
+        lam, u = np.linalg.eigh(_dense(op.matrix))
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
     u *= _column_signs(u)

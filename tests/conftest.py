@@ -1,7 +1,5 @@
 import pytest
 
-from specsamp import VariationOperator
-
 
 class _Products(list):
     """The column count of each product, in order; ``rows`` holds each
@@ -11,13 +9,23 @@ class _Products(list):
         super().__init__()
         self.rows = []
 
+    def watch(self, op):
+        """Count every product with ``op``'s matrix, or a block of it, from now
+        on: the built operator's matrix is swapped for a counting wrapper."""
+        object.__setattr__(op, "matrix", _CountingMatrix(op.matrix, self))
+        return op
+
 
 class _CountingMatrix:
-    """An operator's product matrix, or a block of it, that records the rows
-    and columns of each product."""
+    """An operator's matrix, or a block of it, that records the rows and
+    columns of each product."""
 
     def __init__(self, matrix, products):
         self.matrix, self.products = matrix, products
+
+    @property
+    def shape(self):
+        return self.matrix.shape
 
     def __getitem__(self, key):
         return _CountingMatrix(self.matrix[key], self.products)
@@ -29,12 +37,8 @@ class _CountingMatrix:
 
 
 @pytest.fixture
-def products(monkeypatch):
-    """The column count of every product with any operator's product_matrix,
-    or a block of it, made while the test runs, in order; their row counts
-    are in its ``rows``."""
-    made = _Products()
-    chosen = VariationOperator.__dict__["product_matrix"]
-    monkeypatch.setattr(VariationOperator, "product_matrix", property(
-        lambda op: _CountingMatrix(chosen.__get__(op, VariationOperator), made)))
-    return made
+def products():
+    """The column count of every product made with the matrix of an operator
+    given to its ``watch``, or a block of it, in order; their row counts are
+    in its ``rows``."""
+    return _Products()

@@ -19,12 +19,14 @@ from specsamp import (
     RecoveryDesign,
     SpectralFilter,
     UnequalParts,
+    VariationOperator,
     apply_chebyshev,
     bandlimit,
     build_system,
     chebyshev_fit,
     complete_bipartite,
     design_subspace_unconstrained,
+    eigendecompose,
     fit_one_branch,
     frequency_sample,
     from_response,
@@ -40,9 +42,10 @@ from specsamp import (
     sample_first_part,
     verify_corollary1,
 )
+from specsamp import bipartite
 from specsamp.bipartite import _RESIDUAL_TOL, _sigma_min_bound, _step_response
 from specsamp.chebyshev import stack
-from specsamp.graphs import Graph
+from specsamp.graphs import Graph, _dense
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +79,7 @@ def test_reduction_identity_residual_small(graph):
     sys_ = build_system(graph)
     h = sys_.half
     # The residual of the factors build_system keeps, whichever way it took them.
-    block = -sys_.op_b.matrix[:h, h:]
+    block = -_dense(sys_.op_b.matrix)[:h, h:]
     phi, psi, sigma = sys_.phi, sys_.psi, 1.0 - sys_.basis_b.lambdas[:h]
     expected = max(np.max(np.abs(phi.T @ phi - np.eye(h))),
                    np.max(np.abs(psi.T @ psi - np.eye(h))),
@@ -96,7 +99,7 @@ def test_paired_basis_is_orthonormal_and_diagonalizes(sys16):
     u = sys16.basis_b.vectors
     n = sys16.cfg.n
     assert_allclose(u.T @ u, np.eye(n), atol=1e-10)
-    d = u.T @ sys16.op_b.matrix @ u
+    d = u.T @ _dense(sys16.op_b.matrix) @ u
     assert np.max(np.abs(d - np.diag(sys16.basis_b.lambdas))) < 1e-10
 
 
@@ -106,7 +109,7 @@ def test_paired_basis_is_orthonormal_and_diagonalizes(sys16):
 @example(matched=False, n_half=8, p=0.5, seed=41)  # the graph of sys16
 def test_reduced_basis_diagonalizes_reduced_operator(matched, n_half, p, seed):
     sys_ = build_system(_bipartite_graph(matched, n_half, p, seed))
-    h, m = sys_.half, sys_.op_b.matrix
+    h, m = sys_.half, _dense(sys_.op_b.matrix)
     # The eliminated block is exactly I, so the Kron reduction onto the
     # first part is I - B B^T with B the block that build_system factors.
     assert np.array_equal(m[h:, h:], np.eye(h))
@@ -427,7 +430,7 @@ def test_build_system_reports_an_eigensolver_that_does_not_converge(monkeypatch)
 @example(n_half=4, seed=3145121)
 def test_sigma_min_certificate_is_a_positive_lower_bound(n_half, seed):
     g = gen_matched_bipartite(n_half, seed)
-    block = -normalized_laplacian(g).matrix[:n_half, n_half:]
+    block = -_dense(normalized_laplacian(g).matrix)[:n_half, n_half:]
     assert 0.0 < _sigma_min_bound(g) <= np.linalg.svd(block, compute_uv=False).min()
 
 
@@ -445,14 +448,33 @@ def test_sparse_uncertified_block_is_densified_for_one_svd(monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy)
     sys_ = build_system(g)
     assert calls == ["svd"]
-    assert isinstance(sys_.op_b.product_matrix, csr_array)
+    assert isinstance(sys_.op_b.matrix, csr_array)
     assert sys_.residual <= 1e-10
 
 
 def test_build_system_forms_no_dense_operator_on_a_sparse_graph():
     sys_ = build_system(gen_matched_bipartite(512, 7))
-    assert "matrix" not in vars(sys_.op_b)
-    assert isinstance(sys_.op_b.product_matrix, csr_array)
+    assert isinstance(sys_.op_b.matrix, csr_array)
+
+
+# Every step that reads a CSR-built operator, the eigendecomposition too,
+# leaves it holding its one csr_array: no dense copy is kept on it.
+def test_a_csr_operator_keeps_its_matrix_through_every_step(monkeypatch):
+    g = gen_matched_bipartite(64, 1)
+    op = normalized_laplacian(g)
+    m = op.matrix
+    assert isinstance(m, csr_array)
+    monkeypatch.setattr(bipartite, "normalized_laplacian", lambda graph: op)
+    sys_ = build_system(g)
+    assert sys_.op_b is op
+    cf = chebyshev_fit(lambda lam: np.exp(-lam), (0.0, 2.0), 4)
+    apply_chebyshev(op, cf, np.ones(128))
+    reconstruct_from_part(sys_, cf, np.ones(64))
+    basis = eigendecompose(op)
+    assert op.matrix is m and list(vars(op)) == ["matrix"]
+    dense = eigendecompose(VariationOperator(m.toarray()))
+    assert basis.lambdas.tobytes() == dense.lambdas.tobytes()
+    assert basis.vectors.tobytes() == dense.vectors.tobytes()
 
 
 # With 20 to 29 vertices per part the Laplacian, 8 N/2 nonzeros, is at most
@@ -461,7 +483,7 @@ def test_build_system_forms_no_dense_operator_on_a_sparse_graph():
 @pytest.mark.parametrize("n_half", range(20, 30))
 def test_a_csr_block_denser_than_the_cut_is_factored_by_eigh(monkeypatch, n_half):
     g = gen_matched_bipartite(n_half, n_half)
-    block = -normalized_laplacian(g).matrix[:n_half, n_half:]
+    block = -_dense(normalized_laplacian(g).matrix)[:n_half, n_half:]
     assert np.count_nonzero(block) > 0.1 * n_half * n_half
     calls = []
     for name in ("eigh", "svd"):
@@ -473,7 +495,7 @@ def test_a_csr_block_denser_than_the_cut_is_factored_by_eigh(monkeypatch, n_half
     sys_ = build_system(g)
     monkeypatch.undo()
     assert calls == ["eigh"]
-    assert isinstance(sys_.op_b.product_matrix, csr_array)
+    assert isinstance(sys_.op_b.matrix, csr_array)
     assert sys_.residual <= _RESIDUAL_TOL
     sigma = 1.0 - sys_.basis_b.lambdas[:n_half]
     assert_allclose(sigma, np.linalg.svd(block, compute_uv=False), rtol=0, atol=1e-12)
@@ -541,7 +563,7 @@ def test_parity_reconstruction_equals_the_padded_recurrence(kind, n_half, seed, 
         got = reconstruct_from_part(sys_, cf, kept)
         want = _padded_reference(sys_, cf, kept)
         assert got.shape == want.shape and got.dtype == want.dtype
-        if isinstance(sys_.op_b.product_matrix, csr_array):
+        if isinstance(sys_.op_b.matrix, csr_array):
             assert np.array_equal(got, want)
         else:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

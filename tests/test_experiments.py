@@ -673,6 +673,14 @@ def test_bipartite_sweep_runs_one_recurrence_per_input(products, monkeypatch):
         return apply(op, cf, x, **kwargs)
 
     monkeypatch.setattr(bipartite, "apply_chebyshev", counting)
+    build = experiments.build_system
+
+    def watched(g):  # the system's operator, watched once it is factored
+        sys_ = build(g)
+        products.watch(sys_.op_b)
+        return sys_
+
+    monkeypatch.setattr(experiments, "build_system", watched)
     for n in (32, 128):  # a dense operator, then a CSR one
         first = len(products)
         cfg = ExperimentConfig(graph_kind="matched", n=n, graph_seed=2, trials=3, rng_seed=7)

@@ -37,6 +37,7 @@ from specsamp import (
     smoothness_ramp,
 )
 from specsamp.chebyshev import evaluate, stack
+from specsamp.graphs import _dense
 
 
 @pytest.fixture(scope="module")
@@ -287,9 +288,10 @@ def test_apply_chebyshev_interval_mismatch():
 
 
 def _dense_recurrence(op, cf, x):
-    """The Chebyshev recurrence written out with dense products op.matrix @ v."""
+    """The Chebyshev recurrence written out with dense products of op.matrix."""
     a, b = cf.interval
-    mapped = lambda v: (2.0 / (b - a)) * (op.matrix @ v) - ((a + b) / (b - a)) * v
+    dense = _dense(op.matrix)
+    mapped = lambda v: (2.0 / (b - a)) * (dense @ v) - ((a + b) / (b - a)) * v
     t_prev, t_cur = x, mapped(x)
     out = 0.5 * cf.coeffs[0] * t_prev + cf.coeffs[1] * t_cur
     for k in range(2, cf.order + 1):
@@ -318,11 +320,13 @@ def test_apply_chebyshev_matches_dense_recurrence(n, chords, seed, order, normal
     x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0)
 
     # Only a sparse normalized Laplacian is built, and so multiplied, in CSR.
-    m = op.product_matrix
-    assert m is op.product_matrix
+    m = op.matrix
     assert isinstance(m, csr_array) == (normalized
                                         and np.count_nonzero(g.weights) + n <= 0.1 * n * n)
-    assert np.array_equal(m.toarray() if isinstance(m, csr_array) else m, op.matrix)
+    dinv = 1.0 / np.sqrt(g.degrees)
+    textbook = (np.eye(n) - g.weights * np.outer(dinv, dinv) if normalized
+                else np.diag(g.degrees) - g.weights)
+    assert np.array_equal(_dense(m), textbook)
     got = apply_chebyshev(op, cf, x)
     assert got.shape == shape and np.iscomplexobj(got) == complex_
     scale = np.abs(cf.coeffs).sum() * np.abs(x).max()
@@ -334,7 +338,7 @@ def test_apply_chebyshev_makes_one_product_per_order(products, order):
     lam = np.linspace(0.0, 2.0, 8)
     cf = ChebyshevFilter(np.ones(order + 1), (0.0, 2.0))
     x = np.arange(24.0).reshape(8, 3)
-    out = apply_chebyshev(VariationOperator(np.diag(lam)), cf, x)
+    out = apply_chebyshev(products.watch(VariationOperator(np.diag(lam))), cf, x)
     assert products == [3] * order
     assert_allclose(out, evaluate(cf, lam)[:, None] * x, rtol=1e-14)
 
@@ -383,7 +387,7 @@ def test_a_public_operator_is_multiplied_by_its_dense_matrix():
     # 10 of 100 entries nonzero: as sparse as a CSR-built Laplacian may be,
     # but an operator is multiplied in the form it was built in.
     op = VariationOperator(np.diag(np.arange(1.0, 11.0)))
-    assert op.product_matrix is op.matrix
+    assert isinstance(op.matrix, np.ndarray)
 
 
 def test_identity_filter_is_all_ones():

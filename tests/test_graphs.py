@@ -26,7 +26,7 @@ from specsamp import (
     save_graph,
 )
 from specsamp.cli import main
-from specsamp.graphs import _is_connected
+from specsamp.graphs import _dense, _is_connected
 
 
 def _weights(g):
@@ -61,19 +61,19 @@ def test_combinatorial_circular_is_circulant():
 
 def test_normalized_unit_degrees_match_combinatorial():
     op = normalized_laplacian(two_vertex())
-    assert_allclose(op.matrix, [[1, -1], [-1, 1]])
+    assert_allclose(_dense(op.matrix), [[1, -1], [-1, 1]])
 
 
 def test_normalized_complete_bipartite_spectrum():
     op = normalized_laplacian(complete_bipartite(2))
-    eigs = np.linalg.eigvalsh(op.matrix)
+    eigs = np.linalg.eigvalsh(_dense(op.matrix))
     assert_allclose(eigs, [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_normalized_null_vector_is_sqrt_degrees():
     g = gen_random_sensor(12, seed=3)
     op = normalized_laplacian(g)
-    lam, u = np.linalg.eigh(op.matrix)
+    lam, u = np.linalg.eigh(_dense(op.matrix))
     assert abs(lam[0]) < 1e-10
     expected = np.sqrt(g.degrees)
     expected /= np.linalg.norm(expected)
@@ -90,7 +90,7 @@ def test_normalized_rejects_isolated_vertex():
 
 def test_normalized_eigenvalues_within_two():
     g = gen_random_sensor(20, seed=5)
-    eigs = np.linalg.eigvalsh(normalized_laplacian(g).matrix)
+    eigs = np.linalg.eigvalsh(_dense(normalized_laplacian(g).matrix))
     assert eigs[0] > -1e-10
     assert eigs[-1] < 2 + 1e-10
 
@@ -244,10 +244,12 @@ def test_laplacians_are_exactly_symmetric_by_construction(g):
         dinv = 1.0 / np.sqrt(deg)
         ops.append((normalized_laplacian(g), np.eye(g.n) - w * np.outer(dinv, dinv)))
     for op, textbook in ops:
+        m = op.matrix
         assert op.n == g.n
-        assert op.matrix.tobytes() == textbook.tobytes()
-        assert not op.matrix.flags.writeable
-        VariationOperator(op.matrix)
+        assert _dense(m).tobytes() == textbook.tobytes()
+        stored = (m,) if isinstance(m, np.ndarray) else (m.data, m.indices, m.indptr)
+        assert not any(a.flags.writeable for a in stored)
+        VariationOperator(_dense(m))
 
 
 def _assert_connectivity_is_csgraphs(w):
@@ -287,26 +289,22 @@ def test_connectivity_on_a_1000_vertex_path(shuffled):
 
 
 # A matched graph of 512 vertices per part is 0.39% nonzero: its normalized
-# Laplacian is built as CSR, and its dense matrix is formed only when read.
+# Laplacian is built, and kept, as CSR.
 def test_sparse_normalized_laplacian_forms_no_dense_matrix():
     g = gen_matched_bipartite(512, 7)
     n = g.n
     tracemalloc.start()
     try:
         op = normalized_laplacian(g)
-        m = op.product_matrix
+        m = op.matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n
-    assert isinstance(m, csr_array) and m is op.product_matrix
-    assert "matrix" not in vars(op)
-    dense = op.matrix
-    assert op.matrix is dense and not dense.flags.writeable
-    assert np.array_equal(m.toarray(), dense)
+    assert isinstance(m, csr_array)
     assert not m.data.flags.writeable
     with pytest.raises(AttributeError):
-        op.matrix = dense
+        op.matrix = m.toarray()
 
 
 # The matched generator builds CSR straight from its 3 N/2 edges: with its
@@ -316,7 +314,7 @@ def test_matched_path_forms_no_dense_matrix():
     tracemalloc.start()
     try:
         g = gen_matched_bipartite(1024, 3)
-        m = normalized_laplacian(g).product_matrix
+        m = normalized_laplacian(g).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

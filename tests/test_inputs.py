@@ -57,6 +57,8 @@ INTEGER = "must be an integer"
 FINITE = "must be a finite real number"
 ARRAY = "must be a numeric array"
 REAL = "must be real, got dtype complex128"
+SPARSE = r"must be a dense array, got csr_array; densify it with \.toarray\(\)"
+RECORDS = np.array([(1.0,)], dtype=[("x", float)])
 
 # id -> (call, the message it must match)
 CASES = {
@@ -128,6 +130,22 @@ CASES = {
     "basis-string": (lambda: SpectralBasis([["a"]], [0.0]), ARRAY),
     "sampled-string": (lambda: SampledSpectrum(["a", "b"], SamplingConfig(4, 2)), ARRAY),
     "design-matrix": (lambda: RecoveryDesign(np.ones((2, 2)), identity_filter(4)), "1-D"),
+    # Strings, bytes and records are refused before any cast, even where a
+    # cast would parse them as numbers.
+    "filter-digit-strings": (lambda: SpectralFilter(["1", "2.5"]), ARRAY),
+    "filter-bytes": (lambda: SpectralFilter([b"1"]), ARRAY),
+    "filter-records": (lambda: SpectralFilter(RECORDS), ARRAY),
+    "chebyshev-digit-strings": (lambda: ChebyshevFilter(["1", "2"], (0, 2)), ARRAY),
+    "graph-digit-strings": (lambda: Graph([["0", "1"], ["1", "0"]]), ARRAY),
+    "operator-digit-strings": (lambda: VariationOperator([["1"]]), ARRAY),
+    "design-digit-strings": (lambda: RecoveryDesign(["1"], identity_filter(1)), ARRAY),
+    "sampled-bytes": (lambda: SampledSpectrum([b"1", b"2"], SamplingConfig(4, 2)), ARRAY),
+    "basis-records": (lambda: SpectralBasis(RECORDS, [0.0]), ARRAY),
+    "evaluate-digit-string": (lambda: evaluate(FIT, "1.5"), ARRAY),
+    # A library-built csr_array where a dense array is taken.
+    "graph-csr": (lambda: Graph(gen_matched_bipartite(4, 0).weights), SPARSE),
+    "operator-csr": (lambda: VariationOperator(
+        normalized_laplacian(gen_matched_bipartite(64, 1)).matrix), SPARSE),
     # A complex array where a real one is required: a cast would drop its
     # imaginary part.
     "graph-complex": (lambda: Graph(np.array([[0, 1 + 5j], [1 + 5j, 0]])), REAL),
